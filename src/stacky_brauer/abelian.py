@@ -998,8 +998,8 @@ class Subquotient:
     boundary_basis: IntegerMatrix
     quotient: FinAbGroup
     lifts: tuple
-    _solver: object = None
-    _reduce_rows: tuple = ()   # rows of U_X, one per canonical generator
+    _solver: object = None     # cycle test and cycle coordinates
+    _reduce_rows: tuple = ()   # cycle coordinates -> quotient, one row per generator
     _boundaries: IntegerMatrix = None
 
     def contains_cycle(self, vec: dict) -> bool:
@@ -1037,12 +1037,8 @@ class Subquotient:
         return out
 
 
-def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> Subquotient:
-    """Subquotient ker(d_out)/im(d_in) of Z^n, or of (Z/modulus)^n when modulus > 0.
-
-    Verifies d_out @ d_in == 0 (mod modulus) first; a nonzero composition
-    signals a bug in differential assembly and raises ChainCompositionError.
-    """
+def _check_chain(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int) -> None:
+    """Raise ChainCompositionError unless d_out @ d_in == 0 (mod modulus)."""
     if d_out.cols != d_in.rows:
         raise ChainCompositionError(
             f"dimension mismatch: d_out has {d_out.cols} columns, d_in has {d_in.rows} rows")
@@ -1055,6 +1051,15 @@ def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> 
         bad = not comp.is_zero()
     if bad:
         raise ChainCompositionError("d_out @ d_in != 0")
+
+
+def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> Subquotient:
+    """Subquotient ker(d_out)/im(d_in) of Z^n, or of (Z/modulus)^n when modulus > 0.
+
+    Verifies d_out @ d_in == 0 (mod modulus) first; a nonzero composition
+    signals a bug in differential assembly and raises ChainCompositionError.
+    """
+    _check_chain(d_out, d_in, modulus)
 
     ambient = d_out.cols
     solver = _CycleSolver(d_out, modulus)
@@ -1119,6 +1124,62 @@ def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> 
     )
 
 
+class _CycleCheck:
+    """Cycles of d_out in ambient coordinates, checked but never eliminated."""
+
+    def __init__(self, d_out: IntegerMatrix):
+        self.d_out = d_out
+
+    def contains(self, vec: dict) -> bool:
+        return not self.d_out.apply(vec)
+
+    def coords(self, vec: dict) -> dict:
+        if not self.contains(vec):
+            raise NotChainCompatibleError("vector is not a cycle")
+        return vec
+
+
+def finite_homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix) -> Subquotient:
+    """ker(d_out)/im(d_in) over Z, for a complex whose homology here is finite.
+
+    Finite homology makes ker(d_out) the saturation of im(d_in): if t*v
+    lies in im(d_in) for some t != 0, then t * (d_out @ v) = 0 and v is
+    already a cycle.  The homology is then the torsion of coker(d_in), read
+    off one elimination U @ d_in @ V = diag of d_in alone: the invariant
+    factors are the pivots other than 1, a cycle's coordinates are its
+    U rows at those pivots, and the U^-1 columns at the pivot rows span the
+    cycles.  d_out is only checked (d_out @ d_in == 0, its entry count
+    against the resource cap), never eliminated.  Finiteness is the
+    caller's promise; nothing here can detect a free part.
+    """
+    _check_chain(d_out, d_in, 0)
+    check_cap(d_out.nnz, "matrix nonzeros")
+    elim = _Elim(d_in, track_u=True, track_uinv=True).diagonalize()
+    elim.normalize_signs()
+    elim.sort_pivots()
+    elim.fix_divisibility()
+
+    factors = []
+    gen_rows = []
+    for r, c in elim.pivots:
+        d = elim.rows[r][c]
+        if d != 1:
+            factors.append(d)
+            gen_rows.append(r)
+    cycles = IntegerMatrix.from_columns(
+        d_in.rows, (elim.uinv_column(r) for r, _ in elim.pivots))
+    return Subquotient(
+        ambient_dim=d_in.rows,
+        cycle_basis=cycles,
+        boundary_basis=d_in,
+        quotient=FinAbGroup(0, tuple(factors)),
+        lifts=tuple(elim.uinv_column(r) for r in gen_rows),
+        _solver=_CycleCheck(d_out),
+        _reduce_rows=tuple(elim.u_row(r) for r in gen_rows),
+        _boundaries=d_in,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Maps of finitely generated abelian groups
 
@@ -1177,7 +1238,7 @@ class AbGroupMap:
         img = self.matrix.apply(vec)
         orders = self.target.relation_orders()
         return tuple((img.get(i, 0) % d) if d else img.get(i, 0)
-                     for i in range(self.target.num_generators))
+                     for i, d in enumerate(orders))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AbGroupMap):

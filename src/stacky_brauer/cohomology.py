@@ -9,6 +9,15 @@ H^n(G, kx) = H^{n+1}(G, Z) for n >= 1, which is valid over an
 algebraically closed field whose characteristic does not divide |G|
 (the unit group is then divisible with full prime-to-p torsion).  The
 characteristic enters only through that tameness check.
+
+Two routes compute a group.  For n >= 1, H^n(G, Z) is finite (killed by
+|G|), so it is the torsion of coker(d_in), d_in: C^{n-1} -> C^n:
+`abelian.finite_homology_at` eliminates d_in alone and only checks the
+much larger outgoing differential d_out (composition and resource cap).
+Integral and units coefficients in positive degree take this route.
+Degree 0 (H^0(G, Z) = Z is infinite) and Z/m coefficients (every cochain
+is then torsion, so torsion does not single out the cocycles) take
+`abelian.homology_at`, which eliminates d_out for a cycle basis first.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .abelian import (
     IntegerMatrix,
     Subquotient,
     check_cap,
+    finite_homology_at,
     homology_at,
     induced_map,
 )
@@ -37,8 +47,7 @@ from .groups import Cocycle2, FiniteGroup, GroupHom
 
 __all__ = [
     "Coefficients", "INTEGERS", "UNITS", "mod_coefficients",
-    "CochainSlice", "CohomologyGroup", "CohomologyClass",
-    "bar_differential", "cochain_slice",
+    "CohomologyGroup", "CohomologyClass", "bar_differential",
     "cohomology", "cohomology_Z", "cohomology_Zm", "cohomology_units",
     "pullback_matrix", "inflation_map", "restriction_map",
     "inflation_kernel_trivial", "bockstein", "bockstein_r",
@@ -91,18 +100,14 @@ def validate_tameness(G: FiniteGroup, characteristic: int) -> None:
 # Normalized bar complex
 
 
-def _tuple_count(G: FiniteGroup, n: int) -> int:
-    return (G.order - 1) ** n
-
-
-def bar_differential(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS) -> IntegerMatrix:
+def bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:
     """The normalized bar differential d: C^n -> C^{n+1} (trivial action).
 
     Rows are (n+1)-tuples and columns are n-tuples of non-identity
     elements, indexed lexicographically.  Faces containing the identity
     are dropped.  The matrix is the same integer matrix for every trivial
-    coefficient module (the tag only selects where homology reduces it),
-    and its entries stay in {-1, 0, +1} before coincidence-summing, which
+    coefficient module (Z/m coefficients reduce it modulo m later), and
+    its entries stay in {-1, 0, +1} before coincidence-summing, which
     keeps the eliminations well-conditioned.
     """
     if n < 0:
@@ -140,34 +145,6 @@ def bar_differential(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGE
     return IntegerMatrix(rows_n, cols_n, entries)
 
 
-@dataclass(frozen=True)
-class CochainSlice:
-    """One degree of the normalized cochain complex with its two differentials."""
-
-    group: FiniteGroup
-    degree: int
-    coefficients: Coefficients
-    d_out: IntegerMatrix
-    d_in: IntegerMatrix
-
-    def __post_init__(self):
-        k = self.group.order - 1
-        n = self.degree
-        if self.d_out.rows != k ** (n + 1) or self.d_out.cols != k ** n:
-            raise ValidationError("d_out has the wrong shape")
-        if self.d_in.rows != k ** n or self.d_in.cols != (k ** (n - 1) if n else 0):
-            raise ValidationError("d_in has the wrong shape")
-
-
-def cochain_slice(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS) -> CochainSlice:
-    d_out = bar_differential(G, n, coefficients)
-    if n == 0:
-        d_in = IntegerMatrix(_tuple_count(G, 0), 0)
-    else:
-        d_in = bar_differential(G, n - 1, coefficients)
-    return CochainSlice(G, n, coefficients, d_out, d_in)
-
-
 # ---------------------------------------------------------------------------
 # Cohomology groups
 
@@ -178,7 +155,13 @@ class CohomologyGroup:
 
     representatives[i] is a sparse cochain vector over the normalized
     tuple basis for the i-th canonical generator; for units coefficients
-    these are integral cochains one degree up.
+    these are integral cochains one degree up.  For integral and units
+    coefficients in positive degree the group is read off the cokernel of
+    the incoming differential: the generators are the U^-1 columns of its
+    Smith form at the pivots other than 1, and class_of checks that a
+    vector is a cocycle and then takes its U rows at those pivots modulo
+    the invariant factors.  Where the value does not force a basis (for
+    example (Z/2)^3), these generators are the ones that route chose.
     """
 
     group: FiniteGroup
@@ -264,9 +247,13 @@ def cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS,
     with _CACHE_LOCK:
         cached = _CACHE.get(key)
     if cached is None:
-        slice_ = cochain_slice(G, degree,
-                               mod_coefficients(modulus) if modulus else INTEGERS)
-        cached = homology_at(slice_.d_out, slice_.d_in, modulus=modulus)
+        d_out = bar_differential(G, degree)
+        d_in = bar_differential(G, degree - 1) if degree else IntegerMatrix(1, 0)
+        if degree and not modulus:
+            # H^degree(G, Z) is finite in positive degree
+            cached = finite_homology_at(d_out, d_in)
+        else:
+            cached = homology_at(d_out, d_in, modulus=modulus)
         with _CACHE_LOCK:
             _CACHE.setdefault(key, cached)
             cached = _CACHE[key]

@@ -217,6 +217,12 @@ class TestMapPredicates:
         assert not is_injective(f)
         assert not is_surjective(f)
 
+    def test_apply_reduces_torsion_coordinates(self):
+        f = AbGroupMap.from_rows(FinAbGroup.free(1), FinAbGroup(1, (4,)),
+                                 [[3], [5]])
+        assert f.apply((1,)) == (3, 5)
+        assert f.apply((2,)) == (2, 10)
+
     def test_canonical_injection(self):
         f = AbGroupMap.from_rows(FinAbGroup.cyclic(3), FinAbGroup.cyclic(6), [[2]])
         assert is_injective(f)

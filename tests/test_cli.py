@@ -219,6 +219,14 @@ class TestEndToEnd:
         assert proc.returncode == 1
         assert "cap" in proc.stderr.lower()
 
+    def test_cohomology_cap_counts_unreduced_d_out(self):
+        # H^3(Z/6, kx) = H^4(Z/6, Z): d_out has 5^5 = 3125 rows, under the
+        # cap, but 16240 nonzeros, over it, although only d_in is eliminated
+        proc = run_cli("cohomology", "cyclic:6", "3", "units",
+                       "--max-entries", "10000")
+        assert proc.returncode == 1
+        assert "matrix nonzeros" in proc.stderr
+
     def test_report_lines_cover_fibers(self, tmp_path):
         doc = parse_input(NODE_DOC)
         from stacky_brauer.curves import brauer_report

@@ -4,6 +4,9 @@ import pytest
 
 from stacky_brauer.abelian import (
     FinAbGroup,
+    IntegerMatrix,
+    homology_at,
+    induced_map,
     is_injective,
     is_split_injection,
     is_surjective,
@@ -18,7 +21,6 @@ from stacky_brauer.cohomology import (
     bar_differential,
     bockstein,
     bockstein_r,
-    cochain_slice,
     cohomology,
     cohomology_Z,
     cohomology_Zm,
@@ -65,9 +67,10 @@ class TestBarDifferential:
         assert K.cols == 0
 
     def test_slice_shapes(self):
-        sl = cochain_slice(cyclic(3), 2)
-        assert sl.d_out.rows == 8 and sl.d_out.cols == 4
-        assert sl.d_in.rows == 4 and sl.d_in.cols == 2
+        d_out = bar_differential(cyclic(3), 2)
+        d_in = bar_differential(cyclic(3), 1)
+        assert d_out.rows == 8 and d_out.cols == 4
+        assert d_in.rows == 4 and d_in.cols == 2
 
 
 class TestCohomologyValues:
@@ -141,6 +144,52 @@ class TestCohomologyValues:
         assert all(r.value == FinAbGroup.cyclic(5) for r in results)
         assert all(r.representatives == results[0].representatives
                    for r in results)
+
+
+class TestCokernelRoute:
+    """Integral cohomology in positive degree is read off coker(d_in) alone;
+    homology_at, which eliminates d_out for its cycle basis and computes
+    the free rank on its own, is the reference."""
+
+    def test_matches_homology_at(self, family):
+        for name, G in family:
+            top = 4 if G.order <= 6 else 3
+            for n in range(1, top + 1):
+                d_out = bar_differential(G, n)
+                d_in = bar_differential(G, n - 1)
+                h = cohomology_Z(G, n)
+                assert h.value == homology_at(d_out, d_in).quotient, (name, n)
+                k = h.value.num_generators
+                for i, rep in enumerate(h.representatives):
+                    assert not d_out.apply(rep), (name, n, i)
+                    unit = tuple(int(j == i) for j in range(k))
+                    assert h.class_of(rep).coords == unit, (name, n, i)
+                bview = d_in.col_view()
+                for j in range(d_in.cols):
+                    assert h.class_of(bview.get(j, {})).is_zero, (name, n, j)
+
+    def test_class_of_rejects_non_cocycles(self):
+        from stacky_brauer.errors import NotChainCompatibleError
+        h = cohomology_Z(cyclic(4), 2)
+        with pytest.raises(NotChainCompatibleError):
+            h.class_of({0: 1})
+
+    def test_bockstein_coordinates_change_by_the_basis_change(self):
+        # H^3((Z/2)^3, Z) = (Z/2)^3 forces no basis, so the two routes pick
+        # different generators; the identity cochain map carries one basis
+        # to the other and every Bockstein class's coordinates with it
+        G = direct_product(cyclic(2), direct_product(cyclic(2), cyclic(2)))
+        old = homology_at(bar_differential(G, 3), bar_differential(G, 2))
+        new = cohomology_Z(G, 3).subquotient
+        change = induced_map(IntegerMatrix.identity(old.ambient_dim), old, new)
+        assert is_injective(change) and is_surjective(change)
+        d2 = bar_differential(G, 2)
+        classes = enumerate_extension_classes(G, 2)
+        assert len(classes) == 64
+        for c in classes:
+            image = d2.apply(c.to_vector())
+            divided = {k: v // 2 for k, v in image.items() if v // 2}
+            assert change.apply(old.reduce(divided)) == bockstein_r(G, c).coords
 
 
 class TestInflation:
