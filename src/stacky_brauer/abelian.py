@@ -201,10 +201,6 @@ class IntegerMatrix:
 
     # -- arithmetic
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows,
-                             {(c, r): v for (r, c), v in self.entries.items()})
-
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValidationError("shape mismatch in matrix product")
@@ -246,12 +242,6 @@ class IntegerMatrix:
         for (r, c), v in other.entries.items():
             entries[(r, self.cols + c)] = v
         return IntegerMatrix(self.rows, self.cols + other.cols, entries)
-
-    def scaled(self, k: int) -> "IntegerMatrix":
-        if k == 0:
-            return IntegerMatrix(self.rows, self.cols)
-        return IntegerMatrix(self.rows, self.cols,
-                             {rc: k * v for rc, v in self.entries.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntegerMatrix) and self.rows == other.rows
@@ -795,11 +785,6 @@ class _Elim:
             raise ValidationError("V was not tracked")
         return dict(self.vcols.get(c, {c: 1}))
 
-    def vinv_row(self, c: int) -> dict:
-        if self.vinv_rows is None:
-            raise ValidationError("Vinv was not tracked")
-        return dict(self.vinv_rows.get(c, {c: 1}))
-
     def u_row(self, r: int) -> dict:
         if self.urows is None:
             raise ValidationError("U was not tracked")
@@ -809,11 +794,6 @@ class _Elim:
         if self.uinv_cols is None:
             raise ValidationError("Uinv was not tracked")
         return dict(self.uinv_cols.get(r, {r: 1}))
-
-    def transformed_rhs_entry(self, r: int, j: int) -> int:
-        if self.rhs_rows is None:
-            raise ValidationError("no rhs tracked")
-        return self.rhs_rows.get(r, {}).get(j, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -853,10 +833,6 @@ def smith_normal_form(M: IntegerMatrix):
     return S, U, V
 
 
-def rank(M: IntegerMatrix) -> int:
-    return len(_Elim(M).diagonalize().pivots)
-
-
 def cokernel(M: IntegerMatrix) -> FinAbGroup:
     """Canonical form of Z^rows / column-span(M)."""
     elim = _Elim(M).diagonalize()
@@ -882,9 +858,9 @@ def solve(M: IntegerMatrix, B: IntegerMatrix):
     ys = []
     for j in range(B.cols):
         y = {}
-        for i, (r, c) in enumerate(elim.pivots):
+        for r, c in elim.pivots:
             d = elim.rows[r][c]
-            val = elim.transformed_rhs_entry(r, j)
+            val = elim.rhs_rows.get(r, {}).get(j, 0)
             if val % d != 0:
                 return None
             if val:
@@ -908,12 +884,6 @@ def solve(M: IntegerMatrix, B: IntegerMatrix):
                     del x[r]
         xcols.append(x)
     return IntegerMatrix.from_columns(M.cols, xcols)
-
-
-def lattice_contains(M: IntegerMatrix, vec: dict) -> bool:
-    """Is the sparse vector in the column span of M over Z?"""
-    B = IntegerMatrix(M.rows, 1, {(r, 0): v for r, v in vec.items()})
-    return solve(M, B) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +970,6 @@ class Subquotient:
     lifts: tuple
     _solver: object = None     # cycle test and cycle coordinates
     _reduce_rows: tuple = ()   # cycle coordinates -> quotient, one row per generator
-    _boundaries: IntegerMatrix = None
 
     def contains_cycle(self, vec: dict) -> bool:
         return self._solver.contains(vec)
@@ -1120,7 +1089,6 @@ def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> 
         lifts=tuple(lifts),
         _solver=solver,
         _reduce_rows=tuple(reduce_rows),
-        _boundaries=boundaries,
     )
 
 
@@ -1176,7 +1144,6 @@ def finite_homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix) -> Subquotient
         lifts=tuple(elim.uinv_column(r) for r in gen_rows),
         _solver=_CycleCheck(d_out),
         _reduce_rows=tuple(elim.u_row(r) for r in gen_rows),
-        _boundaries=d_in,
     )
 
 
@@ -1412,7 +1379,7 @@ def induced_map(f_ambient: IntegerMatrix, src: Subquotient, dst: Subquotient) ->
         img_cols.append(f_ambient.apply(bview.get(j, {})))
     if img_cols:
         B = IntegerMatrix.from_columns(dst.ambient_dim, img_cols)
-        if solve(dst._boundaries, B) is None:
+        if solve(dst.boundary_basis, B) is None:
             raise NotChainCompatibleError("boundaries are not carried to boundaries")
 
     rows = dst.quotient.num_generators

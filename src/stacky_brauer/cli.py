@@ -568,7 +568,8 @@ def main(argv=None) -> int:
     p_brauer.add_argument("--char", type=int, default=None,
                           help="base field characteristic override")
     p_brauer.add_argument("--verify", action="store_true",
-                          help="run oracle cross-checks and fail on mismatch")
+                          help="no extra checks: both root-gerbe detectors "
+                               "always run and are cross-asserted")
 
     p_coh = sub.add_parser("cohomology", help="compute one cohomology group")
     p_coh.add_argument("group", help="group spec, e.g. cyclic:6 or semidirect_z2:4:3")

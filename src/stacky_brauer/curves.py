@@ -8,8 +8,12 @@ three-term exact sequence
 
     (+) H^2(G_i, kx)  ->  Br  ->  H^1(curve, Z/r)
 
-decides injectivity, right-exactness, and splitting from the per-fiber
-diagnostics, and reports either the full group or honest partial bounds.
+in one pass: it picks a shortcut (the smooth-curve formula, or
+gcd(r, |G_i|) = 1 at every point) or none, picks the right term, runs
+the per-fiber diagnostics once, and consults one decision table.  A
+shortcut, or a root gerbe whose sequence is right-exact with a section
+at every fiber, determines Br as the direct sum of both terms; anything
+else yields honest partial bounds.
 """
 
 from __future__ import annotations
@@ -293,72 +297,37 @@ def brauer_report(curve: CurveSpec, r: int, *, verify: bool = False,
                   force_general: bool = False) -> BrauerReport:
     """Decide the three-term sequence for a mu_r-gerbe on a stacky curve.
 
-    verify=True also runs the pullback root-gerbe detector per fiber and
-    cross-asserts it against the Bockstein detector.  force_general skips
-    the smooth and coprime shortcuts (used to cross-validate them).
+    Every fiber always runs both root-gerbe detectors (Bockstein and
+    pullback), which FiberDiagnostics cross-asserts; verify adds nothing
+    beyond that and is accepted for callers that pass it.  force_general
+    skips the smooth and coprime shortcuts (used to cross-validate them).
     """
     curve.validate_modulus(r)
     left_term = stacky_units_cohomology(curve, 2)
-
+    # first, so that a modulus mismatch is reported before missing H^1 data
     extensions = [(pt, pt.materialize_extension(r)) for pt in curve.points]
 
-    # smooth shortcut: the result does not depend on the extensions, so the
-    # expensive per-fiber questions are left unevaluated
-    if curve.smooth and not force_general:
+    shortcut = None
+    if not force_general:
+        if curve.smooth:
+            shortcut = "smooth-shortcut"
+        elif all(gcd(r, pt.group.order) == 1 for pt in curve.points):
+            shortcut = "coprime"
+
+    if shortcut == "coprime" and curve.h1_coarse_override is not None:
+        right_term, right_source = curve.h1_coarse_override, "override-coarse"
+    else:
         right_term = h1_stack_zr(curve, r)
-        fibers = tuple(
-            (pt.name, analyze_fiber(ext, verify=True, with_h3=False,
-                                    with_sections=True, with_h2_total=False))
-            for pt, ext in extensions)
-        lk = left_kernel(curve, r)
-        report = BrauerReport(
-            curve=curve, r=r,
-            left_term=left_term, left_kernel=lk, left_image=left_term,
-            right_term=right_term,
-            right_term_source="override-stack" if curve.h1_stack_override is not None
-                              else "orbifold-presentation",
-            fibers=fibers,
-            is_root_gerbe=lk.is_trivial,
-            right_exact=_conjunction(d.h3_inflation_injective for _, d in fibers),
-            splitting="smooth-shortcut",
-            result=ReportResult("determined", value=right_term),
-        )
-        return report
+        right_source = "override-stack" if curve.h1_stack_override is not None \
+            else "orbifold-presentation"
 
-    # coprime shortcut
-    coprime = all(gcd(r, pt.group.order) == 1 for pt in curve.points)
-    if coprime and not force_general:
-        try:
-            right_term = h1_coarse_zr(curve, r)
-            right_source = "override-coarse" if curve.h1_coarse_override is not None \
-                else "coarse-genus"
-        except MissingDataError:
-            right_term = h1_stack_zr(curve, r)
-            right_source = "override-stack"
-        fibers = tuple((pt.name, analyze_fiber(ext, verify=True))
-                       for pt, ext in extensions)
-        lk = left_kernel(curve, r)
-        value = left_term.direct_sum(right_term)
-        return BrauerReport(
-            curve=curve, r=r,
-            left_term=left_term, left_kernel=lk, left_image=left_term,
-            right_term=right_term, right_term_source=right_source,
-            fibers=fibers,
-            is_root_gerbe=lk.is_trivial,
-            right_exact=_conjunction(d.h3_inflation_injective for _, d in fibers),
-            splitting="coprime",
-            result=ReportResult("determined", value=value),
-        )
-
-    # general path
-    right_term = h1_stack_zr(curve, r)
-    right_source = "override-stack" if curve.h1_stack_override is not None \
-        else "orbifold-presentation"
-    fibers = tuple((pt.name, analyze_fiber(ext, verify=True))
-                   for pt, ext in extensions)
+    # the smooth formula does not depend on the extensions, so the
+    # expensive degree-3 fiber questions are left unevaluated there
+    fibers = tuple(
+        (pt.name, analyze_fiber(ext, with_h3=shortcut != "smooth-shortcut"))
+        for pt, ext in extensions)
     lk = left_kernel(curve, r)
     root = lk.is_trivial
-
     right_exact = _conjunction(d.h3_inflation_injective for _, d in fibers)
 
     if root:
@@ -368,21 +337,21 @@ def brauer_report(curve: CurveSpec, r: int, *, verify: bool = False,
         tuples = [d.bockstein_class for _, d in fibers]
         left_image = _quotient_by_cyclic_subgroup(gens, tuples)
 
-    sections = [d.h2_section_exists for _, d in fibers]
-    all_sections = all(v is True for v in sections)
-
-    if root and right_exact and all_sections:
+    # decision table; on a smooth curve left_term is 0 (cyclic stabilizers)
+    if shortcut is not None:
+        splitting = shortcut
+    elif root and right_exact and \
+            all(d.h2_section_exists is True for _, d in fibers):
+        splitting = "sections"
+    else:
+        splitting = "unknown"
+    if splitting == "unknown":
+        result = ReportResult("partial", subgroup=left_image,
+                              quotient_bound=right_term,
+                              quotient_exact=right_exact is True)
+    else:
         result = ReportResult("determined",
                               value=left_term.direct_sum(right_term))
-        splitting = "sections"
-    elif right_exact:
-        result = ReportResult("partial", subgroup=left_image,
-                              quotient_bound=right_term, quotient_exact=True)
-        splitting = "unknown"
-    else:
-        result = ReportResult("partial", subgroup=left_image,
-                              quotient_bound=right_term, quotient_exact=False)
-        splitting = "unknown"
 
     return BrauerReport(
         curve=curve, r=r,

@@ -64,10 +64,11 @@ def h2_section_exists(ext: CentralExtension) -> bool:
 class FiberDiagnostics:
     """All per-fiber decision data for one stabilizer point.
 
-    h3_inflation_injective and h2_section_exists are None when they were
-    not evaluated (resource cap, or a path whose result does not depend
-    on them); root_gerbe_via_inflation is None when only the cheaper
-    Bockstein detector was run.
+    h2_units_total, h3_inflation_injective and h2_section_exists are None
+    when they were not evaluated (resource cap, or, for the first two, a
+    path whose result does not depend on them).  analyze_fiber always runs
+    the inflation detector as well as the Bockstein detector, so
+    root_gerbe_via_inflation is None only in diagnostics built by hand.
     """
 
     extension: CentralExtension
@@ -91,52 +92,39 @@ class FiberDiagnostics:
                 "a split injection cannot fail to be injective")
 
 
-def analyze_fiber(ext: CentralExtension, *, verify: bool = True,
-                  with_h3: bool = True, with_sections: bool = True,
-                  with_h2_total: bool = True) -> FiberDiagnostics:
+def _capped(question, *args):
+    """The question's answer, or None when it hits the resource cap."""
+    try:
+        return question(*args)
+    except ResourceCapError:
+        return None
+
+
+def analyze_fiber(ext: CentralExtension, *,
+                  with_h3: bool = True) -> FiberDiagnostics:
     """Run the fiber decision battery for one central extension.
 
-    verify=True additionally runs the pullback root-gerbe detector and
-    cross-asserts it against the Bockstein detector.  Expensive parts
-    degrade to None on a resource-cap error rather than failing.
+    Both root-gerbe detectors always run and are cross-asserted.
+    with_h3=False leaves the degree-3 questions (H^2(E, kx) = H^3(E, Z)
+    and injectivity of inflation on degree-3 units cohomology) as None.
+    Expensive parts degrade to None on a resource-cap error rather than
+    failing.
     """
     G = ext.base
     beta = bockstein_r(G, ext.cocycle)
-    root = beta.is_zero
     h2_base = cohomology_units(G, 2).value
-
-    via_inflation = None
-    if verify:
-        via_inflation = fiber_is_root_gerbe_via_inflation(ext)
-
-    h2_total = None
-    if with_h2_total:
-        try:
-            h2_total = cohomology_units(ext.total, 2).value
-        except ResourceCapError:
-            h2_total = None
-
-    h3_inj = None
+    via_inflation = fiber_is_root_gerbe_via_inflation(ext)
+    h2_total = h3_inj = None
     if with_h3:
-        try:
-            h3_inj = h3_inflation_injective(ext)
-        except ResourceCapError:
-            h3_inj = None
-
-    section = None
-    if with_sections:
-        try:
-            section = h2_section_exists(ext)
-        except ResourceCapError:
-            section = None
-
+        h2_total = _capped(lambda: cohomology_units(ext.total, 2).value)
+        h3_inj = _capped(h3_inflation_injective, ext)
     return FiberDiagnostics(
         extension=ext,
         h2_units_base=h2_base,
         h2_units_total=h2_total,
-        is_root_gerbe=root,
+        is_root_gerbe=beta.is_zero,
         root_gerbe_via_inflation=via_inflation,
         h3_inflation_injective=h3_inj,
-        h2_section_exists=section,
+        h2_section_exists=_capped(h2_section_exists, ext),
         bockstein_class=beta.coords,
     )

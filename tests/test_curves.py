@@ -277,6 +277,40 @@ class TestBrauerReport:
         curve = CurveSpec(smooth=True, proper=True, coarse_genus=0, points=(pt,))
         with pytest.raises(ValidationError):
             brauer_report(curve, 3)
+        # the mismatch is reported before the missing H^1 data
+        node = StabilizerPoint("x", cyclic(2), singular=True, extension=e1)
+        curve = CurveSpec(smooth=False, proper=True, points=(node,))
+        with pytest.raises(ValidationError):
+            brauer_report(curve, 3)
+
+    @pytest.mark.parametrize("kind, force, source, splitting", [
+        ("smooth", False, "orbifold-presentation", "smooth-shortcut"),
+        ("smooth-stack", False, "override-stack", "smooth-shortcut"),
+        ("coprime-both", False, "override-coarse", "coprime"),
+        ("coprime-stack", False, "override-stack", "coprime"),
+        ("general-both", False, "override-stack", "sections"),
+        ("smooth", True, "orbifold-presentation", "sections"),
+    ])
+    def test_right_term_source_per_branch(self, kind, force, source, splitting):
+        # stack and coarse overrides differ, so right_term shows which was read
+        stack, coarse = FinAbGroup(0, (2, 2)), FinAbGroup.cyclic(2)
+        if kind.startswith("smooth"):
+            curve = smooth_curve(1, [2, 3], h1_stack_override=(
+                stack if kind == "smooth-stack" else None))
+        else:
+            order = 3 if kind.startswith("coprime") else 2
+            pt = StabilizerPoint("p", cyclic(order), singular=True)
+            curve = CurveSpec(smooth=False, proper=True, points=(pt,),
+                              h1_stack_override=stack,
+                              h1_coarse_override=(
+                                  coarse if kind.endswith("both") else None))
+        rep = brauer_report(curve, 2, force_general=force)
+        assert rep.right_term_source == source
+        assert rep.splitting == splitting
+        assert rep.right_term == (coarse if source == "override-coarse"
+                                  else h1_stack_zr(curve, 2))
+        assert rep.result.status == "determined"
+        assert rep.result.value == rep.left_term.direct_sum(rep.right_term)
 
 
 class TestNodeSearch:
