@@ -1007,19 +1007,29 @@ class Subquotient:
 
 
 def _check_chain(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int) -> None:
-    """Raise ChainCompositionError unless d_out @ d_in == 0 (mod modulus)."""
+    """Raise ChainCompositionError unless d_out @ d_in == 0 (mod modulus).
+
+    Every entry of the product is checked exactly, one column at a time
+    (the column of d_out @ d_in at j is the sum of d_in[k, j] times column
+    k of d_out), so the product is never held as a whole.
+    """
     if d_out.cols != d_in.rows:
         raise ChainCompositionError(
             f"dimension mismatch: d_out has {d_out.cols} columns, d_in has {d_in.rows} rows")
     if modulus < 0:
         raise ValidationError("modulus must be >= 0")
-    comp = d_out @ d_in
-    if modulus:
-        bad = any(v % modulus for v in comp.entries.values())
-    else:
-        bad = not comp.is_zero()
-    if bad:
-        raise ChainCompositionError("d_out @ d_in != 0")
+    out_cols = d_out.col_view()
+    for col in d_in.col_view().values():
+        acc = {}
+        for k, v in col.items():
+            for r, w in out_cols.get(k, {}).items():
+                acc[r] = acc.get(r, 0) + v * w
+        if modulus:
+            bad = any(x % modulus for x in acc.values())
+        else:
+            bad = any(acc.values())
+        if bad:
+            raise ChainCompositionError("d_out @ d_in != 0")
 
 
 def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> Subquotient:

@@ -43,7 +43,7 @@ from .errors import (
     TamenessError,
     ValidationError,
 )
-from .groups import Cocycle2, FiniteGroup, GroupHom
+from .groups import Cocycle2, FiniteGroup, GroupHom, section
 
 __all__ = [
     "Coefficients", "INTEGERS", "UNITS", "mod_coefficients",
@@ -339,18 +339,30 @@ def restriction_map(i: GroupHom, n: int, coefficients: Coefficients = INTEGERS,
 def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
     """Is inflation injective on H^degree(G, Z) along the surjection q: E -> G?
 
-    Decided without computing H^degree(E, Z): a class dies iff its pulled
-    back cocycle is a coboundary over E, so one elimination of the E-side
+    Decided without computing H^degree(E, Z).  A trivial source is
+    injective vacuously.  A section s of q (a split extension, which
+    covers every split gerbe and every fiber with gcd(r, |G|) = 1)
+    certifies it in every degree, since s* after q* is (q s)* = id; no
+    bar complex of E is built.  Otherwise a class dies iff its pulled back
+    cocycle is a coboundary over E, so one elimination of the E-side
     incoming differential answers the question for every class at once.
     """
     if not q.is_surjective:
         raise ValidationError("inflation needs a surjective homomorphism")
-    G, E = q.target, q.source
-    src = cohomology_Z(G, integral_degree)
+    src = cohomology_Z(q.target, integral_degree)
     if src.value.is_trivial:
         return True
     if src.value.free_rank:
         raise ValidationError("expected a finite cohomology group")
+    if section(q) is not None:
+        return True
+    return _kernel_trivial_by_elimination(q, src)
+
+
+def _kernel_trivial_by_elimination(q: GroupHom, src: CohomologyGroup) -> bool:
+    """Does no nonzero class of src = H^n(G, Z) pull back to a coboundary over E?"""
+    E = q.source
+    integral_degree = src.degree
     F = pullback_matrix(q, integral_degree)
     pulled = [F.apply(rep) for rep in src.representatives]
     d_in_E = bar_differential(E, integral_degree - 1)

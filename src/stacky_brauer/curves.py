@@ -315,7 +315,7 @@ def brauer_report(curve: CurveSpec, r: int, *, verify: bool = False,
             shortcut = "coprime"
 
     if shortcut == "coprime" and curve.h1_coarse_override is not None:
-        right_term, right_source = curve.h1_coarse_override, "override-coarse"
+        right_term, right_source = h1_coarse_zr(curve, r), "override-coarse"
     else:
         right_term = h1_stack_zr(curve, r)
         right_source = "override-stack" if curve.h1_stack_override is not None \

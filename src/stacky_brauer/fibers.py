@@ -3,7 +3,12 @@
 For a central extension 0 -> Z/r -> E -> G -> 0 this module decides the
 three questions the curve pipeline needs: is the fiber a root gerbe
 (two independent detectors), is inflation injective on degree-3 units
-cohomology, and does the degree-2 inflation admit a section.
+cohomology, and does the degree-2 inflation admit a retraction.
+
+When E -> G has a section s (a split extension: every split gerbe, and
+every fiber with gcd(r, |G|) = 1), s* retracts inflation in every degree,
+so the inflation questions are answered from s without eliminating any
+matrix of E; the Bockstein detector and H^2(E, kx) are still computed.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .cohomology import (
     inflation_map,
 )
 from .errors import InvariantViolationError, ResourceCapError
-from .groups import CentralExtension
+from .groups import CentralExtension, section
 
 __all__ = [
     "FiberDiagnostics",
@@ -53,9 +58,12 @@ def h2_section_exists(ext: CentralExtension) -> bool:
 
     True iff the induced map H^2(G, kx) -> H^2(E, kx) is a split
     injection.  A trivial source splits vacuously, which avoids any
-    E-side computation for cyclic stabilizers.
+    E-side computation for cyclic stabilizers, and a section s of
+    E -> G gives the retraction s* without one.
     """
     if cohomology_units(ext.base, 2).value.is_trivial:
+        return True
+    if section(ext.projection) is not None:
         return True
     return is_split_injection(inflation_map(ext.projection, 2, UNITS))
 

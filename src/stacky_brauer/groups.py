@@ -1,8 +1,9 @@
 """Finite groups as validated multiplication tables.
 
 Covers the constructions the pipeline needs: cyclic groups, direct
-products, the node-example semidirect products mu_n x| Z/2, and central
-extensions of a group by Z/r built from normalized 2-cocycles.
+products, the node-example semidirect products mu_n x| Z/2, central
+extensions of a group by Z/r built from normalized 2-cocycles, and a
+search for sections of a surjection.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .errors import ValidationError
 __all__ = [
     "FiniteGroup", "GroupHom", "Cocycle2", "CentralExtension",
     "trivial_group", "cyclic", "direct_product", "semidirect_cyclic_by_z2",
-    "central_extension", "split_extension", "are_isomorphic",
+    "central_extension", "split_extension", "section", "are_isomorphic",
 ]
 
 
@@ -342,7 +343,8 @@ def split_extension(G: FiniteGroup, r: int) -> CentralExtension:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force isomorphism testing (tests only; the pipeline never needs it)
+# Homomorphisms determined by a generating sequence: sections of a
+# surjection (the fiber battery) and brute-force isomorphism testing (tests)
 
 
 def _generating_sequence(G: FiniteGroup):
@@ -389,6 +391,33 @@ def _extend_hom(G: FiniteGroup, H: FiniteGroup, gens, images):
     if len(phi) != G.order:
         return None
     return phi
+
+
+def section(q: GroupHom):
+    """A homomorphism s: G -> E with q(s(g)) = g for every g, or None.
+
+    q: E -> G is any homomorphism; None is returned when no section
+    exists (in particular when q is not surjective).  Tries every choice
+    of preimages of a generating sequence of G, keeping only preimages of
+    the generator's element order (q(s(g)) = g has the order of g, and
+    s(g)'s order divides it), and closes each choice with _extend_hom.
+    The search never looks at how E was built, so a split extension given
+    by a nonzero coboundary cocycle is found as well.
+    """
+    E, G = q.source, q.target
+    gens = _generating_sequence(G)
+    candidates = [
+        [x for x in range(E.order)
+         if q(x) == g and E.element_order(x) == G.element_order(g)]
+        for g in gens]
+    for images in product(*candidates):
+        phi = _extend_hom(G, E, gens, images)
+        if phi is None:
+            continue
+        s = GroupHom(G, E, tuple(phi[g] for g in range(G.order)))
+        if all(q(s(g)) == g for g in range(G.order)):
+            return s
+    return None
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup, max_order: int = 16) -> bool:

@@ -10,6 +10,7 @@ from stacky_brauer.abelian import (
     cokernel,
     cokernel_of_map,
     determinant,
+    finite_homology_at,
     hom_to_cyclic,
     homology_at,
     image_group,
@@ -24,12 +25,14 @@ from stacky_brauer.abelian import (
     smith_normal_form,
     solve,
 )
+from stacky_brauer.cohomology import bar_differential
 from stacky_brauer.errors import (
     ChainCompositionError,
     NotChainCompatibleError,
     ResourceCapError,
     ValidationError,
 )
+from stacky_brauer.groups import cyclic
 
 
 class TestSmithNormalForm:
@@ -166,6 +169,28 @@ class TestHomologyAt:
     def test_composition_check(self):
         with pytest.raises(ChainCompositionError):
             homology_at(IntegerMatrix.from_rows([[1]]), IntegerMatrix.from_rows([[1]]))
+
+    def test_composition_check_on_a_broken_bar_differential(self):
+        d_out = bar_differential(cyclic(3), 2)
+        d_in = bar_differential(cyclic(3), 1)
+        (r, c), v = min(d_out.entries.items())
+        entries = dict(d_out.entries)
+        entries[(r, c)] = -v
+        broken = IntegerMatrix(d_out.rows, d_out.cols, entries)
+        # flipping one sign changes the product by even multiples only
+        assert not (broken @ d_in).is_zero()
+        with pytest.raises(ChainCompositionError):
+            finite_homology_at(broken, d_in)
+        with pytest.raises(ChainCompositionError):
+            homology_at(broken, d_in, modulus=3)
+        # the same composition is zero mod 2, so the mod-2 check passes
+        assert homology_at(broken, d_in, modulus=2).quotient == \
+            homology_at(d_out, d_in, modulus=2).quotient
+
+    def test_composition_zero_mod_m_passes(self):
+        sq = homology_at(IntegerMatrix.from_rows([[1]]),
+                         IntegerMatrix.from_rows([[3]]), modulus=3)
+        assert sq.quotient.is_trivial
 
     def test_lift_round_trip(self):
         d_out = IntegerMatrix.zeros(2, 2)

@@ -2,7 +2,15 @@ from math import gcd
 
 import pytest
 
-from stacky_brauer.cohomology import enumerate_extension_classes
+from stacky_brauer.abelian import is_injective, is_split_injection
+from stacky_brauer.cohomology import (
+    UNITS,
+    _kernel_trivial_by_elimination,
+    cohomology_Z,
+    enumerate_extension_classes,
+    inflation_kernel_trivial,
+    inflation_map,
+)
 from stacky_brauer.errors import InvariantViolationError
 from stacky_brauer.fibers import (
     FiberDiagnostics,
@@ -108,6 +116,32 @@ class TestSections:
         c = quaternion_cocycle()
         ext = central_extension(c.base, 2, c)
         assert not h2_section_exists(ext)
+
+
+class TestSectionCertificate:
+    """Split fibers are answered from a section; the elimination and the
+    full induced maps must agree with that answer."""
+
+    def split_fibers(self, family):
+        for name, G in family:
+            for r in (2, 3, 4):
+                if G.order * r <= 8:
+                    yield f"{name} r={r}", G, split_extension(G, r)
+
+    def test_elimination_agrees_with_the_section(self, family):
+        for label, G, ext in self.split_fibers(family):
+            q = ext.projection
+            for n in (3, 4):
+                assert _kernel_trivial_by_elimination(q, cohomology_Z(G, n)), \
+                    (label, n)
+                assert inflation_kernel_trivial(q, n), (label, n)
+                assert is_injective(inflation_map(q, n - 1, UNITS)), (label, n)
+
+    def test_split_injection_agrees_with_the_section(self, family):
+        for label, G, ext in self.split_fibers(family):
+            assert h2_section_exists(ext), label
+            assert is_split_injection(
+                inflation_map(ext.projection, 2, UNITS)), label
 
 
 class TestDiagnostics:

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from stacky_brauer.cohomology import enumerate_extension_classes
 from stacky_brauer.errors import ValidationError
 from stacky_brauer.groups import (
     Cocycle2,
@@ -11,6 +12,7 @@ from stacky_brauer.groups import (
     central_extension,
     cyclic,
     direct_product,
+    section,
     semidirect_cyclic_by_z2,
     split_extension,
 )
@@ -135,6 +137,52 @@ class TestGroupHom:
         q2 = GroupHom(cyclic(8), cyclic(4), tuple(x % 4 for x in range(8)))
         comp = q1.compose(q2)
         assert comp.image == tuple(x % 2 for x in range(8))
+
+
+class TestSection:
+    def test_exactly_the_split_class_has_a_section(self):
+        V = direct_product(cyclic(2), cyclic(2))
+        S3 = semidirect_cyclic_by_z2(3, 2)
+        cases = [(cyclic(2), 2), (cyclic(2), 3), (cyclic(2), 4),
+                 (cyclic(3), 2), (cyclic(3), 3), (cyclic(4), 2),
+                 (cyclic(5), 2), (V, 2), (S3, 2)]
+        for G, r in cases:
+            for i, c in enumerate(enumerate_extension_classes(G, r)):
+                q = central_extension(G, r, c).projection
+                s = section(q)
+                assert (s is not None) == (i == 0), (G, r, i)
+                if s is not None:
+                    assert s.source == G and s.target == q.source
+                    assert q.compose(s) == GroupHom.identity(G)
+
+    def test_nonsplit_class_over_s3_is_dicyclic(self):
+        S3 = semidirect_cyclic_by_z2(3, 2)
+        E = central_extension(S3, 2, enumerate_extension_classes(S3, 2)[1]).total
+        # the dicyclic group of order 12 has a unique involution
+        assert Counter(E.element_orders())[2] == 1
+
+    def test_no_section_for_nonsplit_surjections(self):
+        c = quaternion_cocycle()
+        assert section(central_extension(c.base, 2, c).projection) is None
+        assert section(GroupHom(cyclic(4), cyclic(2), (0, 1, 0, 1))) is None
+
+    def test_split_class_given_by_a_nonzero_coboundary(self):
+        # c = delta f for a normalized f: G -> Z/4 that is not a homomorphism;
+        # over the Klein group the lifts g -> (g; 0) of the generators have
+        # order 4, so the section must use other preimages
+        V = direct_product(cyclic(2), cyclic(2))
+        for G, f in [(cyclic(4), (0, 1, 3, 2)), (V, (0, 1, 1, 3))]:
+            r = 4
+            c = Cocycle2(G, r, [[f[g] + f[h] - f[G.mul(g, h)] for h in range(4)]
+                                for g in range(4)])
+            assert not c.is_zero
+            ext = central_extension(G, r, c)
+            with pytest.raises(ValidationError):
+                # the zero-coordinate lift g -> (g; 0) is not a homomorphism
+                GroupHom(G, ext.total, tuple(g * r for g in range(4)))
+            s = section(ext.projection)
+            assert s is not None
+            assert ext.projection.compose(s) == GroupHom.identity(G)
 
 
 class TestIsomorphism:
