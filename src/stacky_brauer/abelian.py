@@ -95,11 +95,11 @@ def invariant_factor_chain(values) -> tuple:
 class IntegerMatrix:
     """Immutable sparse integer matrix.
 
-    Entries are stored as a map (row, col) -> nonzero int.  Row and
-    column views are built lazily and cached.
+    Entries are stored as a map (row, col) -> nonzero int.  The column
+    view is built lazily and cached.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_row_view", "_col_view")
+    __slots__ = ("rows", "cols", "entries", "_col_view")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -114,7 +114,6 @@ class IntegerMatrix:
                 if v:
                     clean[(r, c)] = v
         self.entries = clean
-        self._row_view = None
         self._col_view = None
 
     # -- constructors
@@ -154,14 +153,6 @@ class IntegerMatrix:
         return cls(rows, ncols, entries)
 
     # -- views
-
-    def row_view(self):
-        if self._row_view is None:
-            view = {}
-            for (r, c), v in self.entries.items():
-                view.setdefault(r, {})[c] = v
-            self._row_view = view
-        return self._row_view
 
     def col_view(self):
         if self._col_view is None:
@@ -591,20 +582,6 @@ class _Elim:
             # Vinv <- E^{-1} @ Vinv: row[src] -= q * row[dst]
             self._ident_acc(self.vinv_rows, src, dst, -q)
 
-    def _set_col(self, c: int, new_col: dict):
-        old_rows = self.col_index.get(c, set())
-        for r in list(old_rows):
-            if r not in new_col:
-                row = self.rows.get(r)
-                if row and c in row:
-                    del row[c]
-                    if not row:
-                        del self.rows[r]
-                old_rows.discard(r)
-        for r, v in new_col.items():
-            self.rows.setdefault(r, {})[c] = v
-            self.col_index.setdefault(c, set()).add(r)
-
     # -- pivoting
 
     def _select_pivot(self, heap, single_rows, single_cols):
@@ -774,6 +751,17 @@ class _Elim:
             if changed:
                 self.sort_pivots()
 
+    def canonicalize(self):
+        """Signs, order and divisibility chain of the pivots, in place.
+
+        Returns (row, d) for every pivot d other than 1, in chain order:
+        the torsion of the cokernel is the sum of these Z/d.
+        """
+        self.normalize_signs()
+        self.sort_pivots()
+        self.fix_divisibility()
+        return [(r, self.rows[r][c]) for r, c in self.pivots if self.rows[r][c] != 1]
+
     # -- extraction
 
     def kernel_columns(self):
@@ -806,11 +794,8 @@ def smith_normal_form(M: IntegerMatrix):
     S is diagonal with d1 | d2 | ... and all d_i >= 0 (nonzero entries
     first).  Raises ResourceCapError when M exceeds the entry budget.
     """
-    elim = _Elim(M, track_v=True, track_u=True)
-    elim.diagonalize()
-    elim.normalize_signs()
-    elim.sort_pivots()
-    elim.fix_divisibility()
+    elim = _Elim(M, track_v=True, track_u=True).diagonalize()
+    elim.canonicalize()
 
     k = len(elim.pivots)
     # permutations completing pivot order to full row/col orderings
@@ -1062,23 +1047,13 @@ def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> 
     X = IntegerMatrix.from_columns(k, xcols)
 
     elim = _Elim(X, track_u=True, track_uinv=True).diagonalize()
-    elim.normalize_signs()
-    elim.sort_pivots()
-    elim.fix_divisibility()
-
-    factors = []
-    gen_rows = []
-    for i, (r, c) in enumerate(elim.pivots):
-        d = elim.rows[r][c]
-        if d != 1:
-            factors.append(d)
-            gen_rows.append(r)
+    torsion = elim.canonicalize()
     free_rows = sorted(set(range(k)) - {r for r, _ in elim.pivots})
-    quotient = FinAbGroup(len(free_rows), tuple(factors))
+    quotient = FinAbGroup(len(free_rows), tuple(d for _, d in torsion))
 
     reduce_rows = []
     lifts = []
-    for r in gen_rows + free_rows:
+    for r in [r for r, _ in torsion] + free_rows:
         reduce_rows.append(elim.u_row(r))
         ycol = elim.uinv_column(r)
         lift = {}
@@ -1133,24 +1108,15 @@ def finite_homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix) -> Subquotient
     _check_chain(d_out, d_in, 0)
     check_cap(d_out.nnz, "matrix nonzeros")
     elim = _Elim(d_in, track_u=True, track_uinv=True).diagonalize()
-    elim.normalize_signs()
-    elim.sort_pivots()
-    elim.fix_divisibility()
-
-    factors = []
-    gen_rows = []
-    for r, c in elim.pivots:
-        d = elim.rows[r][c]
-        if d != 1:
-            factors.append(d)
-            gen_rows.append(r)
+    torsion = elim.canonicalize()
+    gen_rows = [r for r, _ in torsion]
     cycles = IntegerMatrix.from_columns(
         d_in.rows, (elim.uinv_column(r) for r, _ in elim.pivots))
     return Subquotient(
         ambient_dim=d_in.rows,
         cycle_basis=cycles,
         boundary_basis=d_in,
-        quotient=FinAbGroup(0, tuple(factors)),
+        quotient=FinAbGroup(0, tuple(d for _, d in torsion)),
         lifts=tuple(elim.uinv_column(r) for r in gen_rows),
         _solver=_CycleCheck(d_out),
         _reduce_rows=tuple(elim.u_row(r) for r in gen_rows),
@@ -1295,71 +1261,13 @@ def kernel_group(f: AbGroupMap) -> FinAbGroup:
 def is_split_injection(f: AbGroupMap) -> bool:
     """Does some g: target -> source satisfy g o f = id?
 
-    Solved as one integer linear system over the entries of g together
-    with slack variables for each congruence modulo a relation order.
+    Exactly when f is injective and target = source + coker(f) in
+    canonical form: a split injection gives that sum, and by Miyata's
+    theorem (a short exact sequence 0 -> A -> B -> C -> 0 of finitely
+    generated modules over a Noetherian ring with B = A + C splits) the
+    sum gives a retraction.
     """
-    s = f.source.num_generators
-    t = f.target.num_generators
-    if s == 0:
-        return True
-    src_orders = f.source.relation_orders()
-    dst_orders = f.target.relation_orders()
-
-    rows = []       # sparse rows over unknowns
-    rhs = []
-    unknown = {}    # (i, j) -> index of N[i][j]
-
-    def n_idx(i, j):
-        if (i, j) not in unknown:
-            unknown[(i, j)] = len(unknown)
-        return unknown[(i, j)]
-
-    for i in range(s):
-        for j in range(t):
-            n_idx(i, j)
-    n_slack = [len(unknown)]
-
-    def slack():
-        k = n_slack[0]
-        n_slack[0] += 1
-        return k
-
-    # well-definedness: e_j * N[i][j] = 0 modulo the source relation d_i
-    for j in range(t):
-        e = dst_orders[j]
-        if e == 0:
-            continue
-        for i in range(s):
-            d = src_orders[i]
-            row = {n_idx(i, j): e}
-            if d:
-                row[slack()] = d
-            rows.append(row)
-            rhs.append(0)
-    # retraction: sum_j N[i][j] * M[j][i'] = delta_{i,i'} modulo d_i
-    M = f.matrix
-    for i in range(s):
-        d = src_orders[i]
-        for i2 in range(s):
-            row = {}
-            for j in range(t):
-                v = M.get(j, i2)
-                if v:
-                    row[n_idx(i, j)] = row.get(n_idx(i, j), 0) + v
-            if d:
-                row[slack()] = d
-            rows.append(row)
-            rhs.append(1 if i == i2 else 0)
-
-    ncols = n_slack[0]
-    entries = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            if v:
-                entries[(r, c)] = v
-    A = IntegerMatrix(len(rows), ncols, entries)
-    B = IntegerMatrix(len(rows), 1, {(r, 0): v for r, v in enumerate(rhs) if v})
-    return solve(A, B) is not None
+    return is_injective(f) and f.target == f.source.direct_sum(cokernel_of_map(f))
 
 
 # ---------------------------------------------------------------------------
@@ -1370,7 +1278,9 @@ def induced_map(f_ambient: IntegerMatrix, src: Subquotient, dst: Subquotient) ->
     """The map on quotients induced by an ambient chain-compatible map.
 
     Verifies that f_ambient sends cycles to cycles and boundaries to
-    boundaries; raises NotChainCompatibleError otherwise.
+    boundaries; raises NotChainCompatibleError otherwise.  A boundary
+    generator's image is checked by reducing it in dst: on both homology
+    routes a cycle is a boundary exactly when its class is 0.
     """
     if f_ambient.cols != src.ambient_dim or f_ambient.rows != dst.ambient_dim:
         raise NotChainCompatibleError("ambient dimensions do not match")
@@ -1382,14 +1292,10 @@ def induced_map(f_ambient: IntegerMatrix, src: Subquotient, dst: Subquotient) ->
         if not dst.contains_cycle(img):
             raise NotChainCompatibleError("cycles are not carried to cycles")
 
-    # boundaries -> boundaries (one batched solve)
+    # boundaries -> boundaries: a cycle is a boundary iff its class is 0
     bview = src.boundary_basis.col_view()
-    img_cols = []
     for j in range(src.boundary_basis.cols):
-        img_cols.append(f_ambient.apply(bview.get(j, {})))
-    if img_cols:
-        B = IntegerMatrix.from_columns(dst.ambient_dim, img_cols)
-        if solve(dst.boundary_basis, B) is None:
+        if any(dst.reduce(f_ambient.apply(bview.get(j, {})))):
             raise NotChainCompatibleError("boundaries are not carried to boundaries")
 
     rows = dst.quotient.num_generators

@@ -174,9 +174,6 @@ class CohomologyGroup:
     def class_of(self, vec: dict) -> "CohomologyClass":
         return CohomologyClass(self, self.subquotient.reduce(vec))
 
-    def zero_class(self) -> "CohomologyClass":
-        return CohomologyClass(self, (0,) * self.value.num_generators)
-
     def all_classes(self):
         """All elements (torsion only; raises if the value has a free part)."""
         if self.value.free_rank:
@@ -207,9 +204,6 @@ class CohomologyClass:
             if v % d:
                 out = abelian.lcm(out, d // gcd(v % d, d))
         return out
-
-    def representative(self) -> dict:
-        return self.parent.subquotient.lift_of(self.coords)
 
     def __str__(self):
         return "(" + ", ".join(str(v) for v in self.coords) + ")"
@@ -339,13 +333,14 @@ def restriction_map(i: GroupHom, n: int, coefficients: Coefficients = INTEGERS,
 def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
     """Is inflation injective on H^degree(G, Z) along the surjection q: E -> G?
 
-    Decided without computing H^degree(E, Z).  A trivial source is
-    injective vacuously.  A section s of q (a split extension, which
-    covers every split gerbe and every fiber with gcd(r, |G|) = 1)
-    certifies it in every degree, since s* after q* is (q s)* = id; no
-    bar complex of E is built.  Otherwise a class dies iff its pulled back
-    cocycle is a coboundary over E, so one elimination of the E-side
-    incoming differential answers the question for every class at once.
+    Builds neither E's outgoing differential nor the cached H^degree(E, Z).
+    A trivial source is injective vacuously.  A section s of q (a split
+    extension, which covers every split gerbe and every fiber with
+    gcd(r, |G|) = 1) certifies it in every degree, since s* after q* is
+    (q s)* = id; no bar complex of E is built.  Otherwise one elimination of the E-side
+    incoming differential, carrying the pulled-back representatives,
+    gives inflation as a map into the torsion of its cokernel, which is
+    H^degree(E, Z), and the answer is whether that map is injective.
     """
     if not q.is_surjective:
         raise ValidationError("inflation needs a surjective homomorphism")
@@ -360,7 +355,17 @@ def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
 
 
 def _kernel_trivial_by_elimination(q: GroupHom, src: CohomologyGroup) -> bool:
-    """Does no nonzero class of src = H^n(G, Z) pull back to a coboundary over E?"""
+    """Does no nonzero class of src = H^n(G, Z) pull back to a coboundary over E?
+
+    One elimination U @ d_in @ V = diag of the E-side incoming differential
+    carries the pulled-back representatives as a right-hand side, so U
+    applied to them is read off without forming U.  H^n(E, Z) is the
+    torsion of coker(d_in), with one Z/d per pivot d other than 1, and the
+    rhs rows at those pivots are the inflation map into it; the answer is
+    whether that map is injective.  A pulled-back cocycle is a cocycle, so
+    its rhs rows off the pivots vanish; a nonzero one raises
+    InvariantViolationError.
+    """
     E = q.source
     integral_degree = src.degree
     F = pullback_matrix(q, integral_degree)
@@ -368,31 +373,16 @@ def _kernel_trivial_by_elimination(q: GroupHom, src: CohomologyGroup) -> bool:
     d_in_E = bar_differential(E, integral_degree - 1)
     B = IntegerMatrix.from_columns(F.rows, pulled)
     elim = abelian._Elim(d_in_E, rhs=B).diagonalize()
+    torsion = elim.canonicalize()
     pivot_rows = {r for r, _ in elim.pivots}
-    pivot_list = [(r, c, elim.rows[r][c]) for r, c in elim.pivots]
-    nonpivot_rows = [r for r in elim.rhs_rows or {} if r not in pivot_rows]
-
-    def is_coboundary(combo) -> bool:
-        # transformed rhs of the combination, checked against the diagonal
-        for r, c, d in pivot_list:
-            s = 0
-            row = elim.rhs_rows.get(r)
-            if row:
-                s = sum(k * row.get(j, 0) for j, k in enumerate(combo))
-            if s % d:
-                return False
-        for r in nonpivot_rows:
-            row = elim.rhs_rows.get(r, {})
-            if sum(k * row.get(j, 0) for j, k in enumerate(combo)):
-                return False
-        return True
-
-    for cls in src.all_classes():
-        if cls.is_zero:
-            continue
-        if is_coboundary(cls.coords):
-            return False
-    return True
+    if any(row for r, row in elim.rhs_rows.items() if r not in pivot_rows):
+        raise InvariantViolationError("a pulled-back cocycle is not a cocycle over E")
+    entries = {(i, j): v for i, (r, _) in enumerate(torsion)
+               for j, v in elim.rhs_rows.get(r, {}).items()}
+    target = FinAbGroup(0, tuple(d for _, d in torsion))
+    f = AbGroupMap(src.value, target,
+                   IntegerMatrix(len(torsion), src.value.num_generators, entries))
+    return abelian.is_injective(f)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +393,17 @@ def bockstein(G: FiniteGroup, cochain: dict, degree: int, r: int) -> CohomologyC
     """Integral Bockstein of a normalized mod-r cocycle of the given degree.
 
     Lifts the cochain to integers, applies the bar differential, divides
-    by r, and returns the class of the result in H^{degree+1}(G, Z).
+    by r, and returns the class of the result in H^{degree+1}(G, Z).  The
+    bar differential is the boundary basis of the cached H^{degree+1}(G, Z).
     """
     if r < 1:
         raise ValidationError("modulus must be >= 1")
-    d_here = bar_differential(G, degree)
-    image = d_here.apply(cochain)
+    target = cohomology_Z(G, degree + 1)
+    image = target.subquotient.boundary_basis.apply(cochain)
     for v in image.values():
         if v % r:
             raise InvariantViolationError("input cochain is not a cocycle mod r")
     divided = {k: v // r for k, v in image.items() if v // r}
-    target = cohomology_Z(G, degree + 1)
     return target.class_of(divided)
 
 

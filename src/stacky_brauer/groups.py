@@ -81,9 +81,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def element_order(self, g: int) -> int:
         x, k = g, 1
         while x != self.identity:

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -227,6 +228,14 @@ class TestInducedMap:
         with pytest.raises(NotChainCompatibleError):
             induced_map(IntegerMatrix.identity(1), src, dst)
 
+    def test_boundaries_must_go_to_boundaries(self):
+        # Z/2 -> Z by the identity: the cycle 1 stays a cycle, but the
+        # boundary 2 is not a boundary in Z
+        src = homology_at(IntegerMatrix.zeros(1, 1), IntegerMatrix.from_rows([[2]]))
+        dst = homology_at(IntegerMatrix.zeros(1, 1), IntegerMatrix.zeros(1, 0))
+        with pytest.raises(NotChainCompatibleError):
+            induced_map(IntegerMatrix.identity(1), src, dst)
+
 
 class TestHomToCyclic:
     def test_examples(self):
@@ -289,6 +298,43 @@ class TestMapPredicates:
                 assert is_injective(f)
                 checked += 1
         assert checked > 5
+
+    def test_split_injection_matches_retraction_search(self):
+        # oracle: enumerate every well-defined g: B -> A (generator images
+        # killed by the generator's relation order) and look for g . f = id
+        def elements(G):
+            return list(product(*(range(d) for d in G.invariant_factors)))
+
+        def respects(G, d, x):
+            return all(d * v % e == 0 for v, e in zip(x, G.invariant_factors))
+
+        groups = [FinAbGroup.from_factors(fs) for fs in
+                  ([], [2], [3], [4], [5], [6], [7], [8],
+                   [2, 2], [2, 4], [2, 2, 2])]
+        rng = random.Random(11)
+        counts = {True: 0, False: 0}
+        for _ in range(400):
+            A, B = rng.choice(groups), rng.choice(groups)
+            columns = [rng.choice([y for y in elements(B) if respects(B, d, y)])
+                       for d in A.invariant_factors]
+            f = AbGroupMap(A, B, IntegerMatrix.from_columns(
+                B.num_generators,
+                ({i: v for i, v in enumerate(col) if v} for col in columns)))
+            units = [tuple(int(i == j) for i in range(A.num_generators))
+                     for j in range(A.num_generators)]
+            choices = [[x for x in elements(A) if respects(A, e, x)]
+                       for e in B.invariant_factors]
+            retracts = False
+            for images in product(*choices):
+                retracts = all(
+                    tuple(sum(c * x[i] for c, x in zip(col, images)) % d
+                          for i, d in enumerate(A.invariant_factors)) == unit
+                    for col, unit in zip(columns, units))
+                if retracts:
+                    break
+            assert is_split_injection(f) == retracts, (A, B, columns)
+            counts[retracts] += 1
+        assert counts[True] > 50 and counts[False] > 50, counts
 
     def test_kernel_and_image_groups(self):
         f = AbGroupMap.from_rows(FinAbGroup.cyclic(4), FinAbGroup.cyclic(4), [[2]])

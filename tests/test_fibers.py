@@ -144,6 +144,25 @@ class TestSectionCertificate:
                 inflation_map(ext.projection, 2, UNITS)), label
 
 
+class TestNonSplitElimination:
+    """The elimination against the full induced map, on non-split fibers."""
+
+    def test_elimination_matches_inflation_map(self, family):
+        cases = 0
+        for name, G in family:
+            for r in (2, 3, 4):
+                if G.order * r > 8:
+                    continue
+                for i, c in enumerate(enumerate_extension_classes(G, r)[1:], 1):
+                    q = central_extension(G, r, c).projection
+                    for n in (3, 4):
+                        expected = is_injective(inflation_map(q, n - 1, UNITS))
+                        assert _kernel_trivial_by_elimination(
+                            q, cohomology_Z(G, n)) == expected, (name, r, i, n)
+                        cases += 1
+        assert cases == 20
+
+
 class TestDiagnostics:
     def test_full_battery_on_split_klein_four(self):
         V = direct_product(cyclic(2), cyclic(2))
