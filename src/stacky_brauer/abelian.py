@@ -1292,7 +1292,7 @@ def induced_map(f_ambient: IntegerMatrix, src: Subquotient, dst: Subquotient) ->
         if not dst.contains_cycle(img):
             raise NotChainCompatibleError("cycles are not carried to cycles")
 
-    # boundaries -> boundaries: a cycle is a boundary iff its class is 0
+    # boundaries -> boundaries
     bview = src.boundary_basis.col_view()
     for j in range(src.boundary_basis.cols):
         if any(dst.reduce(f_ambient.apply(bview.get(j, {})))):
