@@ -29,10 +29,8 @@ from .abelian import (
     is_surjective,
     kernel_basis,
     kernel_group,
-    resource_cap,
     set_resource_cap,
     smith_normal_form,
-    solve,
 )
 from .cohomology import (
     INTEGERS,

@@ -19,17 +19,12 @@ from math import gcd
 
 from .errors import (
     ChainCompositionError,
-    InvariantViolationError,
     NotChainCompatibleError,
     ResourceCapError,
     ValidationError,
 )
 
 _MAX_ENTRIES = contextvars.ContextVar("stacky_brauer_max_entries", default=5_000_000)
-
-
-def resource_cap() -> int:
-    return _MAX_ENTRIES.get()
 
 
 def set_resource_cap(n: int) -> None:
@@ -828,47 +823,7 @@ def cokernel(M: IntegerMatrix) -> FinAbGroup:
 
 def kernel_basis(M: IntegerMatrix) -> IntegerMatrix:
     """Columns form a basis of the integer kernel lattice of M."""
-    elim = _Elim(M, track_v=True).diagonalize()
-    cols = [elim.v_column(c) for c in elim.kernel_columns()]
-    return IntegerMatrix.from_columns(M.cols, cols)
-
-
-def solve(M: IntegerMatrix, B: IntegerMatrix):
-    """Solve M @ X = B over the integers; returns X or None.
-
-    When M has linearly dependent columns any one solution is returned.
-    """
-    elim = _Elim(M, track_v=True, rhs=B).diagonalize()
-    pivot_rows = {r for r, _ in elim.pivots}
-    ys = []
-    for j in range(B.cols):
-        y = {}
-        for r, c in elim.pivots:
-            d = elim.rows[r][c]
-            val = elim.rhs_rows.get(r, {}).get(j, 0)
-            if val % d != 0:
-                return None
-            if val:
-                y[c] = val // d
-        ys.append(y)
-    # remaining (non-pivot) transformed rows must vanish
-    if elim.rhs_rows is not None:
-        for r, row in elim.rhs_rows.items():
-            if r not in pivot_rows and row:
-                return None
-    # X = V @ y-hat
-    xcols = []
-    for y in ys:
-        x = {}
-        for c, coeff in y.items():
-            for r, v in elim.v_column(c).items():
-                nv = x.get(r, 0) + coeff * v
-                if nv:
-                    x[r] = nv
-                elif r in x:
-                    del x[r]
-        xcols.append(x)
-    return IntegerMatrix.from_columns(M.cols, xcols)
+    return _CycleSolver(M, (0,) * M.rows).cycle_basis
 
 
 # ---------------------------------------------------------------------------
@@ -876,27 +831,33 @@ def solve(M: IntegerMatrix, B: IntegerMatrix):
 
 
 class _CycleSolver:
-    """Coordinates of vectors in the cycle lattice of d_out (mod a modulus).
+    """The kernel lattice of M into Z^rows / diag(moduli), read off one elimination.
 
-    Built from one elimination of d_out (augmented by modulus * identity
-    when modulus > 0) tracking V and V^-1.  Membership and coordinate
-    extraction are then sparse matrix-vector work.
+    moduli[r] is the relation order of row r (0 for a Z row).  One
+    elimination of M augmented by moduli[r] * e_r for each nonzero modulus,
+    tracking V and V^-1, gives a basis of the lattice
+    {x : M @ x = 0 in Z^rows / diag(moduli)} (cycle_basis), coordinates in
+    that basis (coords: sparse matrix-vector work), and, from the same
+    pivots, the cokernel Z^rows / (im M + diag(moduli)).  This is the cycle
+    lattice of homology_at and the kernel lattice of a map of abelian groups.
     """
 
-    def __init__(self, d_out: IntegerMatrix, modulus: int):
-        self.d_out = d_out
-        self.modulus = modulus
-        self.ambient = d_out.cols
-        if modulus:
-            aug = d_out.hstack(IntegerMatrix(
-                d_out.rows, d_out.rows,
-                {(i, i): modulus for i in range(d_out.rows)}))
-        else:
-            aug = d_out
+    def __init__(self, M: IntegerMatrix, moduli):
+        self.M = M
+        self.moduli = moduli
+        self.ambient = M.cols
+        extra = [r for r, m in enumerate(moduli) if m]
+        self._slot = {r: M.cols + j for j, r in enumerate(extra)}
+        aug = M
+        if extra:
+            aug = M.hstack(IntegerMatrix(
+                M.rows, len(extra), {(r, j): moduli[r] for j, r in enumerate(extra)}))
         elim = _Elim(aug, track_v=True, track_vinv=True).diagonalize()
-        self.kernel_cols = elim.kernel_columns()
+        self._rank = len(elim.pivots)
+        self._torsion = [elim.rows[r][c] for r, c in elim.pivots if abs(elim.rows[r][c]) != 1]
+        kernel_cols = elim.kernel_columns()
         cols = []
-        for c in self.kernel_cols:
+        for c in kernel_cols:
             full = elim.v_column(c)
             cols.append({r: v for r, v in full.items() if r < self.ambient})
         self.cycle_basis = IntegerMatrix.from_columns(self.ambient, cols)
@@ -904,27 +865,31 @@ class _CycleSolver:
         # so coords(v) = sum_k v[k] * coord_cols[k] runs in sparse time
         coord_cols = {}
         vinv = elim.vinv_rows
-        for i, c in enumerate(self.kernel_cols):
+        for i, c in enumerate(kernel_cols):
             row = vinv.get(c, {c: 1})
             for k, coeff in row.items():
                 coord_cols.setdefault(k, {})[i] = coeff
         self._coord_cols = coord_cols
 
+    def cokernel(self) -> FinAbGroup:
+        """Z^rows / (im M + diag(moduli)), from the pivots of the same elimination."""
+        return FinAbGroup.from_factors(self._torsion, self.M.rows - self._rank)
+
+    def _in_lattice(self, img: dict) -> bool:
+        moduli = self.moduli
+        return all(moduli[r] and v % moduli[r] == 0 for r, v in img.items())
+
     def contains(self, vec: dict) -> bool:
-        img = self.d_out.apply(vec)
-        if self.modulus:
-            return all(v % self.modulus == 0 for v in img.values())
-        return not img
+        return self._in_lattice(self.M.apply(vec))
 
     def coords(self, vec: dict) -> dict:
-        """Coordinates in the cycle basis; raises if vec is not a cycle."""
-        if not self.contains(vec):
+        """Coordinates in the lattice basis; raises if vec is not in the lattice."""
+        img = self.M.apply(vec)
+        if not self._in_lattice(img):
             raise NotChainCompatibleError("vector is not a cycle")
         full = dict(vec)
-        if self.modulus:
-            img = self.d_out.apply(vec)
-            for r, v in img.items():
-                full[self.ambient + r] = -(v // self.modulus)
+        for r, v in img.items():
+            full[self._slot[r]] = -(v // self.moduli[r])
         out = {}
         coord_cols = self._coord_cols
         for k, fv in full.items():
@@ -1026,7 +991,7 @@ def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> 
     _check_chain(d_out, d_in, modulus)
 
     ambient = d_out.cols
-    solver = _CycleSolver(d_out, modulus)
+    solver = _CycleSolver(d_out, (modulus,) * d_out.rows)
     K = solver.cycle_basis
     if modulus:
         boundaries = d_in.hstack(IntegerMatrix(
@@ -1203,59 +1168,45 @@ class AbGroupMap:
         return f"AbGroupMap({self.source} -> {self.target})"
 
 
-def _relation_matrix(A: FinAbGroup) -> IntegerMatrix:
-    """Columns d_i * e_i for the torsion generators (free gens contribute none)."""
-    t = len(A.invariant_factors)
-    return IntegerMatrix(A.num_generators, t,
-                         {(i, i): d for i, d in enumerate(A.invariant_factors)})
+def _map_solver(f: AbGroupMap) -> _CycleSolver:
+    """The kernel lattice {x in Z^s : f(x) = 0 in target} and coker(f)."""
+    return _CycleSolver(f.matrix, f.target.relation_orders())
 
 
-def _preimage_lattice(f: AbGroupMap) -> IntegerMatrix:
-    """Basis of {x in Z^s : f(x) = 0 in target} (kernel of the composite to target)."""
-    stacked = f.matrix.hstack(_relation_matrix(f.target))
-    K = kernel_basis(stacked)
-    s = f.source.num_generators
-    cols = []
-    for j in range(K.cols):
-        col = {r: v for r, v in K.column(j).items() if r < s}
-        cols.append(col)
-    return IntegerMatrix.from_columns(s, cols)
+def _kills_only_relations(solver: _CycleSolver, source: FinAbGroup) -> bool:
+    """Is every kernel lattice vector zero in the source?"""
+    orders = source.relation_orders()
+    return all((v % orders[r] if orders[r] else v) == 0
+               for (r, _), v in solver.cycle_basis.entries.items())
 
 
 def is_injective(f: AbGroupMap) -> bool:
-    src_orders = f.source.relation_orders()
-    K = _preimage_lattice(f)
-    for j in range(K.cols):
-        for r, v in K.column(j).items():
-            d = src_orders[r]
-            if (v % d if d else v) != 0:
-                return False
-    return True
+    return _kills_only_relations(_map_solver(f), f.source)
 
 
 def is_surjective(f: AbGroupMap) -> bool:
-    stacked = f.matrix.hstack(_relation_matrix(f.target))
-    return cokernel(stacked).is_trivial
+    return _map_solver(f).cokernel().is_trivial
 
 
 def cokernel_of_map(f: AbGroupMap) -> FinAbGroup:
-    stacked = f.matrix.hstack(_relation_matrix(f.target))
-    return cokernel(stacked)
+    return _map_solver(f).cokernel()
 
 
 def image_group(f: AbGroupMap) -> FinAbGroup:
     """The image of f, as an abstract group (source modulo kernel lattice)."""
-    return cokernel(_preimage_lattice(f))
+    return cokernel(_map_solver(f).cycle_basis)
 
 
 def kernel_group(f: AbGroupMap) -> FinAbGroup:
-    """The kernel of f as an abstract group."""
-    K = _preimage_lattice(f)
-    rel = _relation_matrix(f.source)
-    coords = solve(K, rel)
-    if coords is None:
-        raise InvariantViolationError("source relations must lie in the kernel lattice")
-    return cokernel(coords)
+    """The kernel of f as an abstract group: kernel lattice modulo source relations.
+
+    The source relations d_i * e_i lie in the kernel lattice; their
+    coordinates in its basis are read off the one elimination of
+    _CycleSolver, and the kernel is the cokernel of those columns.
+    """
+    solver = _map_solver(f)
+    rel = [solver.coords({i: d}) for i, d in enumerate(f.source.invariant_factors)]
+    return cokernel(IntegerMatrix.from_columns(solver.cycle_basis.cols, rel))
 
 
 def is_split_injection(f: AbGroupMap) -> bool:
@@ -1265,9 +1216,12 @@ def is_split_injection(f: AbGroupMap) -> bool:
     canonical form: a split injection gives that sum, and by Miyata's
     theorem (a short exact sequence 0 -> A -> B -> C -> 0 of finitely
     generated modules over a Noetherian ring with B = A + C splits) the
-    sum gives a retraction.
+    sum gives a retraction.  Both are read off one elimination: the
+    kernel lattice and the cokernel of _CycleSolver.
     """
-    return is_injective(f) and f.target == f.source.direct_sum(cokernel_of_map(f))
+    solver = _map_solver(f)
+    return (_kills_only_relations(solver, f.source)
+            and f.target == f.source.direct_sum(solver.cokernel()))
 
 
 # ---------------------------------------------------------------------------

@@ -436,10 +436,16 @@ def build_error_lines(input_text: str, code: str, message: str):
     ]
 
 
-def _write_report(path, lines):
+def _write_report(path, lines) -> bool:
+    """Write the machine report, if asked; False (reported on stderr) if it cannot."""
     if path:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +456,7 @@ def run_brauer(args) -> int:
     try:
         with open(args.input) as fh:
             input_text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 1
     try:
@@ -459,25 +465,17 @@ def run_brauer(args) -> int:
             doc.characteristic = args.char
         curve = doc.curve_spec()
         report = brauer_report(curve, doc.r, verify=args.verify)
-    except MissingDataError as exc:
-        lines = build_error_lines(input_text, exc.code, str(exc))
-        _write_report(args.report, lines)
-        print("error:", exc, file=sys.stderr)
-        return 1
-    except ResourceCapError as exc:
-        lines = build_error_lines(input_text, "resource-cap", str(exc))
-        _write_report(args.report, lines)
-        print("error:", exc, file=sys.stderr)
-        return 1
-    except (InputFormatError, StackyBrauerError) as exc:
-        code = "parse" if isinstance(exc, InputFormatError) else "validation"
-        lines = build_error_lines(input_text, code, str(exc))
-        _write_report(args.report, lines)
+    except StackyBrauerError as exc:
+        code = (exc.code if isinstance(exc, MissingDataError)
+                else "resource-cap" if isinstance(exc, ResourceCapError)
+                else "parse" if isinstance(exc, InputFormatError)
+                else "validation")
+        _write_report(args.report, build_error_lines(input_text, code, str(exc)))
         print("error:", exc, file=sys.stderr)
         return 1
 
-    lines = build_report_lines(doc, report, input_text)
-    _write_report(args.report, lines)
+    if not _write_report(args.report, build_report_lines(doc, report, input_text)):
+        return 1
 
     res = report.result
     print(f"mu_{doc.r}-gerbe on a {'smooth' if doc.smooth else 'singular'} "
@@ -549,7 +547,8 @@ def run_cohomology(args) -> int:
             return 1
         lines.append("verify.status = ok")
 
-    _write_report(args.report, lines)
+    if not _write_report(args.report, lines):
+        return 1
     print(result.value)
     return 0
 

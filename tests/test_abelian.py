@@ -24,7 +24,6 @@ from stacky_brauer.abelian import (
     kernel_group,
     set_resource_cap,
     smith_normal_form,
-    solve,
 )
 from stacky_brauer.cohomology import bar_differential
 from stacky_brauer.errors import (
@@ -34,6 +33,7 @@ from stacky_brauer.errors import (
     ValidationError,
 )
 from stacky_brauer.groups import cyclic
+from stacky_brauer.oracle import _type_from_order_counts
 
 
 class TestSmithNormalForm:
@@ -143,13 +143,6 @@ class TestKernelAndSolve:
         K = kernel_basis(M)
         assert K.cols == 2
         assert (M @ K).is_zero()
-
-    def test_solve_and_unsolvable(self):
-        A = IntegerMatrix.from_rows([[2, 0], [0, 3]])
-        X = solve(A, IntegerMatrix.from_rows([[4], [9]]))
-        assert X.to_rows() == [[2], [3]]
-        assert solve(A, IntegerMatrix.from_rows([[1], [0]])) is None
-        assert solve(A, IntegerMatrix.from_rows([[0], [2]])) is None
 
 
 class TestHomologyAt:
@@ -340,6 +333,54 @@ class TestMapPredicates:
         f = AbGroupMap.from_rows(FinAbGroup.cyclic(4), FinAbGroup.cyclic(4), [[2]])
         assert kernel_group(f) == FinAbGroup.cyclic(2)
         assert image_group(f) == FinAbGroup.cyclic(2)
+
+    def test_predicates_match_brute_force(self):
+        # oracle: list the source elements, apply f, and rebuild kernel,
+        # image and cokernel from order statistics of the element sets
+        def elements(G):
+            return list(product(*(range(d) for d in G.invariant_factors)))
+
+        def killed(G, k, x):
+            return all(k * v % d == 0 for v, d in zip(x, G.invariant_factors))
+
+        groups = [FinAbGroup.from_factors(fs) for fs in
+                  ([], [2], [3], [4], [5], [6], [8], [9], [12], [16],
+                   [2, 2], [2, 4], [2, 6], [2, 8], [3, 3], [4, 4],
+                   [2, 2, 2], [2, 2, 4], [2, 2, 2, 2])]
+        rng = random.Random(17)
+        seen = {"inj": 0, "not-inj": 0, "surj": 0, "not-surj": 0}
+        for _ in range(300):
+            A, B = rng.choice(groups), rng.choice(groups)
+            columns = [rng.choice([y for y in elements(B) if killed(B, d, y)])
+                       for d in A.invariant_factors]
+            f = AbGroupMap(A, B, IntegerMatrix.from_columns(
+                B.num_generators,
+                ({i: v for i, v in enumerate(col) if v} for col in columns)))
+            zero = tuple(0 for _ in B.invariant_factors)
+            kernel = [x for x in elements(A) if f.apply(x) == zero]
+            image_set = {f.apply(x) for x in elements(A)}
+            image = sorted(image_set)
+
+            def in_image(y):
+                return tuple(v % d for v, d in zip(y, B.invariant_factors)) in image_set
+
+            cosets = {}
+            for y in elements(B):
+                key = min(tuple((v + w) % d for v, w, d in
+                                zip(y, z, B.invariant_factors)) for z in image)
+                cosets.setdefault(key, y)
+            assert is_injective(f) == (len(kernel) == 1), (A, B, columns)
+            assert is_surjective(f) == (len(image) == B.order()), (A, B, columns)
+            assert kernel_group(f) == _type_from_order_counts(
+                kernel, lambda k, x: killed(A, k, x), len(kernel)), (A, B, columns)
+            assert image_group(f) == _type_from_order_counts(
+                image, lambda k, y: killed(B, k, y), len(image)), (A, B, columns)
+            assert cokernel_of_map(f) == _type_from_order_counts(
+                list(cosets.values()), lambda k, y: in_image([k * v for v in y]),
+                len(cosets)), (A, B, columns)
+            seen["inj" if len(kernel) == 1 else "not-inj"] += 1
+            seen["surj" if len(image) == B.order() else "not-surj"] += 1
+        assert min(seen.values()) > 30, seen
 
 
 class TestFinAbGroup:

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 import textwrap
@@ -7,6 +8,7 @@ import pytest
 from stacky_brauer.abelian import FinAbGroup
 from stacky_brauer.cli import (
     build_report_lines,
+    main,
     parse_coefficients,
     parse_group_spec,
     parse_input,
@@ -238,3 +240,76 @@ class TestEndToEnd:
                        "right-exact", "splitting",
                        "fiber.node.bockstein"):
             assert needed in keys, needed
+
+
+class TestUnreadableOrUnwritableFiles:
+    def test_unwritable_report_is_an_error_not_a_traceback(self, tmp_path):
+        inp = tmp_path / "smooth.txt"
+        inp.write_text(SMOOTH_DOC)
+        rpt = tmp_path / "missing" / "x.rpt"
+        for args in (("brauer", "--input", str(inp)),
+                     ("cohomology", "cyclic:4", "2", "Z")):
+            proc = run_cli(*args, "--report", str(rpt))
+            assert proc.returncode == 1, (args, proc.stderr)
+            assert "Traceback" not in proc.stderr, args
+            assert "error: cannot write report:" in proc.stderr, args
+
+    def test_undecodable_input_is_an_error_not_a_traceback(self, tmp_path):
+        inp = tmp_path / "binary.txt"
+        inp.write_bytes(b"[curve]\nsmooth = true\xff\xfe\n")
+        proc = run_cli("brauer", "--input", str(inp))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error: cannot read input:" in proc.stderr
+
+
+NODE_Z2_DOC = textwrap.dedent("""\
+    [curve]
+    smooth = false
+    proper = true
+    h1_stack = 0
+    [gerbe]
+    r = 2
+    [point.node]
+    group = cyclic:2
+    singular = true
+    extension = split
+    """)
+
+FUZZ_VALUES = ("", "x", "-1", "0", "1", "true", "2,0", "cyclic:0", "product:cyclic:2*")
+
+
+def _mutant(rng, text):
+    """One random edit of a document; none of them enlarges a group order."""
+    lines = text.splitlines()
+    op = rng.randrange(5)
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == 3:
+        return text[:rng.randrange(len(text) + 1)]
+    else:
+        valued = [k for k, line in enumerate(lines) if "=" in line]
+        k = rng.choice(valued)
+        lines[k] = lines[k].partition("=")[0] + "= " + rng.choice(FUZZ_VALUES)
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    def test_mutated_documents_end_in_an_exit_code_and_a_report(self, tmp_path):
+        rng = random.Random(2024)
+        inp, rpt = tmp_path / "doc.txt", tmp_path / "doc.rpt"
+        codes = set()
+        for n in range(300):
+            text = _mutant(rng, (SMOOTH_DOC, NODE_Z2_DOC)[n % 2])
+            inp.write_text(text)
+            rpt.unlink(missing_ok=True)
+            code = main(["brauer", "--input", str(inp), "--report", str(rpt)])
+            assert code in (0, 1, 2), text
+            assert rpt.read_text().startswith("format-version = "), text
+            codes.add(code)
+        assert codes >= {0, 1}, codes
