@@ -39,6 +39,29 @@ def check_cap(needed: int, what: str = "") -> None:
         raise ResourceCapError(needed, cap, what)
 
 
+# Powers up to this many bits are formed exactly before the cap comparison,
+# so the error names the exact size wherever forming it is cheap.
+_POWER_BITS = 4096
+
+
+def capped_power(base: int, exp: int, what: str = "", cap: int = None) -> int:
+    """base ** exp, or ResourceCapError when it exceeds cap (default: the resource cap).
+
+    base ** exp >= 2 ** (exp * (bit_length(base) - 1)).  When that bound
+    passes both the cap and _POWER_BITS, the power is refused without being
+    formed and the error names it as base^exp; a huge exponent is refused
+    at once.  Otherwise the power has at most 2 * _POWER_BITS bits.
+    """
+    if cap is None:
+        cap = _MAX_ENTRIES.get()
+    if exp * (base.bit_length() - 1) > max(cap.bit_length(), _POWER_BITS):
+        raise ResourceCapError(f"{base}^{exp}", cap, what)
+    power = base ** exp
+    if power > cap:
+        raise ResourceCapError(power, cap, what)
+    return power
+
+
 def xgcd(a: int, b: int):
     """Extended gcd: returns (x, y, g) with x*a + y*b == g >= 0."""
     x, next_x = 1, 0
@@ -220,6 +243,10 @@ class IntegerMatrix:
                 elif r in out:
                     del out[r]
         return out
+
+    def transpose(self) -> "IntegerMatrix":
+        return IntegerMatrix(self.cols, self.rows,
+                             {(c, r): v for (r, c), v in self.entries.items()})
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
@@ -822,8 +849,14 @@ def cokernel(M: IntegerMatrix) -> FinAbGroup:
 
 
 def kernel_basis(M: IntegerMatrix) -> IntegerMatrix:
-    """Columns form a basis of the integer kernel lattice of M."""
-    return _CycleSolver(M, (0,) * M.rows).cycle_basis
+    """Columns form a basis of the integer kernel lattice of M.
+
+    They are the V columns at the non-pivot columns of one elimination
+    M @ V = diag, the only transform tracked.
+    """
+    elim = _Elim(M, track_v=True).diagonalize()
+    return IntegerMatrix.from_columns(
+        M.cols, (elim.v_column(c) for c in elim.kernel_columns()))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,14 @@ Integral and units coefficients in positive degree take this route.
 Degree 0 (H^0(G, Z) = Z is infinite) and Z/m coefficients (every cochain
 is then torsion, so torsion does not single out the cocycles) take
 `abelian.homology_at`, which eliminates d_out for a cycle basis first.
+
+Injectivity of inflation on a non-split extension is decided in homology
+one degree down: for a finite group and n >= 2 the universal coefficient
+theorem gives natural isomorphisms H^n(-, Z) = Ext(H_{n-1}(-, Z), Z) =
+Hom(H_{n-1}(-, Z), Q/Z), an exact duality on finite groups, so q* is
+injective on H^n exactly when q_* is surjective on H_{n-1} (Brown,
+Cohomology of Groups, III.1).  The chain complex is the transpose of the
+cochain complex, and its cycles come from a far smaller elimination.
 """
 
 from __future__ import annotations
@@ -33,10 +41,13 @@ from .abelian import (
     FinAbGroup,
     IntegerMatrix,
     Subquotient,
+    capped_power,
     check_cap,
     finite_homology_at,
     homology_at,
     induced_map,
+    is_surjective,
+    kernel_basis,
 )
 from .errors import (
     InvariantViolationError,
@@ -114,8 +125,11 @@ def bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:
         raise ValidationError("degree must be nonnegative")
     nonid = G.nonidentity()
     k = len(nonid)
-    rows_n = k ** (n + 1)
-    check_cap(rows_n, f"bar differential rows (|G|-1)^{n + 1}")
+    rows_n = capped_power(k, n + 1, f"bar differential rows (|G|-1)^{n + 1}")
+    if k < 2:
+        # the row count does not grow with n, but one row's n + 2 faces of
+        # up to n + 1 entries are held at once
+        check_cap((n + 1) * (n + 2), "bar differential faces of one row")
     cols_n = k ** n
     pos = {g: i for i, g in enumerate(nonid)}
     e = G.identity
@@ -287,8 +301,10 @@ def pullback_matrix(phi: GroupHom, n: int) -> IntegerMatrix:
     nonid_src = src.nonidentity()
     nonid_dst = dst.nonidentity()
     ks, kd = len(nonid_src), len(nonid_dst)
-    rows_n = ks ** n
-    check_cap(rows_n, "pullback matrix rows")
+    rows_n = capped_power(ks, n, "pullback matrix rows")
+    if ks < 2:
+        # the row count does not grow with n, but each row is an n-tuple
+        check_cap(n, "pullback matrix tuple length")
     pos_dst = {g: i for i, g in enumerate(nonid_dst)}
     e = dst.identity
     entries = {}
@@ -337,10 +353,13 @@ def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
     A trivial source is injective vacuously.  A section s of q (a split
     extension, which covers every split gerbe and every fiber with
     gcd(r, |G|) = 1) certifies it in every degree, since s* after q* is
-    (q s)* = id; no bar complex of E is built.  Otherwise one elimination of the E-side
-    incoming differential, carrying the pulled-back representatives,
-    gives inflation as a map into the torsion of its cokernel, which is
-    H^degree(E, Z), and the answer is whether that map is injective.
+    (q s)* = id; no bar complex of E is built.  Otherwise the question is
+    answered in homology one degree down: for a finite group and n >= 2 the
+    universal coefficient theorem gives H^n(-, Z) = Ext(H_{n-1}(-, Z), Z)
+    = Hom(H_{n-1}(-, Z), Q/Z), naturally, and that duality is exact on
+    finite groups, so q* is injective on H^n exactly when
+    q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) is surjective (Brown, Cohomology
+    of Groups, III.1, with the universal coefficient theorem).
     """
     if not q.is_surjective:
         raise ValidationError("inflation needs a surjective homomorphism")
@@ -351,38 +370,34 @@ def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
         raise ValidationError("expected a finite cohomology group")
     if section(q) is not None:
         return True
-    return _kernel_trivial_by_elimination(q, src)
+    return _kernel_trivial_by_homology(q, src)
 
 
-def _kernel_trivial_by_elimination(q: GroupHom, src: CohomologyGroup) -> bool:
-    """Does no nonzero class of src = H^n(G, Z) pull back to a coboundary over E?
+def _kernel_trivial_by_homology(q: GroupHom, src: CohomologyGroup) -> bool:
+    """Is inflation injective on src = H^n(G, Z), n >= 2?  That is, is
+    q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) onto (see inflation_kernel_trivial)?
 
-    One elimination U @ d_in @ V = diag of the E-side incoming differential
-    carries the pulled-back representatives as a right-hand side, so U
-    applied to them is read off without forming U.  H^n(E, Z) is the
-    torsion of coker(d_in), with one Z/d per pivot d other than 1, and the
-    rhs rows at those pivots are the inflation map into it; the answer is
-    whether that map is injective.  A pulled-back cocycle is a cocycle, so
-    its rhs rows off the pivots vanish; a nonzero one raises
-    InvariantViolationError.
+    The bar chain complex is the transpose of the cochain complex: the
+    boundary C_{m+1} -> C_m is bar_differential(X, m)^T and q_# on C_m is
+    pullback_matrix(q, m)^T.  The cycles of E in degree n - 1 are a kernel
+    basis of bar_differential(E, n - 2)^T; q_# carries them into
+    H_{n-1}(G, Z), which is finite and so is read off one elimination of
+    G's incoming boundary by finite_homology_at (it checks that the two
+    boundaries compose to zero).  reduce raises NotChainCompatibleError
+    on a pushed-forward vector that is not a cycle.  The distinct classes
+    they reach generate the image, and the answer is whether the map from
+    the free group on them is surjective.
     """
-    E = q.source
-    integral_degree = src.degree
-    F = pullback_matrix(q, integral_degree)
-    pulled = [F.apply(rep) for rep in src.representatives]
-    d_in_E = bar_differential(E, integral_degree - 1)
-    B = IntegerMatrix.from_columns(F.rows, pulled)
-    elim = abelian._Elim(d_in_E, rhs=B).diagonalize()
-    torsion = elim.canonicalize()
-    pivot_rows = {r for r, _ in elim.pivots}
-    if any(row for r, row in elim.rhs_rows.items() if r not in pivot_rows):
-        raise InvariantViolationError("a pulled-back cocycle is not a cocycle over E")
-    entries = {(i, j): v for i, (r, _) in enumerate(torsion)
-               for j, v in elim.rhs_rows.get(r, {}).items()}
-    target = FinAbGroup(0, tuple(d for _, d in torsion))
-    f = AbGroupMap(src.value, target,
-                   IntegerMatrix(len(torsion), src.value.num_generators, entries))
-    return abelian.is_injective(f)
+    G, E, n = q.target, q.source, src.degree
+    H = finite_homology_at(bar_differential(G, n - 2).transpose(),
+                           bar_differential(G, n - 1).transpose())
+    push = pullback_matrix(q, n - 1).transpose()
+    cycles = kernel_basis(bar_differential(E, n - 2).transpose())
+    images = sorted({H.reduce(push.apply(z)) for z in cycles.col_view().values()})
+    f = AbGroupMap(FinAbGroup.free(len(images)), H.quotient, IntegerMatrix(
+        H.quotient.num_generators, len(images),
+        {(i, j): v for j, img in enumerate(images) for i, v in enumerate(img) if v}))
+    return is_surjective(f)
 
 
 # ---------------------------------------------------------------------------

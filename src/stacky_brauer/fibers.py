@@ -9,6 +9,12 @@ When E -> G has a section s (a split extension: every split gerbe, and
 every fiber with gcd(r, |G|) = 1), s* retracts inflation in every degree,
 so the inflation questions are answered from s without eliminating any
 matrix of E; the Bockstein detector and H^2(E, kx) are still computed.
+Without a section, injectivity of inflation on H^n(-, Z) is decided in
+homology: by the universal coefficient theorem, H^n(-, Z) =
+Ext(H_{n-1}(-, Z), Z) = Hom(H_{n-1}(-, Z), Q/Z) naturally for a finite
+group and n >= 2, an exact duality, so q* is injective on H^n exactly when
+q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) is surjective (Brown, Cohomology of
+Groups, III.1).
 """
 
 from __future__ import annotations

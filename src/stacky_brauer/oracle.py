@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .abelian import FinAbGroup, IntegerMatrix, homology_at
+from .abelian import FinAbGroup, IntegerMatrix, capped_power, homology_at
 from .cohomology import Coefficients, INTEGERS
 from .errors import ResourceCapError, ValidationError
 from .groups import FiniteGroup
@@ -36,9 +36,10 @@ class OracleResult:
 def full_bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:
     """d: C^n -> C^{n+1} on the full standard complex (all tuples, trivial action)."""
     N = G.order
-    rows_n = N ** (n + 1)
-    if rows_n > ORACLE_CAP:
-        raise ResourceCapError(rows_n, ORACLE_CAP, "full bar complex")
+    rows_n = capped_power(N, n + 1, "full bar complex", cap=ORACLE_CAP)
+    if N < 2 and (n + 1) * (n + 2) > ORACLE_CAP:
+        # one row's n + 2 faces of up to n + 1 entries are held at once
+        raise ResourceCapError((n + 1) * (n + 2), ORACLE_CAP, "full bar faces of one row")
     mul = G.mul
     elements = tuple(range(N))
     entries = {}

@@ -8,6 +8,7 @@ from stacky_brauer.abelian import (
     AbGroupMap,
     FinAbGroup,
     IntegerMatrix,
+    capped_power,
     cokernel,
     cokernel_of_map,
     determinant,
@@ -86,6 +87,18 @@ class TestSmithNormalForm:
                 smith_normal_form(M)
         finally:
             set_resource_cap(5_000_000)
+
+
+    def test_capped_power_refuses_a_huge_power_unformed(self):
+        with pytest.raises(ResourceCapError) as huge:
+            capped_power(3, 10 ** 11)
+        assert huge.value.needed == "3^100000000000"
+        with pytest.raises(ResourceCapError) as exact:
+            capped_power(3, 31)
+        assert exact.value.needed == 3 ** 31
+        assert capped_power(1, 10 ** 11) == 1
+        assert capped_power(7, 4) == 2401
+        assert capped_power(2, 9, cap=512) == 512
 
 
 class TestCokernel:

@@ -221,6 +221,16 @@ class TestEndToEnd:
         assert proc.returncode == 1
         assert "cap" in proc.stderr.lower()
 
+    def test_huge_degree_is_refused_before_the_power(self, tmp_path):
+        # (|G|-1)^(n+1) for n = 99999999999 must not be formed
+        rpt = tmp_path / "huge.rpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "stacky_brauer", "cohomology", "cyclic:4",
+             "99999999999", "Z", "--report", str(rpt)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "error-code = resource-cap" in rpt.read_text().splitlines()
+
     def test_cohomology_cap_counts_unreduced_d_out(self):
         # H^3(Z/6, kx) = H^4(Z/6, Z): d_out has 5^5 = 3125 rows, under the
         # cap, but 16240 nonzeros, over it, although only d_in is eliminated
@@ -279,6 +289,16 @@ NODE_Z2_DOC = textwrap.dedent("""\
 FUZZ_VALUES = ("", "x", "-1", "0", "1", "true", "2,0", "cyclic:0", "product:cyclic:2*")
 
 
+# cohomology argv parts: valid and malformed group specs (no large order),
+# degrees and coefficients
+COH_GROUPS = ("cyclic:1", "cyclic:2", "cyclic:4", "product:cyclic:2*cyclic:2",
+              "semidirect_z2:3:2", "", "cyclic:", "cyclic:0", "cyclic:-3",
+              "cyclic:x", "semidirect_z2:4", "semidirect_z2:4:2",
+              "product:cyclic:2*", "table:missing.tbl", "bogus")
+COH_DEGREES = ("-1", "0", "3", str(10 ** 11), "x", "3.5")
+COH_COEFFICIENTS = ("Z", "units", "Z/0", "Z/4", "", "Z/", "Z/x", "Q", "units2")
+
+
 def _mutant(rng, text):
     """One random edit of a document; none of them enlarges a group order."""
     lines = text.splitlines()
@@ -311,5 +331,19 @@ class TestFuzz:
             code = main(["brauer", "--input", str(inp), "--report", str(rpt)])
             assert code in (0, 1, 2), text
             assert rpt.read_text().startswith("format-version = "), text
+            codes.add(code)
+        assert codes >= {0, 1}, codes
+
+    def test_mutated_cohomology_arguments_end_in_an_exit_code_and_a_report(self, tmp_path):
+        rng = random.Random(2025)
+        rpt = tmp_path / "coh.rpt"
+        codes = set()
+        for _ in range(300):
+            argv = [rng.choice(COH_GROUPS), rng.choice(COH_DEGREES),
+                    rng.choice(COH_COEFFICIENTS)]
+            rpt.unlink(missing_ok=True)
+            code = main(["cohomology", *argv, "--report", str(rpt)])
+            assert code in (0, 1, 2), argv
+            assert rpt.read_text().startswith("format-version = "), argv
             codes.add(code)
         assert codes >= {0, 1}, codes

@@ -19,6 +19,7 @@ from stacky_brauer.abelian import (
 from stacky_brauer.cohomology import (
     INTEGERS,
     UNITS,
+    _kernel_trivial_by_homology,
     bar_differential,
     bockstein,
     bockstein_r,
@@ -264,6 +265,35 @@ class TestInflation:
                 is_injective(inflation_map(q, 3, UNITS)), (mn, n)
             assert inflation_kernel_trivial(q, 3) == \
                 is_injective(inflation_map(q, 2, UNITS)), (mn, n)
+
+
+class TestKernelTrivialByHomology:
+    """The homology route at |E| = 12 and 16, beyond the order-8 oracles."""
+
+    def test_cyclic_projections_match_the_closed_form(self):
+        # on H^4 inflation along Z/mn -> Z/n is multiplication by m^2, so it
+        # is injective iff gcd(m, n) = 1; m = 1 (q the identity) is left
+        # out: H^4(Z/16, Z) alone takes over a minute
+        from math import gcd
+        for mn in (12, 16):
+            for n in range(1, mn):
+                if mn % n:
+                    continue
+                got = _kernel_trivial_by_homology(cyclic_projection(mn, n),
+                                                  cohomology_Z(cyclic(n), 4))
+                assert got == (gcd(mn // n, n) == 1), (mn, n)
+
+    @pytest.mark.parametrize("G, count", [
+        (semidirect_cyclic_by_z2(3, 2), 2),      # S3, |E| = 12
+        (semidirect_cyclic_by_z2(4, 3), 8),      # D4, |E| = 16
+    ])
+    def test_degree_three_matches_the_induced_map(self, G, count):
+        classes = enumerate_extension_classes(G, 2)
+        assert len(classes) == count
+        for i, c in enumerate(classes):
+            q = central_extension(G, 2, c).projection
+            expected = is_injective(inflation_map(q, 2, UNITS))
+            assert _kernel_trivial_by_homology(q, cohomology_Z(G, 3)) == expected, i
 
 
 class TestRestriction:

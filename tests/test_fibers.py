@@ -5,7 +5,7 @@ import pytest
 from stacky_brauer.abelian import is_injective, is_split_injection
 from stacky_brauer.cohomology import (
     UNITS,
-    _kernel_trivial_by_elimination,
+    _kernel_trivial_by_homology,
     cohomology_Z,
     enumerate_extension_classes,
     inflation_kernel_trivial,
@@ -132,7 +132,7 @@ class TestSectionCertificate:
         for label, G, ext in self.split_fibers(family):
             q = ext.projection
             for n in (3, 4):
-                assert _kernel_trivial_by_elimination(q, cohomology_Z(G, n)), \
+                assert _kernel_trivial_by_homology(q, cohomology_Z(G, n)), \
                     (label, n)
                 assert inflation_kernel_trivial(q, n), (label, n)
                 assert is_injective(inflation_map(q, n - 1, UNITS)), (label, n)
@@ -157,7 +157,7 @@ class TestNonSplitElimination:
                     q = central_extension(G, r, c).projection
                     for n in (3, 4):
                         expected = is_injective(inflation_map(q, n - 1, UNITS))
-                        assert _kernel_trivial_by_elimination(
+                        assert _kernel_trivial_by_homology(
                             q, cohomology_Z(G, n)) == expected, (name, r, i, n)
                         cases += 1
         assert cases == 20
