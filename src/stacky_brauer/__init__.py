@@ -45,6 +45,7 @@ from .cohomology import (
     cohomology_Zm,
     cohomology_units,
     enumerate_extension_classes,
+    homology_Z,
     inflation_map,
     mod_coefficients,
     restriction_map,

@@ -24,7 +24,9 @@ stable for identical inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -438,13 +440,24 @@ def build_error_lines(input_text: str, code: str, message: str):
 
 
 def _write_report(path, lines) -> bool:
-    """Write the machine report, if asked; False (reported on stderr) if it cannot."""
+    """Write the machine report, if asked; False (reported on stderr) if it cannot.
+
+    The report is written to a temporary file next to the target, which then
+    replaces it (os.replace), so the target holds either its old contents or
+    the whole new report.  On failure the temporary file is removed and the
+    error names the target.
+    """
     if path:
+        tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(path, "w") as fh:
+            with open(tmp, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            print(f"error: cannot write report: {OSError(exc.errno, exc.strerror, path)}",
+                  file=sys.stderr)
             return False
     return True
 

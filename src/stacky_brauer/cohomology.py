@@ -26,6 +26,9 @@ Hom(H_{n-1}(-, Z), Q/Z), an exact duality on finite groups, so q* is
 injective on H^n exactly when q_* is surjective on H_{n-1} (Brown,
 Cohomology of Groups, III.1).  The chain complex is the transpose of the
 cochain complex, and its cycles come from a far smaller elimination.
+homology_Z gives H_n(G, Z) for n >= 1 off that complex, cached beside the
+cohomology groups; by the same duality the Schur multiplier H_2(E, Z) has
+the value of H^2(E, kx) = H^3(E, Z) without E's degree-3 cochains.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "Coefficients", "INTEGERS", "UNITS", "mod_coefficients",
     "CohomologyGroup", "CohomologyClass", "bar_differential",
     "cohomology", "cohomology_Z", "cohomology_Zm", "cohomology_units",
+    "homology_Z",
     "pullback_matrix", "inflation_map", "restriction_map",
     "inflation_kernel_trivial", "bockstein", "bockstein_r",
     "enumerate_extension_classes", "clear_cache",
@@ -287,6 +291,32 @@ def cohomology_units(G: FiniteGroup, n: int, characteristic: int = 0) -> Cohomol
     return cohomology(G, n, UNITS, characteristic)
 
 
+def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
+    """H_n(X, Z) for n >= 1, from the bar chain complex; cached.
+
+    The chain complex is the transpose of the cochain complex: the boundary
+    C_{m+1} -> C_m is bar_differential(X, m)^T.  In positive degree H_n is
+    finite, so finite_homology_at reads it off one elimination of the
+    incoming boundary bar_differential(X, n)^T and only checks the outgoing
+    one.  By the universal coefficient theorem H^{n+1}(X, Z) =
+    Ext(H_n(X, Z), Z) = Hom(H_n(X, Z), Q/Z), so the quotient has the
+    canonical value of H^{n+1}(X, Z), read off a complex one degree
+    shorter: the Schur multiplier H_2(X, Z) has the value of
+    H^2(X, kx) = H^3(X, Z).
+    """
+    if n < 1:
+        raise ValidationError("integral homology is computed here for degree >= 1")
+    key = ("homology", X.table, n)   # cohomology() keys start with a table
+    with _CACHE_LOCK:
+        cached = _CACHE.get(key)
+    if cached is None:
+        cached = finite_homology_at(bar_differential(X, n - 1).transpose(),
+                                    bar_differential(X, n).transpose())
+        with _CACHE_LOCK:
+            cached = _CACHE.setdefault(key, cached)
+    return cached
+
+
 # ---------------------------------------------------------------------------
 # Induced maps
 
@@ -380,17 +410,14 @@ def _kernel_trivial_by_homology(q: GroupHom, src: CohomologyGroup) -> bool:
     The bar chain complex is the transpose of the cochain complex: the
     boundary C_{m+1} -> C_m is bar_differential(X, m)^T and q_# on C_m is
     pullback_matrix(q, m)^T.  The cycles of E in degree n - 1 are a kernel
-    basis of bar_differential(E, n - 2)^T; q_# carries them into
-    H_{n-1}(G, Z), which is finite and so is read off one elimination of
-    G's incoming boundary by finite_homology_at (it checks that the two
-    boundaries compose to zero).  reduce raises NotChainCompatibleError
+    basis of bar_differential(E, n - 2)^T; q_# carries them into the
+    cached H_{n-1}(G, Z) of homology_Z.  reduce raises NotChainCompatibleError
     on a pushed-forward vector that is not a cycle.  The distinct classes
     they reach generate the image, and the answer is whether the map from
     the free group on them is surjective.
     """
     G, E, n = q.target, q.source, src.degree
-    H = finite_homology_at(bar_differential(G, n - 2).transpose(),
-                           bar_differential(G, n - 1).transpose())
+    H = homology_Z(G, n - 1)
     push = pullback_matrix(q, n - 1).transpose()
     cycles = kernel_basis(bar_differential(E, n - 2).transpose())
     images = sorted({H.reduce(push.apply(z)) for z in cycles.col_view().values()})

@@ -14,23 +14,27 @@ homology: by the universal coefficient theorem, H^n(-, Z) =
 Ext(H_{n-1}(-, Z), Z) = Hom(H_{n-1}(-, Z), Q/Z) naturally for a finite
 group and n >= 2, an exact duality, so q* is injective on H^n exactly when
 q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) is surjective (Brown, Cohomology of
-Groups, III.1).
+Groups, III.1).  The degree-2 units questions are answered one degree
+down the same way: H^2(-, kx) = H^3(-, Z) = Hom(H_2(-, Z), Q/Z), so
+H^2(E, kx) has the value of the Schur multiplier H_2(E, Z), and inflation
+on it is the Pontryagin dual of q_*: H_2(E, Z) -> H_2(G, Z).  No bar
+complex of E above degree 2 is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FinAbGroup, is_split_injection
+from .abelian import AbGroupMap, FinAbGroup, IntegerMatrix, is_split_injection
 from .cohomology import (
-    UNITS,
     bockstein_r,
     cohomology_units,
+    homology_Z,
     inflation_kernel_trivial,
-    inflation_map,
+    pullback_matrix,
 )
 from .errors import InvariantViolationError, ResourceCapError
-from .groups import CentralExtension, section
+from .groups import CentralExtension, GroupHom, section
 
 __all__ = [
     "FiberDiagnostics",
@@ -65,13 +69,50 @@ def h2_section_exists(ext: CentralExtension) -> bool:
     True iff the induced map H^2(G, kx) -> H^2(E, kx) is a split
     injection.  A trivial source splits vacuously, which avoids any
     E-side computation for cyclic stabilizers, and a section s of
-    E -> G gives the retraction s* without one.
+    E -> G gives the retraction s* without one.  Otherwise the map is
+    read in homology: H^2(-, kx) = H^3(-, Z) = Hom(H_2(-, Z), Q/Z)
+    naturally (universal coefficient theorem), so inflation is the
+    Pontryagin dual of q_*: H_2(E, Z) -> H_2(G, Z), and being a split
+    injection depends only on the map up to isomorphism.
     """
     if cohomology_units(ext.base, 2).value.is_trivial:
         return True
     if section(ext.projection) is not None:
         return True
-    return is_split_injection(inflation_map(ext.projection, 2, UNITS))
+    return is_split_injection(_pontryagin_dual(_h2_pushforward(ext.projection)))
+
+
+def _h2_pushforward(q: GroupHom) -> AbGroupMap:
+    """q_*: H_2(E, Z) -> H_2(G, Z) on the canonical generators.
+
+    Each generator's lift is pushed through q_# = pullback_matrix(q, 2)^T
+    and reduced in H_2(G, Z); reduce raises NotChainCompatibleError on an
+    image that is not a cycle, and AbGroupMap checks that relations go to
+    relations.
+    """
+    src, dst = homology_Z(q.source, 2), homology_Z(q.target, 2)
+    push = pullback_matrix(q, 2).transpose()
+    images = [dst.reduce(push.apply(lift)) for lift in src.lifts]
+    return AbGroupMap(src.quotient, dst.quotient, IntegerMatrix(
+        dst.quotient.num_generators, len(images),
+        {(j, i): v for i, img in enumerate(images) for j, v in enumerate(img) if v}))
+
+
+def _pontryagin_dual(f: AbGroupMap) -> AbGroupMap:
+    """Hom(f, Q/Z): Hom(B, Q/Z) -> Hom(A, Q/Z) for f: A -> B between finite groups.
+
+    With invariant factors a of A and b of B, the characters e_i -> 1/a_i
+    and e_j -> 1/b_j are canonical generators of the duals, and the
+    character 1/b_j pulls back to e_i -> f_ji / b_j = (f_ji a_i / b_j) / a_i;
+    f_ji a_i / b_j is an integer because a_i e_i maps to 0.
+    """
+    a, b = f.source.invariant_factors, f.target.invariant_factors
+    entries = {}
+    for (j, i), v in f.matrix.entries.items():
+        w = v * a[i] // b[j] % a[i]
+        if w:
+            entries[(i, j)] = w
+    return AbGroupMap(f.target, f.source, IntegerMatrix(len(a), len(b), entries))
 
 
 @dataclass(frozen=True)
@@ -119,8 +160,9 @@ def analyze_fiber(ext: CentralExtension, *,
     """Run the fiber decision battery for one central extension.
 
     Both root-gerbe detectors always run and are cross-asserted.
-    with_h3=False leaves the degree-3 questions (H^2(E, kx) = H^3(E, Z)
-    and injectivity of inflation on degree-3 units cohomology) as None.
+    with_h3=False leaves the degree-3 questions (H^2(E, kx), read as the
+    Schur multiplier H_2(E, Z), and injectivity of inflation on degree-3
+    units cohomology) as None.
     Expensive parts degrade to None on a resource-cap error rather than
     failing.
     """
@@ -130,7 +172,7 @@ def analyze_fiber(ext: CentralExtension, *,
     via_inflation = fiber_is_root_gerbe_via_inflation(ext)
     h2_total = h3_inj = None
     if with_h3:
-        h2_total = _capped(lambda: cohomology_units(ext.total, 2).value)
+        h2_total = _capped(lambda: homology_Z(ext.total, 2).quotient)
         h3_inj = _capped(h3_inflation_injective, ext)
     return FiberDiagnostics(
         extension=ext,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .abelian import capped_power
 from .errors import ValidationError
 
 __all__ = [
@@ -24,17 +25,22 @@ class FiniteGroup:
     """A finite group given by its multiplication table on 0..n-1.
 
     The table is fully validated on construction: closure, two-sided
-    identity, inverses, and associativity.
+    identity, inverses, and associativity.  The associativity walk takes
+    n^3 steps, so n^3 is compared with the resource cap first
+    (_check_order); the constructors below compare it before they build
+    the n x n table.
     """
 
     __slots__ = ("table", "order", "identity", "inverse", "labels", "_hash",
                  "proj_left", "proj_right")
 
     def __init__(self, table, labels=None):
-        rows = tuple(tuple(row) for row in table)
+        rows = tuple(table)
         n = len(rows)
         if n == 0:
             raise ValidationError("a group has at least one element")
+        _check_order(n)
+        rows = tuple(tuple(row) for row in rows)
         for row in rows:
             if len(row) != n:
                 raise ValidationError("multiplication table must be square")
@@ -117,6 +123,12 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
+def _check_order(n: int) -> None:
+    """Refuse a group of order n whose n^3-step associativity check
+    exceeds the resource cap (ResourceCapError)."""
+    capped_power(n, 3, "group order cubed (associativity check)")
+
+
 def trivial_group() -> FiniteGroup:
     return FiniteGroup(((0,),), labels=("e",))
 
@@ -124,6 +136,7 @@ def trivial_group() -> FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError("cyclic group order must be >= 1")
+    _check_order(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, labels=[str(i) for i in range(n)])
 
@@ -135,6 +148,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     projection homomorphisms.
     """
     n, m = G.order, H.order
+    _check_order(n * m)
     idx = lambda g, h: g * m + h
     table = [[0] * (n * m) for _ in range(n * m)]
     for g1, h1 in product(range(n), range(m)):
@@ -158,6 +172,7 @@ def semidirect_cyclic_by_z2(n: int, a: int) -> FiniteGroup:
         raise ValidationError("need 1 <= a <= n")
     if (a * a) % n != 1 % n:
         raise ValidationError(f"invalid action: {a}^2 != 1 mod {n}")
+    _check_order(2 * n)
     idx = lambda t, s: 2 * t + s
     table = [[0] * (2 * n) for _ in range(2 * n)]
     for t1, s1 in product(range(n), range(2)):
@@ -314,6 +329,7 @@ def central_extension(G: FiniteGroup, r: int, c: Cocycle2) -> CentralExtension:
     if c.base != G or c.modulus != r:
         raise ValidationError("cocycle does not match the requested extension data")
     n = G.order
+    _check_order(n * r)
     idx = lambda g, t: g * r + t
     table = [[0] * (n * r) for _ in range(n * r)]
     for g, s in product(range(n), range(r)):

@@ -231,6 +231,17 @@ class TestEndToEnd:
         assert proc.returncode == 1, proc.stderr
         assert "error-code = resource-cap" in rpt.read_text().splitlines()
 
+    def test_huge_group_order_is_refused_before_the_table(self, tmp_path):
+        # cyclic:10000000 must not build a 10^7 x 10^7 table
+        rpt = tmp_path / "huge.rpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "stacky_brauer", "cohomology", "cyclic:10000000",
+             "2", "Z", "--report", str(rpt)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error-code = resource-cap" in rpt.read_text().splitlines()
+
     def test_cohomology_cap_counts_unreduced_d_out(self):
         # H^3(Z/6, kx) = H^4(Z/6, Z): d_out has 5^5 = 3125 rows, under the
         # cap, but 16240 nonzeros, over it, although only d_in is eliminated
@@ -264,6 +275,24 @@ class TestUnreadableOrUnwritableFiles:
             assert "Traceback" not in proc.stderr, args
             assert "error: cannot write report:" in proc.stderr, args
 
+    def test_report_write_leaves_no_temporary_file(self, tmp_path, capsys):
+        # the report is written next to the target and renamed over it
+        out = tmp_path / "out"
+        out.mkdir()
+        rpt = out / "x.rpt"
+        rpt.write_text("old report\n")
+        assert main(["cohomology", "cyclic:4", "2", "Z", "--report", str(rpt)]) == 0
+        assert [p.name for p in out.iterdir()] == ["x.rpt"]
+        assert "value = Z/4" in rpt.read_text().splitlines()
+        # a target that cannot be replaced (a directory): exit 1, no leftover
+        blocked = out / "blocked.rpt"
+        blocked.mkdir()
+        capsys.readouterr()
+        assert main(["cohomology", "cyclic:4", "2", "Z", "--report", str(blocked)]) == 1
+        assert "error: cannot write report:" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["blocked.rpt", "x.rpt"]
+        assert not any(blocked.iterdir())
+
     def test_undecodable_input_is_an_error_not_a_traceback(self, tmp_path):
         inp = tmp_path / "binary.txt"
         inp.write_bytes(b"[curve]\nsmooth = true\xff\xfe\n")
@@ -289,12 +318,13 @@ NODE_Z2_DOC = textwrap.dedent("""\
 FUZZ_VALUES = ("", "x", "-1", "0", "1", "true", "2,0", "cyclic:0", "product:cyclic:2*")
 
 
-# cohomology argv parts: valid and malformed group specs (no large order),
+# cohomology argv parts: valid and malformed group specs (the one large
+# order is refused by the resource cap before its table is built),
 # degrees and coefficients
 COH_GROUPS = ("cyclic:1", "cyclic:2", "cyclic:4", "product:cyclic:2*cyclic:2",
               "semidirect_z2:3:2", "", "cyclic:", "cyclic:0", "cyclic:-3",
               "cyclic:x", "semidirect_z2:4", "semidirect_z2:4:2",
-              "product:cyclic:2*", "table:missing.tbl", "bogus")
+              "product:cyclic:2*", "table:missing.tbl", "bogus", "cyclic:10000000")
 COH_DEGREES = ("-1", "0", "3", str(10 ** 11), "x", "3.5")
 COH_COEFFICIENTS = ("Z", "units", "Z/0", "Z/4", "", "Z/", "Z/x", "Q", "units2")
 
@@ -338,12 +368,19 @@ class TestFuzz:
         rng = random.Random(2025)
         rpt = tmp_path / "coh.rpt"
         codes = set()
+        capped = 0
         for _ in range(300):
             argv = [rng.choice(COH_GROUPS), rng.choice(COH_DEGREES),
                     rng.choice(COH_COEFFICIENTS)]
             rpt.unlink(missing_ok=True)
             code = main(["cohomology", *argv, "--report", str(rpt)])
             assert code in (0, 1, 2), argv
-            assert rpt.read_text().startswith("format-version = "), argv
+            report = rpt.read_text()
+            assert report.startswith("format-version = "), argv
+            if argv[0] == "cyclic:10000000":
+                # the group is parsed first, and refused by its order
+                assert "error-code = resource-cap" in report.splitlines(), argv
+                capped += 1
             codes.add(code)
+        assert capped, "the large order was never drawn"
         assert codes >= {0, 1}, codes

@@ -23,11 +23,13 @@ from stacky_brauer.cohomology import (
     bar_differential,
     bockstein,
     bockstein_r,
+    clear_cache,
     cohomology,
     cohomology_Z,
     cohomology_Zm,
     cohomology_units,
     enumerate_extension_classes,
+    homology_Z,
     inflation_kernel_trivial,
     inflation_map,
     mod_coefficients,
@@ -43,7 +45,7 @@ from stacky_brauer.groups import (
     semidirect_cyclic_by_z2,
     trivial_group,
 )
-from conftest import quaternion_cocycle
+from conftest import quaternion8, quaternion_cocycle, small_family
 
 
 def cyclic_projection(mn, n):
@@ -192,6 +194,58 @@ class TestCokernelRoute:
             image = d2.apply(c.to_vector())
             divided = {k: v // 2 for k, v in image.items() if v // 2}
             assert change.apply(old.reduce(divided)) == bockstein_r(G, c).coords
+
+
+class TestHomologyZ:
+    """H_n(X, Z) from the bar chain complex; H_2 is the Schur multiplier,
+    which has the value of H^2(X, kx) = H^3(X, Z)."""
+
+    def test_schur_multipliers_match_closed_forms(self):
+        from math import gcd
+        S3 = semidirect_cyclic_by_z2(3, 2)
+        dic12 = central_extension(S3, 2, enumerate_extension_classes(S3, 2)[1]).total
+        V = direct_product(cyclic(2), cyclic(2))
+        cases = [(f"Z/{n}", cyclic(n), ()) for n in range(1, 9)]
+        cases += [("Q8", quaternion8(), ()), ("S3", S3, ()), ("Dic12", dic12, ()),
+                  ("D4", semidirect_cyclic_by_z2(4, 3), (2,)),
+                  ("(Z/2)^3", direct_product(V, cyclic(2)), (2, 2, 2))]
+        for a, b in ((2, 2), (2, 3), (2, 4), (3, 3), (2, 6)):
+            cases.append((f"Z/{a}xZ/{b}", direct_product(cyclic(a), cyclic(b)),
+                          (gcd(a, b),)))
+        for name, G, factors in cases:
+            assert homology_Z(G, 2).quotient == FinAbGroup.from_factors(factors), name
+
+    def test_abelianization_in_degree_one(self):
+        assert homology_Z(semidirect_cyclic_by_z2(3, 2), 1).quotient == FinAbGroup.cyclic(2)
+        assert homology_Z(quaternion8(), 1).quotient == FinAbGroup.from_factors((2, 2))
+
+    def test_matches_units_cohomology_on_every_class_up_to_order_12(self):
+        cases = 0
+        for name, G in small_family():
+            for r in (2, 3, 4):
+                if G.order * r > 12:
+                    continue
+                for i, c in enumerate(enumerate_extension_classes(G, r)):
+                    E = central_extension(G, r, c).total
+                    assert homology_Z(E, 2).quotient == \
+                        cohomology_units(E, 2).value, (name, r, i)
+                    cases += 1
+        assert cases == 30
+
+    def test_cached_apart_from_cohomology(self):
+        V = direct_product(cyclic(2), cyclic(2))
+        clear_cache()
+        h = homology_Z(V, 2)
+        assert homology_Z(V, 2) is h
+        # H^2(V4, Z) = (Z/2)^2 and H_2(V4, Z) = Z/2 share no cache entry
+        assert cohomology_Z(V, 2).value == FinAbGroup.from_factors((2, 2))
+        assert homology_Z(V, 2) is h and h.quotient == FinAbGroup.cyclic(2)
+        clear_cache()
+        assert homology_Z(V, 2) is not h
+
+    def test_degree_zero_is_refused(self):
+        with pytest.raises(ValidationError):
+            homology_Z(cyclic(2), 0)
 
 
 class TestInflation:

@@ -1,3 +1,4 @@
+from importlib import import_module
 from math import gcd
 
 import pytest
@@ -7,6 +8,7 @@ from stacky_brauer.cohomology import (
     UNITS,
     _kernel_trivial_by_homology,
     cohomology_Z,
+    cohomology_units,
     enumerate_extension_classes,
     inflation_kernel_trivial,
     inflation_map,
@@ -28,6 +30,9 @@ from stacky_brauer.groups import (
     split_extension,
 )
 from conftest import quaternion_cocycle
+
+# the module, which the package's `cohomology` function shadows
+cohomology_module = import_module("stacky_brauer.cohomology")
 
 
 class TestRootGerbeDetectors:
@@ -161,6 +166,58 @@ class TestNonSplitElimination:
                             q, cohomology_Z(G, n)) == expected, (name, r, i, n)
                         cases += 1
         assert cases == 20
+
+
+class TestSchurMultiplierRoute:
+    """Degree-2 units questions answered off H_2(E, Z): the dual of q_* on
+    the Schur multipliers against the full inflation map on H^3(-, Z)."""
+
+    def test_section_matches_split_injection_of_inflation(self, family):
+        cases = 0
+        for name, G in family:
+            for r in (2, 3, 4):
+                if G.order * r > 12:
+                    continue
+                for i, c in enumerate(enumerate_extension_classes(G, r)[1:], 1):
+                    ext = central_extension(G, r, c)
+                    expected = is_split_injection(
+                        inflation_map(ext.projection, 2, UNITS))
+                    assert h2_section_exists(ext) == expected, (name, r, i)
+                    cases += 1
+        assert cases == 14
+
+    @pytest.mark.parametrize("G, r, flags", [
+        (direct_product(cyclic(2), cyclic(2)), 4,
+         [False, True, False, True, False, True, False]),
+        (semidirect_cyclic_by_z2(4, 3), 2,
+         [True, True, True, False, False, False, False]),
+        (direct_product(cyclic(2), cyclic(4)), 2,
+         [False, True, False, False, False, True, False]),
+    ], ids=["V4-r4", "D4-r2", "Z2xZ4-r2"])
+    def test_non_split_answers_at_order_16(self, G, r, flags):
+        # recorded with the inflation map on H^3(E, Z) before this route
+        classes = enumerate_extension_classes(G, r)[1:]
+        assert [h2_section_exists(central_extension(G, r, c))
+                for c in classes] == flags
+
+    def test_analyze_fiber_builds_no_degree_three_bar_complex_of_e(self, monkeypatch):
+        V = direct_product(cyclic(2), cyclic(2))
+        ext = central_extension(V, 2, enumerate_extension_classes(V, 2)[1])
+        built = []
+        original = cohomology_module.bar_differential
+
+        def counting(X, n):
+            built.append((X.order, n))
+            return original(X, n)
+
+        monkeypatch.setattr(cohomology_module, "bar_differential", counting)
+        cohomology_module.clear_cache()
+        d = analyze_fiber(ext)
+        monkeypatch.undo()
+        assert (8, 2) in built
+        assert not [n for order, n in built if order == 8 and n >= 3], built
+        assert d.h2_section_exists is False
+        assert d.h2_units_total == cohomology_units(ext.total, 2).value
 
 
 class TestDiagnostics:

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from stacky_brauer.cohomology import enumerate_extension_classes
-from stacky_brauer.errors import ValidationError
+from stacky_brauer.errors import ResourceCapError, ValidationError
 from stacky_brauer.groups import (
     Cocycle2,
     FiniteGroup,
@@ -42,6 +42,19 @@ class TestConstructors:
                          [2, 4, 0, 1, 3],
                          [3, 2, 4, 0, 1],
                          [4, 3, 1, 2, 0]])
+
+
+    def test_order_is_capped_before_the_table(self):
+        # the associativity walk takes |G|^3 steps; a huge order is refused
+        # before its |G| x |G| table is built
+        V = direct_product(cyclic(2), cyclic(2))
+        for build in (lambda: cyclic(10 ** 7),
+                      lambda: semidirect_cyclic_by_z2(10 ** 6, 1),
+                      lambda: direct_product(cyclic(100), cyclic(100)),
+                      lambda: central_extension(V, 10 ** 6, Cocycle2.zero(V, 10 ** 6)),
+                      lambda: FiniteGroup([[0] * 200] * 200)):
+            with pytest.raises(ResourceCapError, match="associativity"):
+                build()
 
 
 class TestSemidirect:
