@@ -50,6 +50,7 @@ from .groups import (
     Cocycle2,
     FiniteGroup,
     central_extension,
+    check_group_order,
     cyclic,
     direct_product,
     semidirect_cyclic_by_z2,
@@ -180,6 +181,7 @@ def load_group_table(path: str) -> FiniteGroup:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise InputFormatError(f"bad order line in {path!r}")
+    check_group_order(n)
     if len(lines) != n + 1:
         raise InputFormatError(f"group table {path!r} needs {n} rows")
     rows = []
@@ -442,23 +444,35 @@ def build_error_lines(input_text: str, code: str, message: str):
 def _write_report(path, lines) -> bool:
     """Write the machine report, if asked; False (reported on stderr) if it cannot.
 
-    The report is written to a temporary file next to the target, which then
-    replaces it (os.replace), so the target holds either its old contents or
-    the whole new report.  On failure the temporary file is removed and the
-    error names the target.
+    A regular file (or a path that does not exist yet) is written
+    atomically: the report goes to a temporary file beside the file the
+    path resolves to, which then replaces it (os.replace), so the target
+    holds either its old contents or the whole new report, and a symlink
+    stays a symlink.  Anything else (a device, a FIFO) is written through
+    directly.  On failure the temporary file is removed and the error names
+    the given path.
     """
-    if path:
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
+    if not path:
+        return True
+    text = "\n".join(lines) + "\n"
+    target = os.path.realpath(path)
+    tmp = None
+    try:
+        if os.path.isfile(target) or not os.path.lexists(target):
+            tmp = f"{target}.{os.getpid()}.tmp"
             with open(tmp, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-            os.replace(tmp, path)
-        except OSError as exc:
+                fh.write(text)
+            os.replace(tmp, target)
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        if tmp is not None:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
-            print(f"error: cannot write report: {OSError(exc.errno, exc.strerror, path)}",
-                  file=sys.stderr)
-            return False
+        print(f"error: cannot write report: {OSError(exc.errno, exc.strerror, path)}",
+              file=sys.stderr)
+        return False
     return True
 
 

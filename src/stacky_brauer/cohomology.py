@@ -63,7 +63,7 @@ __all__ = [
     "Coefficients", "INTEGERS", "UNITS", "mod_coefficients",
     "CohomologyGroup", "CohomologyClass", "bar_differential",
     "cohomology", "cohomology_Z", "cohomology_Zm", "cohomology_units",
-    "homology_Z",
+    "homology_Z", "pushforward_classes",
     "pullback_matrix", "inflation_map", "restriction_map",
     "inflation_kernel_trivial", "bockstein", "bockstein_r",
     "enumerate_extension_classes", "clear_cache",
@@ -303,6 +303,12 @@ def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
     canonical value of H^{n+1}(X, Z), read off a complex one degree
     shorter: the Schur multiplier H_2(X, Z) has the value of
     H^2(X, kx) = H^3(X, Z).
+
+    It is refused (ResourceCapError) where H^{n+1}(X, Z) is refused by the
+    row count of its d_out, (|X|-1)^{n+2}.  The incoming boundary's
+    nonzeros are no measure of the elimination: with U and U^-1 tracked it
+    fills far beyond them (at |X| = 50, H_2 took 20 s and 650 MB on a
+    2-vCPU x86-64 VM).
     """
     if n < 1:
         raise ValidationError("integral homology is computed here for degree >= 1")
@@ -310,6 +316,7 @@ def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
     with _CACHE_LOCK:
         cached = _CACHE.get(key)
     if cached is None:
+        capped_power(X.order - 1, n + 2, f"H_{n} as H^{n + 1}: d_out rows (|G|-1)^{n + 2}")
         cached = finite_homology_at(bar_differential(X, n - 1).transpose(),
                                     bar_differential(X, n).transpose())
         with _CACHE_LOCK:
@@ -403,27 +410,36 @@ def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
     return _kernel_trivial_by_homology(q, src)
 
 
+def pushforward_classes(q: GroupHom, m: int, cycles) -> list:
+    """The classes in H_m(G, Z) (homology_Z) of q_# z for the m-cycles z of
+    E, for q: E -> G.
+
+    The bar chain complex is the transpose of the cochain complex, so q_#
+    on C_m is pullback_matrix(q, m)^T.  reduce raises
+    NotChainCompatibleError on a pushed-forward chain that is not a cycle.
+    """
+    H = homology_Z(q.target, m)
+    push = pullback_matrix(q, m).transpose()
+    return [H.reduce(push.apply(z)) for z in cycles]
+
+
 def _kernel_trivial_by_homology(q: GroupHom, src: CohomologyGroup) -> bool:
     """Is inflation injective on src = H^n(G, Z), n >= 2?  That is, is
     q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) onto (see inflation_kernel_trivial)?
 
-    The bar chain complex is the transpose of the cochain complex: the
-    boundary C_{m+1} -> C_m is bar_differential(X, m)^T and q_# on C_m is
-    pullback_matrix(q, m)^T.  The cycles of E in degree n - 1 are a kernel
-    basis of bar_differential(E, n - 2)^T; q_# carries them into the
-    cached H_{n-1}(G, Z) of homology_Z.  reduce raises NotChainCompatibleError
-    on a pushed-forward vector that is not a cycle.  The distinct classes
-    they reach generate the image, and the answer is whether the map from
-    the free group on them is surjective.
+    The boundary C_{m+1} -> C_m of the bar chain complex is
+    bar_differential(X, m)^T, so the cycles of E in degree n - 1 are a
+    kernel basis of bar_differential(E, n - 2)^T; pushforward_classes
+    carries them into the cached H_{n-1}(G, Z) of homology_Z.  The
+    distinct classes they reach generate the image, and the answer is
+    whether the map from the free group on them is surjective.
     """
     G, E, n = q.target, q.source, src.degree
-    H = homology_Z(G, n - 1)
-    push = pullback_matrix(q, n - 1).transpose()
     cycles = kernel_basis(bar_differential(E, n - 2).transpose())
-    images = sorted({H.reduce(push.apply(z)) for z in cycles.col_view().values()})
-    f = AbGroupMap(FinAbGroup.free(len(images)), H.quotient, IntegerMatrix(
-        H.quotient.num_generators, len(images),
-        {(i, j): v for j, img in enumerate(images) for i, v in enumerate(img) if v}))
+    images = sorted(set(pushforward_classes(q, n - 1, cycles.col_view().values())))
+    H = homology_Z(G, n - 1).quotient
+    f = AbGroupMap(FinAbGroup.free(len(images)), H, IntegerMatrix.from_columns(
+        H.num_generators, (dict(enumerate(img)) for img in images)))
     return is_surjective(f)
 
 

@@ -31,7 +31,7 @@ from .cohomology import (
     cohomology_units,
     homology_Z,
     inflation_kernel_trivial,
-    pullback_matrix,
+    pushforward_classes,
 )
 from .errors import InvariantViolationError, ResourceCapError
 from .groups import CentralExtension, GroupHom, section
@@ -85,17 +85,13 @@ def h2_section_exists(ext: CentralExtension) -> bool:
 def _h2_pushforward(q: GroupHom) -> AbGroupMap:
     """q_*: H_2(E, Z) -> H_2(G, Z) on the canonical generators.
 
-    Each generator's lift is pushed through q_# = pullback_matrix(q, 2)^T
-    and reduced in H_2(G, Z); reduce raises NotChainCompatibleError on an
-    image that is not a cycle, and AbGroupMap checks that relations go to
-    relations.
+    pushforward_classes carries each generator's lift into H_2(G, Z), and
+    AbGroupMap checks that relations go to relations.
     """
-    src, dst = homology_Z(q.source, 2), homology_Z(q.target, 2)
-    push = pullback_matrix(q, 2).transpose()
-    images = [dst.reduce(push.apply(lift)) for lift in src.lifts]
-    return AbGroupMap(src.quotient, dst.quotient, IntegerMatrix(
-        dst.quotient.num_generators, len(images),
-        {(j, i): v for i, img in enumerate(images) for j, v in enumerate(img) if v}))
+    src, dst = homology_Z(q.source, 2), homology_Z(q.target, 2).quotient
+    images = pushforward_classes(q, 2, src.lifts)
+    return AbGroupMap(src.quotient, dst, IntegerMatrix.from_columns(
+        dst.num_generators, (dict(enumerate(img)) for img in images)))
 
 
 def _pontryagin_dual(f: AbGroupMap) -> AbGroupMap:

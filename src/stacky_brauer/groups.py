@@ -18,6 +18,7 @@ __all__ = [
     "FiniteGroup", "GroupHom", "Cocycle2", "CentralExtension",
     "trivial_group", "cyclic", "direct_product", "semidirect_cyclic_by_z2",
     "central_extension", "split_extension", "section", "are_isomorphic",
+    "check_group_order",
 ]
 
 
@@ -26,21 +27,21 @@ class FiniteGroup:
 
     The table is fully validated on construction: closure, two-sided
     identity, inverses, and associativity.  The associativity walk takes
-    n^3 steps, so n^3 is compared with the resource cap first
-    (_check_order); the constructors below compare it before they build
-    the n x n table.
+    n^3 steps, so a group of a given order is refused first by
+    check_group_order, as cyclic, direct_product and
+    semidirect_cyclic_by_z2 do before they build the n x n table.
+    central_extension builds its table uncapped: the costly questions
+    about the extension group degrade to unknown under the cap instead.
     """
 
     __slots__ = ("table", "order", "identity", "inverse", "labels", "_hash",
                  "proj_left", "proj_right")
 
     def __init__(self, table, labels=None):
-        rows = tuple(table)
+        rows = tuple(tuple(row) for row in table)
         n = len(rows)
         if n == 0:
             raise ValidationError("a group has at least one element")
-        _check_order(n)
-        rows = tuple(tuple(row) for row in rows)
         for row in rows:
             if len(row) != n:
                 raise ValidationError("multiplication table must be square")
@@ -123,7 +124,7 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _check_order(n: int) -> None:
+def check_group_order(n: int) -> None:
     """Refuse a group of order n whose n^3-step associativity check
     exceeds the resource cap (ResourceCapError)."""
     capped_power(n, 3, "group order cubed (associativity check)")
@@ -136,7 +137,11 @@ def trivial_group() -> FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError("cyclic group order must be >= 1")
-    _check_order(n)
+    check_group_order(n)
+    return _cyclic(n)
+
+
+def _cyclic(n: int) -> FiniteGroup:
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, labels=[str(i) for i in range(n)])
 
@@ -148,7 +153,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     projection homomorphisms.
     """
     n, m = G.order, H.order
-    _check_order(n * m)
+    check_group_order(n * m)
     idx = lambda g, h: g * m + h
     table = [[0] * (n * m) for _ in range(n * m)]
     for g1, h1 in product(range(n), range(m)):
@@ -172,7 +177,7 @@ def semidirect_cyclic_by_z2(n: int, a: int) -> FiniteGroup:
         raise ValidationError("need 1 <= a <= n")
     if (a * a) % n != 1 % n:
         raise ValidationError(f"invalid action: {a}^2 != 1 mod {n}")
-    _check_order(2 * n)
+    check_group_order(2 * n)
     idx = lambda t, s: 2 * t + s
     table = [[0] * (2 * n) for _ in range(2 * n)]
     for t1, s1 in product(range(n), range(2)):
@@ -329,7 +334,6 @@ def central_extension(G: FiniteGroup, r: int, c: Cocycle2) -> CentralExtension:
     if c.base != G or c.modulus != r:
         raise ValidationError("cocycle does not match the requested extension data")
     n = G.order
-    _check_order(n * r)
     idx = lambda g, t: g * r + t
     table = [[0] * (n * r) for _ in range(n * r)]
     for g, s in product(range(n), range(r)):
@@ -339,7 +343,7 @@ def central_extension(G: FiniteGroup, r: int, c: Cocycle2) -> CentralExtension:
     labels = [f"({G.label(g)};{t})" for g in range(n) for t in range(r)]
     E = FiniteGroup(table, labels=labels)
     proj = GroupHom(E, G, tuple(g for g in range(n) for _ in range(r)))
-    embed = GroupHom(cyclic(r), E, tuple(idx(G.identity, t) for t in range(r)))
+    embed = GroupHom(_cyclic(r), E, tuple(idx(G.identity, t) for t in range(r)))
     # kernel of the projection must be exactly the embedded Z/r, and central
     kernel = {x for x in range(E.order) if proj(x) == G.identity}
     if kernel != set(embed.image):

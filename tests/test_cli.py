@@ -1,4 +1,6 @@
+import os
 import random
+import stat
 import subprocess
 import sys
 import textwrap
@@ -232,15 +234,30 @@ class TestEndToEnd:
         assert "error-code = resource-cap" in rpt.read_text().splitlines()
 
     def test_huge_group_order_is_refused_before_the_table(self, tmp_path):
-        # cyclic:10000000 must not build a 10^7 x 10^7 table
+        # cyclic:10000000 must not build a 10^7 x 10^7 table, nor a table
+        # file announcing that order have its rows read
+        tbl = tmp_path / "huge.tbl"
+        tbl.write_text("order 10000000\n0\n")
         rpt = tmp_path / "huge.rpt"
-        proc = subprocess.run(
-            [sys.executable, "-m", "stacky_brauer", "cohomology", "cyclic:10000000",
-             "2", "Z", "--report", str(rpt)],
-            capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 1, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "error-code = resource-cap" in rpt.read_text().splitlines()
+        for spec in ("cyclic:10000000", f"table:{tbl}"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "stacky_brauer", "cohomology", spec,
+                 "2", "Z", "--report", str(rpt)],
+                capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 1, (spec, proc.stderr)
+            assert "Traceback" not in proc.stderr
+            assert "error-code = resource-cap" in rpt.read_text().splitlines()
+
+    def test_large_extension_group_degrades_instead_of_failing(self, tmp_path):
+        # the split extension of Z/2 by Z/100 has order 200, whose cube is
+        # over the default cap; only h2-units-total reads unknown
+        inp = tmp_path / "big_r.txt"
+        inp.write_text(NODE_DOC.replace("r = 2", "r = 100")
+                       .replace("semidirect_z2:4:3", "cyclic:2"))
+        rpt = tmp_path / "big_r.rpt"
+        proc = run_cli("brauer", "--input", str(inp), "--report", str(rpt))
+        assert proc.returncode == 0, proc.stderr
+        assert "fiber.node.h2-units-total = unknown" in rpt.read_text().splitlines()
 
     def test_cohomology_cap_counts_unreduced_d_out(self):
         # H^3(Z/6, kx) = H^4(Z/6, Z): d_out has 5^5 = 3125 rows, under the
@@ -275,7 +292,8 @@ class TestUnreadableOrUnwritableFiles:
             assert "Traceback" not in proc.stderr, args
             assert "error: cannot write report:" in proc.stderr, args
 
-    def test_report_write_leaves_no_temporary_file(self, tmp_path, capsys):
+    def test_report_write_leaves_no_temporary_file(self, tmp_path, capsys,
+                                                   monkeypatch):
         # the report is written next to the target and renamed over it
         out = tmp_path / "out"
         out.mkdir()
@@ -284,7 +302,7 @@ class TestUnreadableOrUnwritableFiles:
         assert main(["cohomology", "cyclic:4", "2", "Z", "--report", str(rpt)]) == 0
         assert [p.name for p in out.iterdir()] == ["x.rpt"]
         assert "value = Z/4" in rpt.read_text().splitlines()
-        # a target that cannot be replaced (a directory): exit 1, no leftover
+        # a target that cannot be written (a directory): exit 1, no leftover
         blocked = out / "blocked.rpt"
         blocked.mkdir()
         capsys.readouterr()
@@ -292,6 +310,39 @@ class TestUnreadableOrUnwritableFiles:
         assert "error: cannot write report:" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["blocked.rpt", "x.rpt"]
         assert not any(blocked.iterdir())
+        # a rename that fails after the temporary file is written: removed,
+        # and the old report is kept whole
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr("stacky_brauer.cli.os.replace", refuse)
+        assert main(["cohomology", "cyclic:3", "2", "Z", "--report", str(rpt)]) == 1
+        assert "error: cannot write report:" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["blocked.rpt", "x.rpt"]
+        assert "value = Z/4" in rpt.read_text().splitlines()
+
+    def test_report_through_a_symlink_keeps_the_link(self, tmp_path):
+        real = tmp_path / "real.rpt"
+        real.write_text("old report\n")
+        link = tmp_path / "link.rpt"
+        link.symlink_to(real)
+        assert main(["cohomology", "cyclic:4", "2", "Z", "--report", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert "value = Z/4" in real.read_text().splitlines()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.rpt", "real.rpt"]
+
+    def test_report_to_a_fifo_is_written_through(self, tmp_path):
+        # a non-regular target is written directly, not replaced by a file
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["cohomology", "cyclic:4", "2", "Z", "--report", str(fifo)]) == 0
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert "value = Z/4" in text.splitlines()
+        assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
 
     def test_undecodable_input_is_an_error_not_a_traceback(self, tmp_path):
         inp = tmp_path / "binary.txt"

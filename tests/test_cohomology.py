@@ -35,7 +35,7 @@ from stacky_brauer.cohomology import (
     mod_coefficients,
     restriction_map,
 )
-from stacky_brauer.errors import TamenessError, ValidationError
+from stacky_brauer.errors import ResourceCapError, TamenessError, ValidationError
 from stacky_brauer.groups import (
     Cocycle2,
     GroupHom,
@@ -246,6 +246,15 @@ class TestHomologyZ:
     def test_degree_zero_is_refused(self):
         with pytest.raises(ValidationError):
             homology_Z(cyclic(2), 0)
+
+    def test_refused_where_the_cohomology_it_replaces_is(self):
+        # |G| = 50: H^3(G, Z)'s d_out has 49^4 > 5M rows; H_2's elimination
+        # would run tens of seconds, so it is refused at once as well
+        G = cyclic(50)
+        for question in (lambda: homology_Z(G, 2), lambda: cohomology_Z(G, 3)):
+            with pytest.raises(ResourceCapError, match="49\\^4|5764801"):
+                question()
+        assert homology_Z(cyclic(48), 1).quotient == FinAbGroup.cyclic(48)
 
 
 class TestInflation:

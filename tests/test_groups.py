@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from stacky_brauer.abelian import set_resource_cap
 from stacky_brauer.cohomology import enumerate_extension_classes
 from stacky_brauer.errors import ResourceCapError, ValidationError
 from stacky_brauer.groups import (
@@ -47,14 +48,22 @@ class TestConstructors:
     def test_order_is_capped_before_the_table(self):
         # the associativity walk takes |G|^3 steps; a huge order is refused
         # before its |G| x |G| table is built
-        V = direct_product(cyclic(2), cyclic(2))
         for build in (lambda: cyclic(10 ** 7),
                       lambda: semidirect_cyclic_by_z2(10 ** 6, 1),
-                      lambda: direct_product(cyclic(100), cyclic(100)),
-                      lambda: central_extension(V, 10 ** 6, Cocycle2.zero(V, 10 ** 6)),
-                      lambda: FiniteGroup([[0] * 200] * 200)):
+                      lambda: direct_product(cyclic(100), cyclic(100))):
             with pytest.raises(ResourceCapError, match="associativity"):
                 build()
+
+    def test_extension_group_is_not_capped_by_its_order(self):
+        # E's order cubed (and r's) exceed this cap: the extension is still
+        # built, and only the costly questions about E degrade to unknown
+        V = direct_product(cyclic(2), cyclic(2))
+        set_resource_cap(100)
+        try:
+            ext = split_extension(V, 5)
+        finally:
+            set_resource_cap(5_000_000)
+        assert ext.total.order == 20
 
 
 class TestSemidirect:
