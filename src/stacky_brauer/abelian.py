@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import contextvars
 import heapq
+import threading
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     ChainCompositionError,
@@ -407,14 +409,13 @@ def hom_to_cyclic(A: FinAbGroup, r: int) -> FinAbGroup:
 # The elimination engine
 #
 # Diagonalizes a sparse integer matrix by unimodular row and column
-# operations, optionally tracking V, V^-1, U, U^-1 and carrying companion
-# right-hand-side columns through the row operations (so U @ rhs is
-# available without materializing U).
+# operations, optionally tracking V and V^-1 and logging the row operations,
+# from which _replay_rows rebuilds U and U^-1 when they are asked for.
 
 
 class _Elim:
     def __init__(self, M: IntegerMatrix, *, track_v=False, track_vinv=False,
-                 track_u=False, track_uinv=False, rhs: IntegerMatrix = None):
+                 log_rows=False):
         check_cap(M.nnz, "matrix nonzeros")
         self.m = M.rows
         self.n = M.cols
@@ -425,18 +426,9 @@ class _Elim:
             self.col_index.setdefault(c, set()).add(r)
         self.vcols = {} if track_v else None          # col-major, lazy identity
         self.vinv_rows = {} if track_vinv else None   # row-major, lazy identity
-        self.urows = {} if track_u else None          # row-major, lazy identity
-        self.uinv_cols = {} if track_uinv else None   # col-major, lazy identity
-        if rhs is not None:
-            if rhs.rows != self.m:
-                raise ValidationError("rhs row count mismatch")
-            self.rhs_cols = rhs.cols
-            self.rhs_rows = {}
-            for (r, c), v in rhs.entries.items():
-                self.rhs_rows.setdefault(r, {})[c] = v
-        else:
-            self.rhs_cols = 0
-            self.rhs_rows = None
+        # (dst, src, q) for row[dst] += q * row[src], (r,) for a negation,
+        # (r1, r2, x, y, p, q) for the 2-row transform of _rows_gcd
+        self.row_ops = [] if log_rows else None
         self.pivots = []      # list of (row, col); value lives in self.rows
         self._pivot_rows = set()
         self._pivot_cols = set()
@@ -486,35 +478,16 @@ class _Elim:
                     if c in rdst:
                         del rdst[c]
                         index[c].discard(dst)
-        if self.urows is not None:
-            self._ident_acc(self.urows, dst, src, q)
-        if self.uinv_cols is not None:
-            # Uinv <- Uinv @ E^{-1}: col[src] -= q * col[dst]
-            self._ident_acc(self.uinv_cols, src, dst, -q)
-        if self.rhs_rows is not None:
-            rs = self.rhs_rows.get(src)
-            if rs:
-                rd = self.rhs_rows.setdefault(dst, {})
-                self._vec_acc(rd, rs, q)
+        if self.row_ops is not None:
+            self.row_ops.append((dst, src, q))
 
     def _row_negate(self, r: int):
         row = self.rows.get(r)
         if row:
             for c in row:
                 row[c] = -row[c]
-        if self.urows is not None:
-            u = self._ident_get(self.urows, r)
-            for k in u:
-                u[k] = -u[k]
-        if self.uinv_cols is not None:
-            u = self._ident_get(self.uinv_cols, r)
-            for k in u:
-                u[k] = -u[k]
-        if self.rhs_rows is not None:
-            row = self.rhs_rows.get(r)
-            if row:
-                for c in row:
-                    row[c] = -row[c]
+        if self.row_ops is not None:
+            self.row_ops.append((r,))
 
     def _rows_gcd(self, r1: int, r2: int, c: int):
         """Unimodular 2-row transform making entry (r1,c) = gcd and (r2,c) = 0."""
@@ -526,22 +499,8 @@ class _Elim:
         row2 = dict(self.rows.get(r2, {}))
         self._set_row(r1, self._combine(row1, x, row2, y))
         self._set_row(r2, self._combine(row1, p, row2, q))
-        if self.urows is not None:
-            u1 = dict(self._ident_get(self.urows, r1))
-            u2 = dict(self._ident_get(self.urows, r2))
-            self.urows[r1] = self._combine(u1, x, u2, y)
-            self.urows[r2] = self._combine(u1, p, u2, q)
-        if self.uinv_cols is not None:
-            # Uinv <- Uinv @ E^{-1}, E^{-1} = [[q, -y], [-p, x]]
-            u1 = dict(self._ident_get(self.uinv_cols, r1))
-            u2 = dict(self._ident_get(self.uinv_cols, r2))
-            self.uinv_cols[r1] = self._combine(u1, q, u2, -p)
-            self.uinv_cols[r2] = self._combine(u1, -y, u2, x)
-        if self.rhs_rows is not None:
-            h1 = dict(self.rhs_rows.get(r1, {}))
-            h2 = dict(self.rhs_rows.get(r2, {}))
-            self._set_plain(self.rhs_rows, r1, self._combine(h1, x, h2, y))
-            self._set_plain(self.rhs_rows, r2, self._combine(h1, p, h2, q))
+        if self.row_ops is not None:
+            self.row_ops.append((r1, r2, x, y, p, q))
 
     @staticmethod
     def _combine(v1: dict, a: int, v2: dict, b: int) -> dict:
@@ -571,13 +530,6 @@ class _Elim:
             self.rows[r] = new_row
         elif r in self.rows:
             del self.rows[r]
-
-    @staticmethod
-    def _set_plain(store, key, vec):
-        if vec:
-            store[key] = vec
-        elif key in store:
-            del store[key]
 
     # -- elementary column operations (matrix <- matrix @ E)
 
@@ -793,17 +745,43 @@ class _Elim:
     def v_column(self, c: int) -> dict:
         if self.vcols is None:
             raise ValidationError("V was not tracked")
-        return dict(self.vcols.get(c, {c: 1}))
+        return _identity_vector(self.vcols, c)
 
-    def u_row(self, r: int) -> dict:
-        if self.urows is None:
-            raise ValidationError("U was not tracked")
-        return dict(self.urows.get(r, {r: 1}))
 
-    def uinv_column(self, r: int) -> dict:
-        if self.uinv_cols is None:
-            raise ValidationError("Uinv was not tracked")
-        return dict(self.uinv_cols.get(r, {r: 1}))
+def _replay_rows(ops):
+    """U and U^-1 of a logged elimination U @ M @ V = diag, from its row operations.
+
+    Each operation E is applied in order to lazy identities, U <- E @ U
+    (row-major) and U^-1 <- U^-1 @ E^-1 (column-major), exactly as tracking
+    them during the elimination would.  Returns (rows of U, columns of
+    U^-1), keyed by row; a key that is missing is the identity vector.
+    """
+    urows, uinv_cols = {}, {}
+    get, acc, combine = _Elim._ident_get, _Elim._vec_acc, _Elim._combine
+    for op in ops:
+        if len(op) == 3:
+            dst, src, q = op
+            acc(get(urows, dst), get(urows, src), q)
+            acc(get(uinv_cols, src), get(uinv_cols, dst), -q)
+        elif len(op) == 1:
+            for store in (urows, uinv_cols):
+                u = get(store, op[0])
+                for k in u:
+                    u[k] = -u[k]
+        else:
+            # E = [[x, y], [p, q]] on rows r1, r2; E^-1 = [[q, -y], [-p, x]]
+            r1, r2, x, y, p, q = op
+            u1, u2 = get(urows, r1), get(urows, r2)
+            urows[r1] = combine(u1, x, u2, y)
+            urows[r2] = combine(u1, p, u2, q)
+            c1, c2 = get(uinv_cols, r1), get(uinv_cols, r2)
+            uinv_cols[r1] = combine(c1, q, c2, -p)
+            uinv_cols[r2] = combine(c1, -y, c2, x)
+    return urows, uinv_cols
+
+
+def _identity_vector(store, key) -> dict:
+    return dict(store.get(key, {key: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -816,8 +794,9 @@ def smith_normal_form(M: IntegerMatrix):
     S is diagonal with d1 | d2 | ... and all d_i >= 0 (nonzero entries
     first).  Raises ResourceCapError when M exceeds the entry budget.
     """
-    elim = _Elim(M, track_v=True, track_u=True).diagonalize()
+    elim = _Elim(M, track_v=True, log_rows=True).diagonalize()
     elim.canonicalize()
+    urows, _ = _replay_rows(elim.row_ops)
 
     k = len(elim.pivots)
     # permutations completing pivot order to full row/col orderings
@@ -828,7 +807,7 @@ def smith_normal_form(M: IntegerMatrix):
 
     u_entries = {}
     for i, r in enumerate(row_order):
-        for c, v in elim.u_row(r).items():
+        for c, v in _identity_vector(urows, r).items():
             u_entries[(i, c)] = v
     U = IntegerMatrix(M.rows, M.rows, u_entries)
 
@@ -840,12 +819,16 @@ def smith_normal_form(M: IntegerMatrix):
     return S, U, V
 
 
+def _pivot_values(M: IntegerMatrix) -> list:
+    """The diagonal of one untracked diagonalization of M (not canonicalized)."""
+    elim = _Elim(M).diagonalize()
+    return [elim.pivot_value(i) for i in range(len(elim.pivots))]
+
+
 def cokernel(M: IntegerMatrix) -> FinAbGroup:
     """Canonical form of Z^rows / column-span(M)."""
-    elim = _Elim(M).diagonalize()
-    factors = [elim.pivot_value(i) for i in range(len(elim.pivots))]
-    free = M.rows - len(factors)
-    return FinAbGroup.from_factors(factors, free_rank=free)
+    factors = _pivot_values(M)
+    return FinAbGroup.from_factors(factors, free_rank=M.rows - len(factors))
 
 
 def kernel_basis(M: IntegerMatrix) -> IntegerMatrix:
@@ -938,24 +921,61 @@ class _CycleSolver:
         return out
 
 
-@dataclass(frozen=True)
+class _Classes(NamedTuple):
+    """What a Subquotient needs beyond its value to name and reduce classes."""
+
+    cycle_basis: IntegerMatrix
+    boundary_basis: IntegerMatrix
+    lifts: tuple        # one ambient cycle per canonical generator
+    solver: object      # cycle test and cycle coordinates
+    reduce_rows: tuple  # cycle coordinates -> quotient, one row per generator
+
+
 class Subquotient:
     """ker(d_out) / im(d_in) inside Z^ambient_dim, with canonical quotient.
 
     lifts[i] is an ambient integer vector representing the i-th canonical
     generator of the quotient (torsion generators first, then free).
+
+    The quotient is known on construction.  The classes (cycle and
+    boundary bases, lifts, and what reduce and contains_cycle need) are
+    either given or deferred: a callable that builds them runs once, on
+    the first use of any of them, and may raise (a failed build runs again
+    on the next use).
     """
 
-    ambient_dim: int
-    cycle_basis: IntegerMatrix
-    boundary_basis: IntegerMatrix
-    quotient: FinAbGroup
-    lifts: tuple
-    _solver: object = None     # cycle test and cycle coordinates
-    _reduce_rows: tuple = ()   # cycle coordinates -> quotient, one row per generator
+    __slots__ = ("ambient_dim", "quotient", "_classes", "_build", "_lock")
+
+    def __init__(self, ambient_dim: int, quotient: FinAbGroup, classes):
+        self.ambient_dim = ambient_dim
+        self.quotient = quotient
+        deferred = callable(classes)
+        self._classes = None if deferred else classes
+        self._build = classes if deferred else None
+        self._lock = threading.Lock()
+
+    def classes(self) -> _Classes:
+        if self._classes is None:
+            with self._lock:
+                if self._classes is None:
+                    self._classes = self._build()
+                    self._build = None
+        return self._classes
+
+    @property
+    def cycle_basis(self) -> IntegerMatrix:
+        return self.classes().cycle_basis
+
+    @property
+    def boundary_basis(self) -> IntegerMatrix:
+        return self.classes().boundary_basis
+
+    @property
+    def lifts(self) -> tuple:
+        return self.classes().lifts
 
     def contains_cycle(self, vec: dict) -> bool:
-        return self._solver.contains(vec)
+        return self.classes().solver.contains(vec)
 
     def reduce(self, vec: dict) -> tuple:
         """Quotient coordinates of an ambient cycle vector.
@@ -963,10 +983,11 @@ class Subquotient:
         Torsion coordinates are canonical residues in [0, d); free
         coordinates are exact integers.
         """
-        y = self._solver.coords(vec)
+        classes = self.classes()
+        y = classes.solver.coords(vec)
         orders = self.quotient.relation_orders()
         out = []
-        for row, d in zip(self._reduce_rows, orders):
+        for row, d in zip(classes.reduce_rows, orders):
             s = 0
             for k, coeff in row.items():
                 yv = y.get(k)
@@ -1044,19 +1065,20 @@ def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> 
     k = K.cols
     X = IntegerMatrix.from_columns(k, xcols)
 
-    elim = _Elim(X, track_u=True, track_uinv=True).diagonalize()
+    elim = _Elim(X, log_rows=True).diagonalize()
     torsion = elim.canonicalize()
     free_rows = sorted(set(range(k)) - {r for r, _ in elim.pivots})
     quotient = FinAbGroup(len(free_rows), tuple(d for _, d in torsion))
+    urows, uinv_cols = _replay_rows(elim.row_ops)
 
     reduce_rows = []
     lifts = []
+    kview = K.col_view()
     for r in [r for r, _ in torsion] + free_rows:
-        reduce_rows.append(elim.u_row(r))
-        ycol = elim.uinv_column(r)
+        reduce_rows.append(_identity_vector(urows, r))
         lift = {}
-        for c, coeff in ycol.items():
-            for rr, v in K.col_view().get(c, {}).items():
+        for c, coeff in _identity_vector(uinv_cols, r).items():
+            for rr, v in kview.get(c, {}).items():
                 nv = lift.get(rr, 0) + coeff * v
                 if nv:
                     lift[rr] = nv
@@ -1064,15 +1086,31 @@ def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> 
                     del lift[rr]
         lifts.append(lift)
 
-    return Subquotient(
-        ambient_dim=ambient,
-        cycle_basis=K,
-        boundary_basis=boundaries,
-        quotient=quotient,
-        lifts=tuple(lifts),
-        _solver=solver,
-        _reduce_rows=tuple(reduce_rows),
-    )
+    return Subquotient(ambient, quotient, _Classes(
+        K, boundaries, tuple(lifts), solver, tuple(reduce_rows)))
+
+
+def homology_value(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int) -> FinAbGroup:
+    """The quotient of homology_at(d_out, d_in, modulus) for modulus >= 1, without its classes.
+
+    For a complex C of free abelian groups the universal coefficient
+    theorem gives H(C (x) Z/m) = H(C) (x) Z/m + Tor(H'(C), Z/m), H' the
+    homology one step on (Brown, Cohomology of Groups, III.1).  With a_i
+    the pivots of a diagonalization of d_in, b_j those of d_out and N the
+    columns of d_out, H(C) = Z^(N - rk d_in - rk d_out) + sum Z/a_i and the
+    torsion of H'(C) is sum Z/b_j, so the value is
+    (Z/m)^(N - rk d_in - rk d_out) + sum Z/gcd(a_i, m) + sum Z/gcd(b_j, m),
+    read off two untracked eliminations.  d_out @ d_in == 0 is checked over
+    Z, and the resource cap is compared with d_out's nonzeros plus its
+    rows, the count homology_at's cycle elimination is refused by.
+    """
+    if modulus < 1:
+        raise ValidationError("modulus must be >= 1")
+    _check_chain(d_out, d_in, 0)
+    check_cap(d_out.nnz + d_out.rows, "matrix nonzeros")
+    pivots = _pivot_values(d_in) + _pivot_values(d_out)
+    free = d_out.cols - len(pivots)
+    return FinAbGroup.from_factors([modulus] * free + [gcd(p, modulus) for p in pivots])
 
 
 class _CycleCheck:
@@ -1097,28 +1135,35 @@ def finite_homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix) -> Subquotient
     lies in im(d_in) for some t != 0, then t * (d_out @ v) = 0 and v is
     already a cycle.  The homology is then the torsion of coker(d_in), read
     off one elimination U @ d_in @ V = diag of d_in alone: the invariant
-    factors are the pivots other than 1, a cycle's coordinates are its
-    U rows at those pivots, and the U^-1 columns at the pivot rows span the
-    cycles.  d_out is only checked (d_out @ d_in == 0, its entry count
-    against the resource cap), never eliminated.  Finiteness is the
-    caller's promise; nothing here can detect a free part.
+    factors are the canonicalized pivots other than 1, known at once.  The
+    elimination only logs its row operations; the classes are deferred to
+    one replay of that log (_replay_rows) on first use: a cycle's
+    coordinates are its U rows at the torsion pivots, and the U^-1 columns
+    at the pivot rows span the cycles.  d_out is only checked
+    (d_out @ d_in == 0, its entry count against the resource cap), never
+    eliminated.  Finiteness is the caller's promise; nothing here can
+    detect a free part.
     """
     _check_chain(d_out, d_in, 0)
     check_cap(d_out.nnz, "matrix nonzeros")
-    elim = _Elim(d_in, track_u=True, track_uinv=True).diagonalize()
+    elim = _Elim(d_in, log_rows=True).diagonalize()
     torsion = elim.canonicalize()
+    ops = elim.row_ops
+    pivot_rows = [r for r, _ in elim.pivots]
     gen_rows = [r for r, _ in torsion]
-    cycles = IntegerMatrix.from_columns(
-        d_in.rows, (elim.uinv_column(r) for r, _ in elim.pivots))
-    return Subquotient(
-        ambient_dim=d_in.rows,
-        cycle_basis=cycles,
-        boundary_basis=d_in,
-        quotient=FinAbGroup(0, tuple(d for _, d in torsion)),
-        lifts=tuple(elim.uinv_column(r) for r in gen_rows),
-        _solver=_CycleCheck(d_out),
-        _reduce_rows=tuple(elim.u_row(r) for r in gen_rows),
-    )
+
+    def classes() -> _Classes:
+        urows, uinv_cols = _replay_rows(ops)
+        return _Classes(
+            cycle_basis=IntegerMatrix.from_columns(
+                d_in.rows, (_identity_vector(uinv_cols, r) for r in pivot_rows)),
+            boundary_basis=d_in,
+            lifts=tuple(_identity_vector(uinv_cols, r) for r in gen_rows),
+            solver=_CycleCheck(d_out),
+            reduce_rows=tuple(_identity_vector(urows, r) for r in gen_rows),
+        )
+
+    return Subquotient(d_in.rows, FinAbGroup(0, tuple(d for _, d in torsion)), classes)
 
 
 # ---------------------------------------------------------------------------

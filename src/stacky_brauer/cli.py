@@ -561,6 +561,10 @@ def run_cohomology(args) -> int:
             f"value = {result.value}",
         ]
         if args.verify:
+            if coeff.kind == "Zm":
+                # build the deferred classes: their quotient must equal the
+                # value, or InvariantViolationError
+                result.subquotient.classes()
             mismatches = []
             try:
                 fb = full_bar_cohomology(G, degree, coeff)

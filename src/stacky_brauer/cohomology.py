@@ -10,14 +10,21 @@ algebraically closed field whose characteristic does not divide |G|
 (the unit group is then divisible with full prime-to-p torsion).  The
 characteristic enters only through that tameness check.
 
-Two routes compute a group.  For n >= 1, H^n(G, Z) is finite (killed by
-|G|), so it is the torsion of coker(d_in), d_in: C^{n-1} -> C^n:
-`abelian.finite_homology_at` eliminates d_in alone and only checks the
-much larger outgoing differential d_out (composition and resource cap).
-Integral and units coefficients in positive degree take this route.
-Degree 0 (H^0(G, Z) = Z is infinite) and Z/m coefficients (every cochain
-is then torsion, so torsion does not single out the cocycles) take
-`abelian.homology_at`, which eliminates d_out for a cycle basis first.
+cohomology() computes a group's value at the call and its classes
+(representatives, class_of) on first use.  For n >= 1, H^n(G, Z) is
+finite (killed by |G|), so it is the torsion of coker(d_in),
+d_in: C^{n-1} -> C^n: `abelian.finite_homology_at` eliminates d_in alone,
+logging its row operations, reads the value off the pivots and replays
+the log for the classes; the much larger outgoing differential d_out is
+only checked (composition and resource cap).  Integral and units
+coefficients in positive degree take this route.  With Z/m coefficients
+(every cochain is then torsion, so torsion does not single out the
+cocycles) the value comes from the universal coefficient theorem on
+untracked eliminations of d_in and d_out (`abelian.homology_value`), and
+`abelian.homology_at`, which eliminates d_out augmented by m*I for a
+cycle basis, runs only for the classes; its quotient must equal the
+value.  Degree 0 with Z coefficients (H^0(G, Z) = Z is infinite) takes
+homology_at directly.
 
 Injectivity of inflation on a non-split extension is decided in homology
 one degree down: for a finite group and n >= 2 the universal coefficient
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -48,6 +56,7 @@ from .abelian import (
     check_cap,
     finite_homology_at,
     homology_at,
+    homology_value,
     induced_map,
     is_surjective,
     kernel_basis,
@@ -173,7 +182,9 @@ class CohomologyGroup:
 
     representatives[i] is a sparse cochain vector over the normalized
     tuple basis for the i-th canonical generator; for units coefficients
-    these are integral cochains one degree up.  For integral and units
+    these are integral cochains one degree up.  The value is known on
+    construction; representatives, class_of and the subquotient's classes
+    are built on first use (see cohomology).  For integral and units
     coefficients in positive degree the group is read off the cokernel of
     the incoming differential: the generators are the U^-1 columns of its
     Smith form at the pivots other than 1, and class_of checks that a
@@ -186,8 +197,15 @@ class CohomologyGroup:
     degree: int
     coefficients: Coefficients
     value: FinAbGroup
-    representatives: tuple
     subquotient: Subquotient
+
+    @cached_property
+    def representatives(self) -> tuple:
+        modulus = self.coefficients.modulus
+        if not modulus:
+            return tuple(dict(lift) for lift in self.subquotient.lifts)
+        return tuple({k: v % modulus for k, v in lift.items() if v % modulus}
+                     for lift in self.subquotient.lifts)
 
     def class_of(self, vec: dict) -> "CohomologyClass":
         return CohomologyClass(self, self.subquotient.reduce(vec))
@@ -249,7 +267,12 @@ def _integral_degree(n: int, coefficients: Coefficients) -> tuple:
 
 def cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS,
                characteristic: int = 0) -> CohomologyGroup:
-    """H^n(G, coefficients) with trivial action, via the normalized bar complex."""
+    """H^n(G, coefficients) with trivial action, via the normalized bar complex.
+
+    The value is computed at the call, which builds d_out and d_in and
+    makes the composition and resource-cap checks the classes' route makes
+    on them; the classes are built on first use.
+    """
     if n < 0:
         raise ValidationError("degree must be nonnegative")
     if coefficients.kind == "units":
@@ -261,22 +284,37 @@ def cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS,
     if cached is None:
         d_out = bar_differential(G, degree)
         d_in = bar_differential(G, degree - 1) if degree else IntegerMatrix(1, 0)
-        if degree and not modulus:
+        if modulus:
+            cached = _mod_homology(d_out, d_in, modulus)
+        elif degree:
             # H^degree(G, Z) is finite in positive degree
             cached = finite_homology_at(d_out, d_in)
         else:
-            cached = homology_at(d_out, d_in, modulus=modulus)
+            cached = homology_at(d_out, d_in)
         with _CACHE_LOCK:
-            _CACHE.setdefault(key, cached)
-            cached = _CACHE[key]
-    subq = cached
-    reps = []
-    for lift in subq.lifts:
-        if modulus:
-            reps.append({k: v % modulus for k, v in lift.items() if v % modulus})
-        else:
-            reps.append(dict(lift))
-    return CohomologyGroup(G, n, coefficients, subq.quotient, tuple(reps), subq)
+            cached = _CACHE.setdefault(key, cached)
+    return CohomologyGroup(G, n, coefficients, cached.quotient, cached)
+
+
+def _mod_homology(d_out: IntegerMatrix, d_in: IntegerMatrix, m: int) -> Subquotient:
+    """ker(d_out)/im(d_in) of (Z/m)^n: the value now, homology_at's classes later.
+
+    The value comes from abelian.homology_value (the universal coefficient
+    theorem on two untracked eliminations).  homology_at, which eliminates
+    d_out augmented by m*I with V and V^-1 tracked, runs only when the
+    classes are first used, and its quotient must equal that value.
+    """
+    value = homology_value(d_out, d_in, m)
+
+    def classes():
+        full = homology_at(d_out, d_in, modulus=m)
+        if full.quotient != value:
+            raise InvariantViolationError(
+                f"the classes give {full.quotient} with Z/{m} coefficients, "
+                f"the universal coefficient theorem {value}")
+        return full.classes()
+
+    return Subquotient(d_out.cols, value, classes)
 
 
 def cohomology_Z(G: FiniteGroup, n: int) -> CohomologyGroup:
@@ -306,8 +344,8 @@ def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
 
     It is refused (ResourceCapError) where H^{n+1}(X, Z) is refused by the
     row count of its d_out, (|X|-1)^{n+2}.  The incoming boundary's
-    nonzeros are no measure of the elimination: with U and U^-1 tracked it
-    fills far beyond them (at |X| = 50, H_2 took 20 s and 650 MB on a
+    nonzeros are no measure of the elimination, which fills far beyond them
+    (at |X| = 50, H_2 with U and U^-1 built took 20 s and 650 MB on a
     2-vCPU x86-64 VM).
     """
     if n < 1:

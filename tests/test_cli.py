@@ -4,10 +4,11 @@ import stat
 import subprocess
 import sys
 import textwrap
+from importlib import import_module
 
 import pytest
 
-from stacky_brauer.abelian import FinAbGroup
+from stacky_brauer.abelian import FinAbGroup, Subquotient
 from stacky_brauer.cli import (
     build_report_lines,
     main,
@@ -266,6 +267,42 @@ class TestEndToEnd:
                        "--max-entries", "10000")
         assert proc.returncode == 1
         assert "matrix nonzeros" in proc.stderr
+
+    def test_mod_m_cap_counts_the_augmented_d_out(self):
+        # H^2(Z/6, Z/4): d_out has 440 nonzeros and 125 rows; the value is
+        # refused exactly where the cycle elimination of d_out augmented by
+        # 4*I (565 nonzeros) is, although that elimination runs only for
+        # classes
+        proc = run_cli("cohomology", "cyclic:6", "2", "Z/4", "--max-entries", "564")
+        assert proc.returncode == 1
+        assert "size 565 exceeds resource cap 564 (matrix nonzeros)" in proc.stderr
+        proc = run_cli("cohomology", "cyclic:6", "2", "Z/4", "--max-entries", "565")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "Z/2"
+
+    def test_mod_m_verify_builds_the_deferred_classes(self, tmp_path, monkeypatch):
+        # a homology_at whose quotient disagrees with the value is caught by
+        # --verify only: without it the classes are never built (the package
+        # namespace shadows the module with the function of that name)
+        coh = import_module("stacky_brauer.cohomology")
+
+        real = coh.homology_at
+
+        def wrong(d_out, d_in, modulus=0):
+            sq = real(d_out, d_in, modulus=modulus)
+            return Subquotient(sq.ambient_dim, FinAbGroup.cyclic(7), sq.classes())
+
+        monkeypatch.setattr(coh, "homology_at", wrong)
+        rpt = tmp_path / "zm.rpt"
+        argv = ["cohomology", "cyclic:4", "2", "Z/2", "--report", str(rpt)]
+        coh.clear_cache()
+        assert main(argv) == 0
+        assert "value = Z/2" in rpt.read_text().splitlines()
+        coh.clear_cache()
+        assert main(argv + ["--verify"]) == 1
+        lines = rpt.read_text().splitlines()
+        assert "error-code = validation" in lines
+        coh.clear_cache()
 
     def test_report_lines_cover_fibers(self, tmp_path):
         doc = parse_input(NODE_DOC)

@@ -1,8 +1,10 @@
 import hashlib
 import random
+from importlib import import_module
 
 import pytest
 
+from stacky_brauer import abelian
 from stacky_brauer.abelian import (
     FinAbGroup,
     IntegerMatrix,
@@ -35,7 +37,12 @@ from stacky_brauer.cohomology import (
     mod_coefficients,
     restriction_map,
 )
-from stacky_brauer.errors import ResourceCapError, TamenessError, ValidationError
+from stacky_brauer.errors import (
+    InvariantViolationError,
+    ResourceCapError,
+    TamenessError,
+    ValidationError,
+)
 from stacky_brauer.groups import (
     Cocycle2,
     GroupHom,
@@ -519,3 +526,124 @@ class TestTorsionBound:
                     value = cohomology_Zm(G, n, m).value
                     if not value.is_trivial:
                         assert m % value.exponent() == 0, (name, n, m)
+
+
+def _dicyclic12():
+    S3 = semidirect_cyclic_by_z2(3, 2)
+    return central_extension(S3, 2, enumerate_extension_classes(S3, 2)[1]).total
+
+
+class TestDeferredClasses:
+    """A value is computed at the call; representatives and class_of build
+    the classes on first use: homology_at for Z/m coefficients, one replay
+    of the logged row operations for integral and units ones."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        coh = import_module("stacky_brauer.cohomology")
+        counts = {"homology_at": 0, "replay": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(coh, "homology_at", counting("homology_at", coh.homology_at))
+        monkeypatch.setattr(abelian, "_replay_rows", counting("replay", abelian._replay_rows))
+        clear_cache()
+        yield counts
+        clear_cache()
+
+    def test_value_only_calls_build_no_classes(self, counts):
+        dic12, Q8 = _dicyclic12(), quaternion8()   # their construction builds classes
+        clear_cache()
+        counts.update(homology_at=0, replay=0)
+        assert cohomology_Zm(dic12, 2, 2).value == FinAbGroup.cyclic(2)
+        assert cohomology_units(Q8, 3).value == FinAbGroup.cyclic(8)
+        assert counts == {"homology_at": 0, "replay": 0}
+
+    def test_later_representatives_are_the_pinned_ones(self, counts):
+        groups = {"Z/2": cyclic(2), "Z/4": cyclic(4),
+                  "V4": direct_product(cyclic(2), cyclic(2)),
+                  "S3": semidirect_cyclic_by_z2(3, 2),
+                  "D4": semidirect_cyclic_by_z2(4, 3)}
+        pinned = TestExtensionClasses.PINNED
+        for name, r in pinned:
+            for n in range(3):
+                cohomology_Zm(groups[name], n, r).value
+        assert counts == {"homology_at": 0, "replay": 0}
+        for (name, r), digest in pinned.items():
+            G = groups[name]
+            h = hashlib.sha256()
+            h.update(repr([c.values for c in enumerate_extension_classes(G, r)]).encode())
+            for n in range(3):
+                h.update(repr(cohomology_Zm(G, n, r).representatives).encode())
+            assert h.hexdigest() == digest, (name, r)
+        # each (group, degree, modulus) built its classes once
+        assert counts["homology_at"] == 3 * len(pinned)
+
+    def test_replay_runs_once_on_first_use(self, counts):
+        Q8 = quaternion8()
+        clear_cache()
+        counts.update(homology_at=0, replay=0)
+        h = cohomology_units(Q8, 3)
+        assert counts["replay"] == 0
+        rep = h.representatives[0]
+        assert h.class_of(rep).coords == (1,)
+        assert cohomology_units(Q8, 3).representatives == h.representatives
+        assert counts == {"homology_at": 0, "replay": 1}
+
+    def test_deferred_quotient_must_equal_the_value(self, monkeypatch):
+        coh = import_module("stacky_brauer.cohomology")
+        real = coh.homology_at
+
+        def wrong(d_out, d_in, modulus=0):
+            sq = real(d_out, d_in, modulus=modulus)
+            return abelian.Subquotient(sq.ambient_dim, FinAbGroup.cyclic(7), sq.classes())
+
+        monkeypatch.setattr(coh, "homology_at", wrong)
+        clear_cache()
+        try:
+            h = cohomology_Zm(cyclic(4), 2, 2)
+            assert h.value == FinAbGroup.cyclic(2)
+            with pytest.raises(InvariantViolationError):
+                h.representatives
+            with pytest.raises(InvariantViolationError):
+                h.class_of({0: 1})
+            # a failed build is not cached as built
+            monkeypatch.setattr(coh, "homology_at", real)
+            assert h.subquotient.reduce(h.representatives[0]) == (1,)
+        finally:
+            clear_cache()
+
+
+class TestUniversalCoefficientsAtOrders12To16:
+    """The Z/m value route against the Z/m classes of homology_at, and
+    H^n(G, Z) against H_{n-1}(G, Z) (a different matrix, eliminated
+    independently), on groups beyond the full-bar oracle's reach."""
+
+    GROUPS = (
+        ("Dic12", _dicyclic12),
+        ("D6", lambda: semidirect_cyclic_by_z2(6, 5)),
+        ("Z/2xZ/6", lambda: direct_product(cyclic(2), cyclic(6))),
+        ("D4xZ/2", lambda: direct_product(semidirect_cyclic_by_z2(4, 3), cyclic(2))),
+    )
+
+    @pytest.mark.parametrize("name, make", GROUPS)
+    def test_mod_m_value_matches_homology_at(self, name, make):
+        G = make()
+        clear_cache()
+        for n in (1, 2):
+            d_out = bar_differential(G, n)
+            d_in = bar_differential(G, n - 1)
+            for m in (2, 3, 4):
+                assert cohomology_Zm(G, n, m).value == \
+                    homology_at(d_out, d_in, modulus=m).quotient, (name, n, m)
+        clear_cache()
+
+    @pytest.mark.parametrize("name, make", GROUPS)
+    def test_integral_value_matches_homology_one_degree_down(self, name, make):
+        G = make()
+        for n in (2, 3):
+            assert cohomology_Z(G, n).value == homology_Z(G, n - 1).quotient, (name, n)
