@@ -6,7 +6,8 @@ normalized bar resolutions with exact sparse integer linear algebra:
 * abelian:    Smith normal form, abelian groups, subquotients of Z^n
 * groups:     multiplication tables, 2-cocycles, central extensions
 * cohomology: H^n(G, Z), H^n(G, Z/m), H^n(G, kx); inflation/restriction;
-              Bockstein
+              Bockstein; the extension groups' homology off small free
+              resolutions
 * fibers:     per-stabilizer root-gerbe and exactness diagnostics
 * curves:     the stacky-curve data model and the Brauer report
 * oracle:     independent recomputation paths used by the test suite

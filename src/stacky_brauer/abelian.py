@@ -842,6 +842,59 @@ def kernel_basis(M: IntegerMatrix) -> IntegerMatrix:
         M.cols, (elim.v_column(c) for c in elim.kernel_columns()))
 
 
+class IntegerSpan:
+    """The integer span of sparse vectors, grown one vector at a time.
+
+    It is held in row echelon form: rows[p] is the basis vector whose
+    first nonzero index is p, with a positive entry there.  A vector is in
+    the span exactly when reducing it by these rows, first index first,
+    leaves 0: a span element's first nonzero entry is a multiple of the
+    row's at that index.  A new vector whose first entry is not such a
+    multiple is merged with the row by a unimodular gcd step, so the span
+    is over Z, not over Q.  nnz counts the entries the rows hold.
+    """
+
+    def __init__(self):
+        self.rows = {}
+        self.nnz = 0
+
+    def __contains__(self, vec: dict) -> bool:
+        return not self._reduce(vec, insert=False)
+
+    def add(self, vec: dict) -> None:
+        self._reduce(vec, insert=True)
+
+    def _reduce(self, vec: dict, insert: bool) -> dict:
+        """Reduce vec by the rows, first index first, and return what is left.
+
+        Without insert the reduction stops at the first index it cannot
+        clear, so {} comes back exactly when vec is in the span.  With
+        insert that index's row and vec are merged, and the rest goes on.
+        """
+        rows = self.rows
+        w = dict(vec)
+        while w:
+            p = min(w)
+            b = w[p]
+            u = rows.get(p)
+            if u is None:
+                if insert:
+                    rows[p] = w if b > 0 else {k: -v for k, v in w.items()}
+                    self.nnz += len(w)
+                return w
+            a = u[p]
+            if b % a == 0:
+                _Elim._vec_acc(w, u, -(b // a))
+                continue
+            if not insert:
+                return w
+            x, y, g = xgcd(a, b)
+            rows[p] = _Elim._combine(u, x, w, y)
+            w = _Elim._combine(u, b // g, w, -(a // g))
+            self.nnz += len(rows[p]) - len(u)
+        return w
+
+
 # ---------------------------------------------------------------------------
 # Subquotients of Z^n (homology of a two-step complex, with optional modulus)
 

@@ -31,11 +31,18 @@ one degree down: for a finite group and n >= 2 the universal coefficient
 theorem gives natural isomorphisms H^n(-, Z) = Ext(H_{n-1}(-, Z), Z) =
 Hom(H_{n-1}(-, Z), Q/Z), an exact duality on finite groups, so q* is
 injective on H^n exactly when q_* is surjective on H_{n-1} (Brown,
-Cohomology of Groups, III.1).  The chain complex is the transpose of the
-cochain complex, and its cycles come from a far smaller elimination.
-homology_Z gives H_n(G, Z) for n >= 1 off that complex, cached beside the
-cohomology groups; by the same duality the Schur multiplier H_2(E, Z) has
-the value of H^2(E, kx) = H^3(E, Z) without E's degree-3 cochains.
+Cohomology of Groups, III.1); by the same duality the Schur multiplier
+H_2(E, Z) has the value of H^2(E, kx) = H^3(E, Z).  The two sides of q_*
+take two routes.  homology_Z gives H_n(G, Z) of the base off the bar
+chain complex (the transpose of the cochain complex), cached beside the
+cohomology groups.  An extension group E gets a small free ZE-resolution
+R instead (FreeResolution, after G. Ellis, Computing group resolutions,
+J. Symbolic Comput. 38 (2004)), whose ranks grow about linearly with the
+degree where the bar complex has (|E|-1)^n cells: resolution_homology_Z
+reads H_n(E, Z) off R (x)_E Z, and the comparison map phi: R -> Bar(G)
+over q (comparison_chains) carries its cycles into the bar homology of
+G.  No bar complex of E is built; homology_Z on E remains the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .abelian import (
     AbGroupMap,
     FinAbGroup,
     IntegerMatrix,
+    IntegerSpan,
     Subquotient,
     capped_power,
     check_cap,
@@ -72,7 +80,8 @@ __all__ = [
     "Coefficients", "INTEGERS", "UNITS", "mod_coefficients",
     "CohomologyGroup", "CohomologyClass", "bar_differential",
     "cohomology", "cohomology_Z", "cohomology_Zm", "cohomology_units",
-    "homology_Z", "pushforward_classes",
+    "homology_Z", "pushforward_classes", "FreeResolution", "free_resolution",
+    "resolution_homology_Z", "comparison_chains", "comparison_classes",
     "pullback_matrix", "inflation_map", "restriction_map",
     "inflation_kernel_trivial", "bockstein", "bockstein_r",
     "enumerate_extension_classes", "clear_cache",
@@ -332,6 +341,11 @@ def cohomology_units(G: FiniteGroup, n: int, characteristic: int = 0) -> Cohomol
 def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
     """H_n(X, Z) for n >= 1, from the bar chain complex; cached.
 
+    This is the route for a base group G, whose bar chains are where
+    comparison_classes and pushforward_classes land, and the bar oracle
+    for an extension group E, whose questions the reports answer off its
+    free resolution (resolution_homology_Z).
+
     The chain complex is the transpose of the cochain complex: the boundary
     C_{m+1} -> C_m is bar_differential(X, m)^T.  In positive degree H_n is
     finite, so finite_homology_at reads it off one elimination of the
@@ -339,13 +353,12 @@ def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
     one.  By the universal coefficient theorem H^{n+1}(X, Z) =
     Ext(H_n(X, Z), Z) = Hom(H_n(X, Z), Q/Z), so the quotient has the
     canonical value of H^{n+1}(X, Z), read off a complex one degree
-    shorter: the Schur multiplier H_2(X, Z) has the value of
-    H^2(X, kx) = H^3(X, Z).
+    shorter.
 
     It is refused (ResourceCapError) where H^{n+1}(X, Z) is refused by the
     row count of its d_out, (|X|-1)^{n+2}.  The incoming boundary's
-    nonzeros are no measure of the elimination, which fills far beyond them
-    (at |X| = 50, H_2 with U and U^-1 built took 20 s and 650 MB on a
+    nonzeros are no measure of the elimination, which fills far beyond
+    them (at |X| = 50, H_2 with U and U^-1 built took 20 s and 650 MB on a
     2-vCPU x86-64 VM).
     """
     if n < 1:
@@ -357,6 +370,118 @@ def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
         capped_power(X.order - 1, n + 2, f"H_{n} as H^{n + 1}: d_out rows (|G|-1)^{n + 2}")
         cached = finite_homology_at(bar_differential(X, n - 1).transpose(),
                                     bar_differential(X, n).transpose())
+        with _CACHE_LOCK:
+            cached = _CACHE.setdefault(key, cached)
+    return cached
+
+
+# ---------------------------------------------------------------------------
+# Free resolutions (the extension groups' route)
+
+
+class FreeResolution:
+    """A free ZE-resolution R -> Z of the trivial module, built up to the degree asked for.
+
+    R_n = (ZE)^{k_n} has Z-basis (i, g), at index i * |E| + g, and E acts
+    by h(i, g) = (i, hg); R_0 = ZE, augmented by (0, g) -> 1.  boundary(n)
+    lists d_n(e_i) in R_{n-1} for the generators e_i of R_n.  The
+    generators of R_{n+1} are chosen greedily from a Z-basis of ker d_n
+    (G. Ellis, Computing group resolutions, J. Symbolic Comput. 38 (2004)):
+    a kernel vector is kept when it is not in the integer span of the
+    E-translates of those kept before it.  Once every basis vector has been
+    passed, that span is all of ker d_n, so R is exact.  A rational span
+    would keep too few generators and give a complex that is not exact.
+
+    The kernel step of degree n is refused (ResourceCapError) when its
+    column count |E| * k_n is over the resource cap, and so is the span of
+    translates when its echelon form holds more entries than the cap.
+    """
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self._boundaries = []     # _boundaries[n - 1] = boundary(n)
+        self._lock = threading.RLock()   # a kernel step reads the boundaries below it
+
+    def rank(self, n: int) -> int:
+        return len(self.boundary(n)) if n else 1
+
+    def boundary(self, n: int) -> tuple:
+        if n < 1:
+            raise ValidationError("the resolution's boundaries start in degree 1")
+        with self._lock:
+            while len(self._boundaries) < n:
+                self._boundaries.append(self._kernel_generators())
+        return self._boundaries[n - 1]
+
+    def translate(self, h: int, vec: dict) -> dict:
+        """h * vec for h in E and vec in some R_n."""
+        N, row = self.group.order, self.group.table[h]
+        return {i - i % N + row[i % N]: v for i, v in vec.items()}
+
+    def _kernel_generators(self) -> tuple:
+        n = len(self._boundaries)
+        N = self.group.order
+        check_cap(N * self.rank(n), f"resolution kernel step |E| * k_{n}")
+        if n:
+            d = self.z_boundary(n)
+        else:
+            d = IntegerMatrix(1, N, {(0, g): 1 for g in range(N)})
+        span = IntegerSpan()
+        gens = []
+        for v in sorted(kernel_basis(d).col_view().values(), key=len):
+            if v in span:
+                continue
+            gens.append(v)
+            for h in range(N):
+                span.add(self.translate(h, v))
+            check_cap(span.nnz, f"resolution span of E-translates in degree {n + 1}")
+        return tuple(gens)
+
+    def z_boundary(self, n: int) -> IntegerMatrix:
+        """d_n as an integer matrix, |E| * k_{n-1} x |E| * k_n."""
+        N = self.group.order
+        gens = self.boundary(n)
+        return IntegerMatrix.from_columns(N * self.rank(n - 1), (
+            self.translate(g, d) for d in gens for g in range(N)))
+
+    def coinvariant_boundary(self, n: int) -> IntegerMatrix:
+        """d_n (x)_E Z, k_{n-1} x k_n: each entry sums a block of d_n."""
+        N = self.group.order
+        entries = {}
+        for i, d in enumerate(self.boundary(n)):
+            for idx, v in d.items():
+                key = (idx // N, i)
+                entries[key] = entries.get(key, 0) + v
+        return IntegerMatrix(self.rank(n - 1), self.rank(n), entries)
+
+
+def free_resolution(E: FiniteGroup) -> FreeResolution:
+    """E's FreeResolution, cached beside the cohomology groups (clear_cache drops it)."""
+    key = ("resolution", E.table)
+    with _CACHE_LOCK:
+        R = _CACHE.get(key)
+        if R is None:
+            R = _CACHE[key] = FreeResolution(E)
+    return R
+
+
+def resolution_homology_Z(X: FiniteGroup, n: int) -> Subquotient:
+    """H_n(X, Z) for n >= 1, the homology of R (x)_X Z for X's free_resolution; cached.
+
+    In positive degree H_n is finite, so finite_homology_at reads it off
+    the incoming boundary d_{n+1} (x) Z, k_n x k_{n+1}.  Its cycles and lifts
+    are vectors over the generators of R_n; comparison_classes carries
+    them into the bar homology of a quotient group.
+    """
+    if n < 1:
+        raise ValidationError("integral homology is computed here for degree >= 1")
+    key = ("resolution homology", X.table, n)
+    with _CACHE_LOCK:
+        cached = _CACHE.get(key)
+    if cached is None:
+        R = free_resolution(X)
+        cached = finite_homology_at(R.coinvariant_boundary(n),
+                                    R.coinvariant_boundary(n + 1))
         with _CACHE_LOCK:
             cached = _CACHE.setdefault(key, cached)
     return cached
@@ -424,33 +549,46 @@ def restriction_map(i: GroupHom, n: int, coefficients: Coefficients = INTEGERS,
 def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
     """Is inflation injective on H^degree(G, Z) along the surjection q: E -> G?
 
-    Builds neither E's outgoing differential nor the cached H^degree(E, Z).
-    A trivial source is injective vacuously.  A section s of q (a split
-    extension, which covers every split gerbe and every fiber with
-    gcd(r, |G|) = 1) certifies it in every degree, since s* after q* is
-    (q s)* = id; no bar complex of E is built.  Otherwise the question is
-    answered in homology one degree down: for a finite group and n >= 2 the
-    universal coefficient theorem gives H^n(-, Z) = Ext(H_{n-1}(-, Z), Z)
-    = Hom(H_{n-1}(-, Z), Q/Z), naturally, and that duality is exact on
-    finite groups, so q* is injective on H^n exactly when
-    q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) is surjective (Brown, Cohomology
-    of Groups, III.1, with the universal coefficient theorem).
+    Builds no bar complex of E and no cohomology group of E.  A section s
+    of q (a split extension, which covers every split gerbe and every
+    fiber with gcd(r, |G|) = 1) certifies it in every degree, since s*
+    after q* is (q s)* = id, and so does a trivial source.  Otherwise the
+    question is answered in homology one degree down: for a finite group
+    and n >= 2 the universal coefficient theorem gives H^n(-, Z) =
+    Ext(H_{n-1}(-, Z), Z) = Hom(H_{n-1}(-, Z), Q/Z), naturally, and that
+    duality is exact on finite groups, so q* is injective on H^n exactly
+    when q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) is surjective (Brown,
+    Cohomology of Groups, III.1).  q_* is read off E's free resolution
+    (_pushforward_onto).
+
+    Up to degree 3 the source H^n(G, Z) is tested first: bockstein_r has
+    H^3(G, Z) cached in every report, and a cache hit costs less than a
+    section search.  Above it the section is tried first, and the source's
+    triviality is read off H_{n-1}(G, Z), the same duality, which the
+    homology route needs anyway; H^n(G, Z) is not built.
     """
     if not q.is_surjective:
         raise ValidationError("inflation needs a surjective homomorphism")
-    src = cohomology_Z(q.target, integral_degree)
-    if src.value.is_trivial:
-        return True
-    if src.value.free_rank:
-        raise ValidationError("expected a finite cohomology group")
-    if section(q) is not None:
-        return True
-    return _kernel_trivial_by_homology(q, src)
+    n = integral_degree
+    if n <= 3:
+        src = cohomology_Z(q.target, n).value
+        if src.is_trivial:
+            return True
+        if src.free_rank:
+            raise ValidationError("expected a finite cohomology group")
+        if section(q) is not None:
+            return True
+    else:
+        if section(q) is not None:
+            return True
+        if homology_Z(q.target, n - 1).quotient.is_trivial:
+            return True
+    return _pushforward_onto(q, n - 1)
 
 
 def pushforward_classes(q: GroupHom, m: int, cycles) -> list:
-    """The classes in H_m(G, Z) (homology_Z) of q_# z for the m-cycles z of
-    E, for q: E -> G.
+    """The classes in H_m(G, Z) (homology_Z) of q_# z for the bar m-cycles z
+    of E, for q: E -> G (the bar oracle's route).
 
     The bar chain complex is the transpose of the cochain complex, so q_#
     on C_m is pullback_matrix(q, m)^T.  reduce raises
@@ -461,24 +599,92 @@ def pushforward_classes(q: GroupHom, m: int, cycles) -> list:
     return [H.reduce(push.apply(z)) for z in cycles]
 
 
+def comparison_chains(q: GroupHom, n: int) -> tuple:
+    """phi_n (x) Z on the generators of R_n, for q: E -> G and R E's free_resolution; cached.
+
+    phi: R -> Bar(G) is the chain map over q of the comparison theorem
+    (Brown, Cohomology of Groups, I.7), built with the bar resolution's
+    contracting homotopy h(g[g1|...|gm]) = [g|g1|...|gm], which is 0 when
+    g = 1: phi_0(e_0) = [ ] and phi_n(e_i) = h(q phi_{n-1}(d e_i)).  Every
+    phi_n(e_i) with n >= 1 is an image of h, so its group coefficients
+    are 1 and it is a bar chain of C_n(G) (x) Z, indexed as homology_Z's
+    ambient: phi_n(e_i) = sum of c * a [q(x)|cell] over the terms c (j, x)
+    of d_n(e_i) with q(x) != 1 and a cell of phi_{n-1}(e_j).
+    """
+    if n < 0:
+        raise ValidationError("degree must be nonnegative")
+    if n == 0:
+        return ({0: 1},)
+    key = ("comparison", q.source.table, q.target.table, q.image, n)
+    with _CACHE_LOCK:
+        cached = _CACHE.get(key)
+    if cached is None:
+        G, N = q.target, q.source.order
+        nonid = G.nonidentity()
+        pos = {g: i for i, g in enumerate(nonid)}
+        step = len(nonid) ** (n - 1)
+        prev = comparison_chains(q, n - 1)
+        chains = []
+        for d in free_resolution(q.source).boundary(n):
+            chain = {}
+            for idx, c in d.items():
+                g = q(idx % N)
+                if g != G.identity:
+                    base = pos[g] * step
+                    for cell, a in prev[idx // N].items():
+                        v = chain.get(base + cell, 0) + c * a
+                        if v:
+                            chain[base + cell] = v
+                        else:
+                            del chain[base + cell]
+            chains.append(chain)
+        with _CACHE_LOCK:
+            cached = _CACHE.setdefault(key, tuple(chains))
+    return cached
+
+
+def comparison_classes(q: GroupHom, m: int, cycles) -> list:
+    """The classes in H_m(G, Z) (homology_Z) of (phi (x) Z)(z) for the
+    m-cycles z of R (x)_E Z (comparison_chains), for q: E -> G."""
+    H = homology_Z(q.target, m)
+    phi = IntegerMatrix.from_columns(H.ambient_dim, comparison_chains(q, m))
+    return [H.reduce(phi.apply(z)) for z in cycles]
+
+
+def _generate(images, H: FinAbGroup) -> bool:
+    """Do the classes images (coordinates in H) generate H?"""
+    images = sorted(set(images))
+    f = AbGroupMap(FinAbGroup.free(len(images)), H, IntegerMatrix.from_columns(
+        H.num_generators, (dict(enumerate(img)) for img in images)))
+    return is_surjective(f)
+
+
+def _pushforward_onto(q: GroupHom, m: int) -> bool:
+    """Is q_*: H_m(E, Z) -> H_m(G, Z) onto, m >= 1?
+
+    The m-cycles of R (x)_E Z are a kernel basis of d_m (x) Z, k_{m-1} x k_m,
+    for E's free_resolution R; comparison_classes carries them into the
+    cached H_m(G, Z) of homology_Z, and their distinct classes generate
+    the image.
+    """
+    cycles = kernel_basis(free_resolution(q.source).coinvariant_boundary(m))
+    return _generate(comparison_classes(q, m, cycles.col_view().values()),
+                     homology_Z(q.target, m).quotient)
+
+
 def _kernel_trivial_by_homology(q: GroupHom, src: CohomologyGroup) -> bool:
-    """Is inflation injective on src = H^n(G, Z), n >= 2?  That is, is
-    q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) onto (see inflation_kernel_trivial)?
+    """The bar oracle of inflation_kernel_trivial's homology route: is
+    q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) onto, for src = H^n(G, Z), n >= 2?
 
     The boundary C_{m+1} -> C_m of the bar chain complex is
     bar_differential(X, m)^T, so the cycles of E in degree n - 1 are a
     kernel basis of bar_differential(E, n - 2)^T; pushforward_classes
-    carries them into the cached H_{n-1}(G, Z) of homology_Z.  The
-    distinct classes they reach generate the image, and the answer is
-    whether the map from the free group on them is surjective.
+    carries them into the cached H_{n-1}(G, Z) of homology_Z.
     """
     G, E, n = q.target, q.source, src.degree
     cycles = kernel_basis(bar_differential(E, n - 2).transpose())
-    images = sorted(set(pushforward_classes(q, n - 1, cycles.col_view().values())))
-    H = homology_Z(G, n - 1).quotient
-    f = AbGroupMap(FinAbGroup.free(len(images)), H, IntegerMatrix.from_columns(
-        H.num_generators, (dict(enumerate(img)) for img in images)))
-    return is_surjective(f)
+    return _generate(pushforward_classes(q, n - 1, cycles.col_view().values()),
+                     homology_Z(G, n - 1).quotient)
 
 
 # ---------------------------------------------------------------------------

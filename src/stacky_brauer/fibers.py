@@ -7,18 +7,21 @@ cohomology, and does the degree-2 inflation admit a retraction.
 
 When E -> G has a section s (a split extension: every split gerbe, and
 every fiber with gcd(r, |G|) = 1), s* retracts inflation in every degree,
-so the inflation questions are answered from s without eliminating any
-matrix of E; the Bockstein detector and H^2(E, kx) are still computed.
-Without a section, injectivity of inflation on H^n(-, Z) is decided in
-homology: by the universal coefficient theorem, H^n(-, Z) =
-Ext(H_{n-1}(-, Z), Z) = Hom(H_{n-1}(-, Z), Q/Z) naturally for a finite
-group and n >= 2, an exact duality, so q* is injective on H^n exactly when
+so the inflation questions are answered from s; the Bockstein detector
+and H^2(E, kx) are still computed.  Without a section, injectivity of
+inflation on H^n(-, Z) is decided in homology: by the universal
+coefficient theorem, H^n(-, Z) = Ext(H_{n-1}(-, Z), Z) =
+Hom(H_{n-1}(-, Z), Q/Z) naturally for a finite group and n >= 2, an exact
+duality, so q* is injective on H^n exactly when
 q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) is surjective (Brown, Cohomology of
 Groups, III.1).  The degree-2 units questions are answered one degree
 down the same way: H^2(-, kx) = H^3(-, Z) = Hom(H_2(-, Z), Q/Z), so
 H^2(E, kx) has the value of the Schur multiplier H_2(E, Z), and inflation
-on it is the Pontryagin dual of q_*: H_2(E, Z) -> H_2(G, Z).  No bar
-complex of E above degree 2 is built.
+on it is the Pontryagin dual of q_*: H_2(E, Z) -> H_2(G, Z).  Every
+homology group of E is read off E's small free resolution, and q_* off
+the comparison map from it to the bar resolution of G
+(cohomology.resolution_homology_Z, cohomology.comparison_classes): no bar
+complex of E is built at all.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from .abelian import AbGroupMap, FinAbGroup, IntegerMatrix, is_split_injection
 from .cohomology import (
     bockstein_r,
     cohomology_units,
+    comparison_classes,
     homology_Z,
     inflation_kernel_trivial,
-    pushforward_classes,
+    resolution_homology_Z,
 )
 from .errors import InvariantViolationError, ResourceCapError
 from .groups import CentralExtension, GroupHom, section
@@ -85,11 +89,12 @@ def h2_section_exists(ext: CentralExtension) -> bool:
 def _h2_pushforward(q: GroupHom) -> AbGroupMap:
     """q_*: H_2(E, Z) -> H_2(G, Z) on the canonical generators.
 
-    pushforward_classes carries each generator's lift into H_2(G, Z), and
-    AbGroupMap checks that relations go to relations.
+    H_2(E, Z) is read off E's free resolution; comparison_classes carries
+    each generator's lift into the bar homology H_2(G, Z), and AbGroupMap
+    checks that relations go to relations.
     """
-    src, dst = homology_Z(q.source, 2), homology_Z(q.target, 2).quotient
-    images = pushforward_classes(q, 2, src.lifts)
+    src, dst = resolution_homology_Z(q.source, 2), homology_Z(q.target, 2).quotient
+    images = comparison_classes(q, 2, src.lifts)
     return AbGroupMap(src.quotient, dst, IntegerMatrix.from_columns(
         dst.num_generators, (dict(enumerate(img)) for img in images)))
 
@@ -168,7 +173,7 @@ def analyze_fiber(ext: CentralExtension, *,
     via_inflation = fiber_is_root_gerbe_via_inflation(ext)
     h2_total = h3_inj = None
     if with_h3:
-        h2_total = _capped(lambda: homology_Z(ext.total, 2).quotient)
+        h2_total = _capped(lambda: resolution_homology_Z(ext.total, 2).quotient)
         h3_inj = _capped(h3_inflation_injective, ext)
     return FiberDiagnostics(
         extension=ext,

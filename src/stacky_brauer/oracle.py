@@ -18,12 +18,16 @@ from .errors import ResourceCapError, ValidationError
 from .groups import FiniteGroup
 
 __all__ = [
-    "OracleResult", "ORACLE_CAP",
+    "OracleResult", "ORACLE_CAP", "ORACLE_ELIMINATION_BUDGET",
     "full_bar_differential", "full_bar_cohomology",
     "cyclic_closed_form", "brute_cocycles", "brute_hom_from_presentation",
 ]
 
 ORACLE_CAP = 500_000
+# rows x columns of the d_out that full_bar_cohomology eliminates with V and
+# V^-1 tracked: over every query of the tests (Z/6 in degree 4, 7776 x 1296),
+# under H^4 of a group of order 12 (248,832 x 20,736), which ran for minutes
+ORACLE_ELIMINATION_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,21 @@ def full_bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:
 
 
 def full_bar_cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS) -> OracleResult:
-    """H^n via the full standard complex; must equal the normalized engine."""
+    """H^n via the full standard complex; must equal the normalized engine.
+
+    Refused (ResourceCapError) when d_out, which homology_at eliminates with
+    V and V^-1 tracked, has more than ORACLE_ELIMINATION_BUDGET entries
+    counting zeros, or more than ORACLE_CAP rows.
+    """
     if coefficients.kind == "units":
         if n < 1:
             raise ValidationError("units cohomology needs degree >= 1")
         inner = full_bar_cohomology(G, n + 1, INTEGERS)
         return OracleResult(f"H^{n}(G, kx) via full bar shift", inner.value, "full-bar")
     modulus = coefficients.modulus if coefficients.kind == "Zm" else 0
+    # d_out is |G|^(n+1) x |G|^n; it is refused before it is built
+    capped_power(G.order, 2 * n + 1, "full bar d_out rows x columns",
+                 cap=ORACLE_ELIMINATION_BUDGET)
     d_out = full_bar_differential(G, n)
     d_in = full_bar_differential(G, n - 1) if n else IntegerMatrix(1, 0)
     sub = homology_at(d_out, d_in, modulus=modulus)

@@ -8,6 +8,7 @@ from stacky_brauer.abelian import (
     AbGroupMap,
     FinAbGroup,
     IntegerMatrix,
+    IntegerSpan,
     capped_power,
     cokernel,
     cokernel_of_map,
@@ -156,6 +157,38 @@ class TestKernelAndSolve:
         K = kernel_basis(M)
         assert K.cols == 2
         assert (M @ K).is_zero()
+
+
+class TestIntegerSpan:
+    """Membership in the integer span, not the rational one."""
+
+    def test_index_two_sublattice(self):
+        span = IntegerSpan()
+        span.add({0: 2})
+        span.add({0: 1, 1: 2})
+        assert {0: 5, 1: 2} in span and {0: 4, 1: 2} not in span
+        assert {0: 1} not in span and {1: 1} not in span
+        assert {0: 1, 1: 1} not in span
+        span.add({0: 3})          # gcd(2, 3) = 1 frees e_0
+        assert {0: 1} in span and {1: 2} in span and {1: 1} not in span
+
+    def test_membership_matches_the_cokernel(self):
+        # v is in the span of S exactly when adding v to S leaves
+        # Z^n / span unchanged (a finitely generated abelian group is not
+        # isomorphic to a proper quotient of itself)
+        rng = random.Random(11)
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            vecs = [{i: rng.randint(-3, 3) for i in range(n)} for _ in range(rng.randint(1, 4))]
+            vecs = [{i: v for i, v in w.items() if v} for w in vecs]
+            span = IntegerSpan()
+            for w in vecs:
+                span.add(w)
+            base = cokernel(IntegerMatrix.from_columns(n, vecs))
+            for _ in range(5):
+                v = {i: x for i in range(n) if (x := rng.randint(-4, 4))}
+                grown = cokernel(IntegerMatrix.from_columns(n, vecs + [v]))
+                assert (v in span) == (grown == base), (vecs, v)
 
 
 class TestHomologyAt:

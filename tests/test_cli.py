@@ -16,7 +16,9 @@ from stacky_brauer.cli import (
     parse_group_spec,
     parse_input,
 )
+from stacky_brauer.cohomology import enumerate_extension_classes
 from stacky_brauer.errors import InputFormatError
+from stacky_brauer.groups import central_extension
 
 SMOOTH_DOC = textwrap.dedent("""\
     [curve]
@@ -250,15 +252,56 @@ class TestEndToEnd:
             assert "error-code = resource-cap" in rpt.read_text().splitlines()
 
     def test_large_extension_group_degrades_instead_of_failing(self, tmp_path):
-        # the split extension of Z/2 by Z/100 has order 200, whose cube is
-        # over the default cap; only h2-units-total reads unknown
+        # the split extension of Z/2 by Z/100 has order 200: its free
+        # resolution's degree-2 kernel step eliminates a d_2 with 21,200
+        # nonzeros, refused under a cap of 1000, so only h2-units-total
+        # reads unknown; under the default cap it is H_2(Z/2 x Z/100) = Z/2
         inp = tmp_path / "big_r.txt"
         inp.write_text(NODE_DOC.replace("r = 2", "r = 100")
                        .replace("semidirect_z2:4:3", "cyclic:2"))
         rpt = tmp_path / "big_r.rpt"
+        proc = run_cli("brauer", "--input", str(inp), "--report", str(rpt),
+                       "--max-entries", "1000")
+        assert proc.returncode == 0, proc.stderr
+        lines = rpt.read_text().splitlines()
+        assert "fiber.node.h2-units-total = unknown" in lines
+        assert "status = determined" in lines
         proc = run_cli("brauer", "--input", str(inp), "--report", str(rpt))
         assert proc.returncode == 0, proc.stderr
-        assert "fiber.node.h2-units-total = unknown" in rpt.read_text().splitlines()
+        assert "fiber.node.h2-units-total = Z/2" in rpt.read_text().splitlines()
+
+    def test_order_48_extension_group_reports_its_schur_multiplier(self, tmp_path):
+        # H_2(Z/2 x Z/24) = Z/2, off the free resolution of E in well under
+        # a second; the bar complex of E took 26 s and 680 MB
+        inp = tmp_path / "r24.txt"
+        inp.write_text(NODE_DOC.replace("r = 2", "r = 24")
+                       .replace("semidirect_z2:4:3", "cyclic:2"))
+        rpt = tmp_path / "r24.rpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "stacky_brauer", "brauer", "--input", str(inp),
+             "--report", str(rpt)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "fiber.node.h2-units-total = Z/2" in rpt.read_text().splitlines()
+
+    def test_verify_skips_a_full_bar_oracle_over_its_budget(self, tmp_path):
+        # H^3(Dic12, kx) = H^4(Dic12, Z): the full-bar d_out would be
+        # 248,832 x 20,736, over the oracle's elimination budget, so the
+        # value is checked by nothing but is still reported
+        S3 = parse_group_spec("semidirect_z2:3:2")
+        E = central_extension(S3, 2, enumerate_extension_classes(S3, 2)[1]).total
+        tbl = tmp_path / "dic12.tbl"
+        tbl.write_text(f"order {E.order}\n"
+                       + "".join(" ".join(map(str, row)) + "\n" for row in E.table))
+        rpt = tmp_path / "dic12.rpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "stacky_brauer", "cohomology", f"table:{tbl}",
+             "3", "units", "--verify", "--report", str(rpt)],
+            capture_output=True, text=True, timeout=90)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "Z/12"
+        lines = rpt.read_text().splitlines()
+        assert "verify.status = ok" in lines
+        assert not [ln for ln in lines if ln.startswith("verify.full-bar")], lines
 
     def test_cohomology_cap_counts_unreduced_d_out(self):
         # H^3(Z/6, kx) = H^4(Z/6, Z): d_out has 5^5 = 3125 rows, under the

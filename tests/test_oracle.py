@@ -63,6 +63,13 @@ class TestFullBar:
         with pytest.raises(ResourceCapError):
             full_bar_differential(cyclic(30), 4)
 
+    def test_elimination_budget(self):
+        # |G|^(2n+1) entries of d_out: Z/12 in degree 4 is refused before
+        # anything is built, Z/6 in degree 4 (7776 x 1296) is not
+        with pytest.raises(ResourceCapError, match="rows x columns"):
+            full_bar_cohomology(cyclic(12), 4, INTEGERS)
+        assert full_bar_cohomology(cyclic(6), 3, UNITS).value == FinAbGroup.cyclic(6)
+
 
 class TestBruteCocycles:
     def test_klein_four_mod_two(self):
