@@ -1,13 +1,13 @@
 """Brauer groups of mu_r-gerbes on tame stacky curves.
 
-The pipeline reduces everything to finite group cohomology computed on
-normalized bar resolutions with exact sparse integer linear algebra:
+The pipeline reduces everything to finite group cohomology, with values
+read off small free resolutions and classes off normalized bar
+resolutions, in exact sparse integer linear algebra:
 
 * abelian:    Smith normal form, abelian groups, subquotients of Z^n
 * groups:     multiplication tables, 2-cocycles, central extensions
 * cohomology: H^n(G, Z), H^n(G, Z/m), H^n(G, kx); inflation/restriction;
-              Bockstein; the extension groups' homology off small free
-              resolutions
+              Bockstein; integral homology off small free resolutions
 * fibers:     per-stabilizer root-gerbe and exactness diagnostics
 * curves:     the stacky-curve data model and the Brauer report
 * oracle:     independent recomputation paths used by the test suite

@@ -1143,29 +1143,6 @@ def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> 
         K, boundaries, tuple(lifts), solver, tuple(reduce_rows)))
 
 
-def homology_value(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int) -> FinAbGroup:
-    """The quotient of homology_at(d_out, d_in, modulus) for modulus >= 1, without its classes.
-
-    For a complex C of free abelian groups the universal coefficient
-    theorem gives H(C (x) Z/m) = H(C) (x) Z/m + Tor(H'(C), Z/m), H' the
-    homology one step on (Brown, Cohomology of Groups, III.1).  With a_i
-    the pivots of a diagonalization of d_in, b_j those of d_out and N the
-    columns of d_out, H(C) = Z^(N - rk d_in - rk d_out) + sum Z/a_i and the
-    torsion of H'(C) is sum Z/b_j, so the value is
-    (Z/m)^(N - rk d_in - rk d_out) + sum Z/gcd(a_i, m) + sum Z/gcd(b_j, m),
-    read off two untracked eliminations.  d_out @ d_in == 0 is checked over
-    Z, and the resource cap is compared with d_out's nonzeros plus its
-    rows, the count homology_at's cycle elimination is refused by.
-    """
-    if modulus < 1:
-        raise ValidationError("modulus must be >= 1")
-    _check_chain(d_out, d_in, 0)
-    check_cap(d_out.nnz + d_out.rows, "matrix nonzeros")
-    pivots = _pivot_values(d_in) + _pivot_values(d_out)
-    free = d_out.cols - len(pivots)
-    return FinAbGroup.from_factors([modulus] * free + [gcd(p, modulus) for p in pivots])
-
-
 class _CycleCheck:
     """Cycles of d_out in ambient coordinates, checked but never eliminated."""
 

@@ -561,10 +561,9 @@ def run_cohomology(args) -> int:
             f"value = {result.value}",
         ]
         if args.verify:
-            if coeff.kind == "Zm":
-                # build the deferred classes: their quotient must equal the
-                # value, or InvariantViolationError
-                result.subquotient.classes()
+            # build the classes off the bar complex: their quotient must
+            # equal the value, or InvariantViolationError
+            result.subquotient.classes()
             mismatches = []
             try:
                 fb = full_bar_cohomology(G, degree, coeff)
@@ -616,7 +615,11 @@ def main(argv=None) -> int:
     p_coh.add_argument("--report", help="write the machine report here")
     p_coh.add_argument("--max-entries", type=int, default=None)
     p_coh.add_argument("--char", type=int, default=None)
-    p_coh.add_argument("--verify", action="store_true")
+    p_coh.add_argument("--verify", action="store_true",
+                       help="build the classes off the bar complex, which must "
+                            "give the value, and compare the value with the "
+                            "full-bar oracle (within its budget) and, for a "
+                            "cyclic group, the closed form")
 
     args = parser.parse_args(argv)
     if args.max_entries is not None:

@@ -10,21 +10,20 @@ algebraically closed field whose characteristic does not divide |G|
 (the unit group is then divisible with full prime-to-p torsion).  The
 characteristic enters only through that tameness check.
 
-cohomology() computes a group's value at the call and its classes
-(representatives, class_of) on first use.  For n >= 1, H^n(G, Z) is
-finite (killed by |G|), so it is the torsion of coker(d_in),
-d_in: C^{n-1} -> C^n: `abelian.finite_homology_at` eliminates d_in alone,
-logging its row operations, reads the value off the pivots and replays
-the log for the classes; the much larger outgoing differential d_out is
-only checked (composition and resource cap).  Integral and units
-coefficients in positive degree take this route.  With Z/m coefficients
-(every cochain is then torsion, so torsion does not single out the
-cocycles) the value comes from the universal coefficient theorem on
-untracked eliminations of d_in and d_out (`abelian.homology_value`), and
-`abelian.homology_at`, which eliminates d_out augmented by m*I for a
-cycle basis, runs only for the classes; its quotient must equal the
-value.  Degree 0 with Z coefficients (H^0(G, Z) = Z is infinite) takes
-homology_at directly.
+cohomology() reads a group's value off homology, by the universal
+coefficient theorem H^n(G, A) = Hom(H_n(G, Z), A) + Ext(H_{n-1}(G, Z), A)
+(Brown, Cohomology of Groups, III.1), with H_0 = Z and H_n for n >= 1
+from G's small free resolution (resolution_homology_Z below): no bar
+matrix is built for a value.  Its classes (representatives, class_of,
+bockstein, enumerate_extension_classes) come from the normalized bar
+complex, built on first use, and the quotient they give must equal the
+value, so every class build checks its value independently.  For
+integral coefficients in positive degree H^n(G, Z) is finite, the
+torsion of coker(d_in), d_in: C^{n-1} -> C^n, and
+`abelian.finite_homology_at` eliminates d_in alone, only checking the
+much larger d_out; otherwise (Z/m coefficients, where every cochain is
+torsion, and degree 0) `abelian.homology_at` eliminates d_out, augmented
+by m*I for Z/m, for a cycle basis.
 
 Injectivity of inflation on a non-split extension is decided in homology
 one degree down: for a finite group and n >= 2 the universal coefficient
@@ -32,17 +31,15 @@ theorem gives natural isomorphisms H^n(-, Z) = Ext(H_{n-1}(-, Z), Z) =
 Hom(H_{n-1}(-, Z), Q/Z), an exact duality on finite groups, so q* is
 injective on H^n exactly when q_* is surjective on H_{n-1} (Brown,
 Cohomology of Groups, III.1); by the same duality the Schur multiplier
-H_2(E, Z) has the value of H^2(E, kx) = H^3(E, Z).  The two sides of q_*
-take two routes.  homology_Z gives H_n(G, Z) of the base off the bar
-chain complex (the transpose of the cochain complex), cached beside the
-cohomology groups.  An extension group E gets a small free ZE-resolution
-R instead (FreeResolution, after G. Ellis, Computing group resolutions,
-J. Symbolic Comput. 38 (2004)), whose ranks grow about linearly with the
-degree where the bar complex has (|E|-1)^n cells: resolution_homology_Z
-reads H_n(E, Z) off R (x)_E Z, and the comparison map phi: R -> Bar(G)
-over q (comparison_chains) carries its cycles into the bar homology of
-G.  No bar complex of E is built; homology_Z on E remains the tests'
-oracle.
+H_2(E, Z) has the value of H^2(E, kx) = H^3(E, Z).  Every group X gets a
+small free ZX-resolution R (FreeResolution, after G. Ellis, Computing
+group resolutions, J. Symbolic Comput. 38 (2004)), whose ranks grow
+about linearly with the degree where the bar complex has (|X|-1)^n
+cells: resolution_homology_Z reads H_n(X, Z) off R (x)_X Z, and for
+q: E -> G the comparison map phi: R -> Bar(G) over q (comparison_chains)
+carries E's cycles into the bar homology of G (homology_Z, the transpose
+of the cochain complex, cached beside the cohomology groups).  No bar
+complex of E is built; homology_Z on E remains the tests' oracle.
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ from .abelian import (
     check_cap,
     finite_homology_at,
     homology_at,
-    homology_value,
     induced_map,
     is_surjective,
     kernel_basis,
@@ -133,6 +129,22 @@ def validate_tameness(G: FiniteGroup, characteristic: int) -> None:
 # Normalized bar complex
 
 
+def _bar_shape(G: FiniteGroup, n: int) -> tuple:
+    """(rows, columns) of bar_differential(G, n), or ResourceCapError.
+
+    The rows, (|G|-1)^(n+1), are capped.  For |G| <= 2 the row count does
+    not grow with n, but one row's n + 2 faces of up to n + 1 entries are
+    held at once, so their count is capped too.
+    """
+    if n < 0:
+        raise ValidationError("degree must be nonnegative")
+    k = G.order - 1
+    rows = capped_power(k, n + 1, f"bar differential rows (|G|-1)^{n + 1}")
+    if k < 2:
+        check_cap((n + 1) * (n + 2), "bar differential faces of one row")
+    return rows, k ** n
+
+
 def bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:
     """The normalized bar differential d: C^n -> C^{n+1} (trivial action).
 
@@ -143,16 +155,9 @@ def bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:
     its entries stay in {-1, 0, +1} before coincidence-summing, which
     keeps the eliminations well-conditioned.
     """
-    if n < 0:
-        raise ValidationError("degree must be nonnegative")
+    rows_n, cols_n = _bar_shape(G, n)
     nonid = G.nonidentity()
     k = len(nonid)
-    rows_n = capped_power(k, n + 1, f"bar differential rows (|G|-1)^{n + 1}")
-    if k < 2:
-        # the row count does not grow with n, but one row's n + 2 faces of
-        # up to n + 1 entries are held at once
-        check_cap((n + 1) * (n + 2), "bar differential faces of one row")
-    cols_n = k ** n
     pos = {g: i for i, g in enumerate(nonid)}
     e = G.identity
     mul = G.mul
@@ -191,15 +196,18 @@ class CohomologyGroup:
 
     representatives[i] is a sparse cochain vector over the normalized
     tuple basis for the i-th canonical generator; for units coefficients
-    these are integral cochains one degree up.  The value is known on
-    construction; representatives, class_of and the subquotient's classes
-    are built on first use (see cohomology).  For integral and units
-    coefficients in positive degree the group is read off the cokernel of
-    the incoming differential: the generators are the U^-1 columns of its
-    Smith form at the pivots other than 1, and class_of checks that a
-    vector is a cocycle and then takes its U rows at those pivots modulo
-    the invariant factors.  Where the value does not force a basis (for
-    example (Z/2)^3), these generators are the ones that route chose.
+    these are integral cochains one degree up.  The value, read off the
+    homology of G's free resolution, is known on construction;
+    representatives, class_of and the subquotient's classes are built off
+    the bar complex on first use, and that build fails
+    (InvariantViolationError) unless its quotient is the value (see
+    cohomology).  For integral and units coefficients in positive degree
+    the classes are read off the cokernel of the incoming differential:
+    the generators are the U^-1 columns of its Smith form at the pivots
+    other than 1, and class_of checks that a vector is a cocycle and then
+    takes its U rows at those pivots modulo the invariant factors.  Where
+    the value does not force a basis (for example (Z/2)^3), these
+    generators are the ones that route chose.
     """
 
     group: FiniteGroup
@@ -276,11 +284,12 @@ def _integral_degree(n: int, coefficients: Coefficients) -> tuple:
 
 def cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS,
                characteristic: int = 0) -> CohomologyGroup:
-    """H^n(G, coefficients) with trivial action, via the normalized bar complex.
+    """H^n(G, coefficients) with trivial action: the value now, the classes on first use.
 
-    The value is computed at the call, which builds d_out and d_in and
-    makes the composition and resource-cap checks the classes' route makes
-    on them; the classes are built on first use.
+    The value is read off G's free resolution (_universal_coefficients)
+    and refused (ResourceCapError) wherever the bar differential of the
+    integral degree d (n + 1 for units) would be (_bar_shape).  The
+    classes are built off the bar complex on first use (_bar_classes).
     """
     if n < 0:
         raise ValidationError("degree must be nonnegative")
@@ -291,39 +300,53 @@ def cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS,
     with _CACHE_LOCK:
         cached = _CACHE.get(key)
     if cached is None:
-        d_out = bar_differential(G, degree)
-        d_in = bar_differential(G, degree - 1) if degree else IntegerMatrix(1, 0)
-        if modulus:
-            cached = _mod_homology(d_out, d_in, modulus)
-        elif degree:
-            # H^degree(G, Z) is finite in positive degree
-            cached = finite_homology_at(d_out, d_in)
-        else:
-            cached = homology_at(d_out, d_in)
+        _, ambient = _bar_shape(G, degree)
+        value = _universal_coefficients(G, degree, modulus)
+        cached = Subquotient(ambient, value, _bar_classes(G, degree, modulus, value))
         with _CACHE_LOCK:
             cached = _CACHE.setdefault(key, cached)
     return CohomologyGroup(G, n, coefficients, cached.quotient, cached)
 
 
-def _mod_homology(d_out: IntegerMatrix, d_in: IntegerMatrix, m: int) -> Subquotient:
-    """ker(d_out)/im(d_in) of (Z/m)^n: the value now, homology_at's classes later.
+def _universal_coefficients(G: FiniteGroup, d: int, modulus: int) -> FinAbGroup:
+    """H^d(G, A) = Hom(H_d, A) + Ext(H_{d-1}, A) for A = Z (modulus 0) or Z/modulus.
 
-    The value comes from abelian.homology_value (the universal coefficient
-    theorem on two untracked eliminations).  homology_at, which eliminates
-    d_out augmented by m*I with V and V^-1 tracked, runs only when the
-    classes are first used, and its quotient must equal that value.
+    H_0 = Z and H_n = H_n(G, Z) = resolution_homology_Z(G, n) above, which
+    is finite, so Hom(H_d, Z) is Z for d = 0 and 0 above; Ext(Z/e, A) = A/eA
+    and Ext(Z, A) = 0.
     """
-    value = homology_value(d_out, d_in, m)
+    def H(n):
+        return FinAbGroup.free(1) if n == 0 else resolution_homology_Z(G, n).quotient
 
-    def classes():
-        full = homology_at(d_out, d_in, modulus=m)
+    ext = H(d - 1).invariant_factors if d else ()
+    if not modulus:
+        return FinAbGroup(0 if d else 1, ext)
+    # relation order 0 is a Z summand: Hom(Z, Z/m) = Z/m = Z/gcd(0, m)
+    return FinAbGroup.from_factors([gcd(e, modulus) for e in H(d).relation_orders() + ext])
+
+
+def _bar_classes(G: FiniteGroup, degree: int, modulus: int, value: FinAbGroup):
+    """The deferred build of the classes of H^degree(G, Z or Z/modulus) off the bar complex.
+
+    With Z coefficients in positive degree the group is finite, and
+    finite_homology_at reads it off d_in alone; otherwise homology_at
+    eliminates d_out (augmented by modulus * I) for a cycle basis.  The
+    quotient must equal value, or InvariantViolationError.
+    """
+    def build():
+        d_out = bar_differential(G, degree)
+        d_in = bar_differential(G, degree - 1) if degree else IntegerMatrix(1, 0)
+        if degree and not modulus:
+            full = finite_homology_at(d_out, d_in)
+        else:
+            full = homology_at(d_out, d_in, modulus)
         if full.quotient != value:
             raise InvariantViolationError(
-                f"the classes give {full.quotient} with Z/{m} coefficients, "
-                f"the universal coefficient theorem {value}")
+                f"the bar complex gives {full.quotient} in degree {degree} "
+                f"(modulus {modulus}), the universal coefficient theorem {value}")
         return full.classes()
 
-    return Subquotient(d_out.cols, value, classes)
+    return build
 
 
 def cohomology_Z(G: FiniteGroup, n: int) -> CohomologyGroup:
@@ -341,10 +364,11 @@ def cohomology_units(G: FiniteGroup, n: int, characteristic: int = 0) -> Cohomol
 def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
     """H_n(X, Z) for n >= 1, from the bar chain complex; cached.
 
-    This is the route for a base group G, whose bar chains are where
-    comparison_classes and pushforward_classes land, and the bar oracle
-    for an extension group E, whose questions the reports answer off its
-    free resolution (resolution_homology_Z).
+    This is where comparison_classes and pushforward_classes land: the
+    bar chains of a base group G are the target of the comparison map.
+    Every value is also read off X's free resolution
+    (resolution_homology_Z), so this route, an elimination of its own, is
+    the tests' oracle for it.
 
     The chain complex is the transpose of the cochain complex: the boundary
     C_{m+1} -> C_m is bar_differential(X, m)^T.  In positive degree H_n is
@@ -352,8 +376,7 @@ def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
     incoming boundary bar_differential(X, n)^T and only checks the outgoing
     one.  By the universal coefficient theorem H^{n+1}(X, Z) =
     Ext(H_n(X, Z), Z) = Hom(H_n(X, Z), Q/Z), so the quotient has the
-    canonical value of H^{n+1}(X, Z), read off a complex one degree
-    shorter.
+    canonical value of H^{n+1}(X, Z).
 
     It is refused (ResourceCapError) where H^{n+1}(X, Z) is refused by the
     row count of its d_out, (|X|-1)^{n+2}.  The incoming boundary's
@@ -549,40 +572,26 @@ def restriction_map(i: GroupHom, n: int, coefficients: Coefficients = INTEGERS,
 def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
     """Is inflation injective on H^degree(G, Z) along the surjection q: E -> G?
 
-    Builds no bar complex of E and no cohomology group of E.  A section s
-    of q (a split extension, which covers every split gerbe and every
-    fiber with gcd(r, |G|) = 1) certifies it in every degree, since s*
-    after q* is (q s)* = id, and so does a trivial source.  Otherwise the
-    question is answered in homology one degree down: for a finite group
-    and n >= 2 the universal coefficient theorem gives H^n(-, Z) =
-    Ext(H_{n-1}(-, Z), Z) = Hom(H_{n-1}(-, Z), Q/Z), naturally, and that
-    duality is exact on finite groups, so q* is injective on H^n exactly
-    when q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) is surjective (Brown,
-    Cohomology of Groups, III.1).  q_* is read off E's free resolution
-    (_pushforward_onto).
-
-    Up to degree 3 the source H^n(G, Z) is tested first: bockstein_r has
-    H^3(G, Z) cached in every report, and a cache hit costs less than a
-    section search.  Above it the section is tried first, and the source's
-    triviality is read off H_{n-1}(G, Z), the same duality, which the
-    homology route needs anyway; H^n(G, Z) is not built.
+    Builds no bar complex of E and no cohomology group of E.  A trivial
+    source H^n(G, Z) (a value, read off G's free resolution) certifies it,
+    and so does a section s of q (a split extension, which covers every
+    split gerbe and every fiber with gcd(r, |G|) = 1) in every degree,
+    since s* after q* is (q s)* = id.  Otherwise the question is answered
+    in homology one degree down: for a finite group and n >= 2 the
+    universal coefficient theorem gives H^n(-, Z) = Ext(H_{n-1}(-, Z), Z)
+    = Hom(H_{n-1}(-, Z), Q/Z), naturally, and that duality is exact on
+    finite groups, so q* is injective on H^n exactly when
+    q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) is surjective (Brown, Cohomology
+    of Groups, III.1).  q_* is read off E's free resolution
+    (_pushforward_onto).  Degree 0, where H^0(G, Z) = Z, is refused.
     """
     if not q.is_surjective:
         raise ValidationError("inflation needs a surjective homomorphism")
     n = integral_degree
-    if n <= 3:
-        src = cohomology_Z(q.target, n).value
-        if src.is_trivial:
-            return True
-        if src.free_rank:
-            raise ValidationError("expected a finite cohomology group")
-        if section(q) is not None:
-            return True
-    else:
-        if section(q) is not None:
-            return True
-        if homology_Z(q.target, n - 1).quotient.is_trivial:
-            return True
+    if n < 1:
+        raise ValidationError("expected a finite cohomology group (degree >= 1)")
+    if cohomology_Z(q.target, n).value.is_trivial or section(q) is not None:
+        return True
     return _pushforward_onto(q, n - 1)
 
 

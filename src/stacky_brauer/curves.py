@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .abelian import FinAbGroup, IntegerMatrix, cokernel, hom_to_cyclic
+from .abelian import FinAbGroup, IntegerMatrix, cokernel, hom_to_cyclic, lcm
 from .cohomology import bockstein_r, cohomology_units, cohomology_Z
 from .errors import (
     InvariantViolationError,
@@ -210,12 +210,15 @@ def left_kernel(curve: CurveSpec, r: int) -> FinAbGroup:
     """Kernel of the left map: the cyclic subgroup of (+) H^2(G_i, kx)
     generated by the tuple of Bockstein classes of the extensions."""
     curve.validate_modulus(r)
+    return _bockstein_span([pt.materialize_extension(r) for pt in curve.points])
+
+
+def _bockstein_span(extensions) -> FinAbGroup:
+    """The cyclic group generated by the tuple of the extensions' Bockstein classes."""
     order = 1
-    for pt in curve.points:
-        ext = pt.materialize_extension(r)
-        beta = bockstein_r(pt.group, ext.cocycle)
-        order = order * beta.order() // gcd(order, beta.order())
-    return FinAbGroup.cyclic(order) if order > 1 else FinAbGroup.trivial()
+    for ext in extensions:
+        order = lcm(order, bockstein_r(ext.base, ext.cocycle).order())
+    return FinAbGroup.cyclic(order)
 
 
 def _conjunction(flags) -> object:
@@ -326,7 +329,7 @@ def brauer_report(curve: CurveSpec, r: int, *, verify: bool = False,
     fibers = tuple(
         (pt.name, analyze_fiber(ext, with_h3=shortcut != "smooth-shortcut"))
         for pt, ext in extensions)
-    lk = left_kernel(curve, r)
+    lk = _bockstein_span(ext for _, ext in extensions)
     root = lk.is_trivial
     right_exact = _conjunction(d.h3_inflation_injective for _, d in fibers)
 

@@ -449,3 +449,38 @@ class TestFinAbGroup:
     def test_display(self):
         assert str(FinAbGroup.trivial()) == "0"
         assert str(FinAbGroup(1, (2, 4))) == "Z/2 + Z/4 + Z"
+
+
+class TestSmithNormalFormProperties:
+    """Hypothesis properties of smith_normal_form on small dense and sparse
+    matrices; derandomized, so every run draws the same examples."""
+
+    @staticmethod
+    def matrices():
+        from hypothesis import strategies as st
+
+        def build(shape):
+            rows, cols = shape
+            return st.lists(st.lists(st.integers(-9, 9) | st.just(0),
+                                     min_size=cols, max_size=cols),
+                            min_size=rows, max_size=rows).map(IntegerMatrix.from_rows)
+
+        return st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(build)
+
+    def test_properties(self):
+        from hypothesis import given, settings
+
+        @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @given(self.matrices())
+        def check(M):
+            S, U, V = smith_normal_form(M)
+            assert U @ M @ V == S
+            assert S.is_diagonal()
+            assert abs(determinant(U)) == 1 and abs(determinant(V)) == 1
+            diagonal = [S.get(i, i) for i in range(min(M.rows, M.cols))]
+            nonzero = [d for d in diagonal if d]
+            assert diagonal == nonzero + [0] * (len(diagonal) - len(nonzero))
+            assert all(d > 0 for d in nonzero)
+            assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+        check()

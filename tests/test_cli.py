@@ -286,7 +286,7 @@ class TestEndToEnd:
     def test_verify_skips_a_full_bar_oracle_over_its_budget(self, tmp_path):
         # H^3(Dic12, kx) = H^4(Dic12, Z): the full-bar d_out would be
         # 248,832 x 20,736, over the oracle's elimination budget, so the
-        # value is checked by nothing but is still reported
+        # value is checked only by the class build off the bar complex
         S3 = parse_group_spec("semidirect_z2:3:2")
         E = central_extension(S3, 2, enumerate_extension_classes(S3, 2)[1]).total
         tbl = tmp_path / "dic12.tbl"
@@ -303,23 +303,56 @@ class TestEndToEnd:
         assert "verify.status = ok" in lines
         assert not [ln for ln in lines if ln.startswith("verify.full-bar")], lines
 
+    def test_values_are_read_off_the_free_resolution(self, tmp_path):
+        # H^3(Dic12, kx) = H^4(Dic12, Z) = H_3(Dic12, Z), off the free
+        # resolution of Dic12; the bar route took 5.7 s and 313 MB
+        S3 = parse_group_spec("semidirect_z2:3:2")
+        E = central_extension(S3, 2, enumerate_extension_classes(S3, 2)[1]).total
+        tbl = tmp_path / "dic12.tbl"
+        tbl.write_text(f"order {E.order}\n"
+                       + "".join(" ".join(map(str, row)) + "\n" for row in E.table))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stacky_brauer", "cohomology", f"table:{tbl}",
+             "3", "units"], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "Z/12"
+        # the trivial group's bar rows do not grow with the degree, but the
+        # faces of one row do: refused before the resolution is walked
+        rpt = tmp_path / "huge.rpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "stacky_brauer", "cohomology", "cyclic:1",
+             "100000000000", "Z", "--report", str(rpt)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "error-code = resource-cap" in rpt.read_text().splitlines()
+
     def test_cohomology_cap_counts_unreduced_d_out(self):
         # H^3(Z/6, kx) = H^4(Z/6, Z): d_out has 5^5 = 3125 rows, under the
-        # cap, but 16240 nonzeros, over it, although only d_in is eliminated
-        proc = run_cli("cohomology", "cyclic:6", "3", "units",
-                       "--max-entries", "10000")
+        # cap, but 16240 nonzeros, over it, although only d_in is eliminated.
+        # Only the class build (--verify) builds d_out; the value is read
+        # off the free resolution of Z/6
+        argv = ("cohomology", "cyclic:6", "3", "units", "--max-entries", "10000")
+        proc = run_cli(*argv, "--verify")
         assert proc.returncode == 1
-        assert "matrix nonzeros" in proc.stderr
+        assert "size 16240 exceeds resource cap 10000 (matrix nonzeros)" in proc.stderr
+        proc = run_cli(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "Z/6"
 
     def test_mod_m_cap_counts_the_augmented_d_out(self):
-        # H^2(Z/6, Z/4): d_out has 440 nonzeros and 125 rows; the value is
-        # refused exactly where the cycle elimination of d_out augmented by
-        # 4*I (565 nonzeros) is, although that elimination runs only for
-        # classes
-        proc = run_cli("cohomology", "cyclic:6", "2", "Z/4", "--max-entries", "564")
+        # H^2(Z/6, Z/4): d_out has 440 nonzeros and 125 rows; the class
+        # build (--verify) is refused exactly where the cycle elimination of
+        # d_out augmented by 4*I (565 nonzeros) is.  The value builds no bar
+        # matrix
+        argv = ("cohomology", "cyclic:6", "2", "Z/4")
+        proc = run_cli(*argv, "--max-entries", "564", "--verify")
         assert proc.returncode == 1
         assert "size 565 exceeds resource cap 564 (matrix nonzeros)" in proc.stderr
-        proc = run_cli("cohomology", "cyclic:6", "2", "Z/4", "--max-entries", "565")
+        for cap in ("564", "565"):
+            proc = run_cli(*argv, "--max-entries", cap)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "Z/2"
+        proc = run_cli(*argv, "--max-entries", "565", "--verify")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "Z/2"
 

@@ -1,3 +1,5 @@
+from importlib import import_module
+
 import pytest
 
 from stacky_brauer.abelian import FinAbGroup
@@ -150,6 +152,30 @@ class TestLeftKernel:
     def test_cyclic_stabilizers_trivial(self):
         curve = smooth_curve(0, [2, 4, 3])
         assert left_kernel(curve, 2).is_trivial
+
+    def test_report_builds_each_split_extension_once(self, monkeypatch):
+        # the report hands the extensions it holds to the left-kernel step;
+        # the public left_kernel still builds its own
+        curves_module = import_module("stacky_brauer.curves")
+        real = curves_module.split_extension
+        built = []
+
+        def counting(G, r):
+            built.append((G.order, r))
+            return real(G, r)
+
+        monkeypatch.setattr(curves_module, "split_extension", counting)
+        c = quaternion_cocycle()
+        pts = (StabilizerPoint("a", cyclic(2), singular=True),
+               StabilizerPoint("b", semidirect_cyclic_by_z2(4, 3), singular=True),
+               StabilizerPoint("q", c.base, singular=True,
+                               extension=central_extension(c.base, 2, c)))
+        curve = CurveSpec(smooth=False, proper=True, points=pts,
+                          h1_stack_override=FinAbGroup.trivial())
+        rep = brauer_report(curve, 2)
+        assert built == [(2, 2), (8, 2)]
+        assert rep.left_kernel == left_kernel(curve, 2) == FinAbGroup.cyclic(2)
+        assert built == [(2, 2), (8, 2)] * 2
 
 
 class TestLocalClassification:
