@@ -32,14 +32,15 @@ Hom(H_{n-1}(-, Z), Q/Z), an exact duality on finite groups, so q* is
 injective on H^n exactly when q_* is surjective on H_{n-1} (Brown,
 Cohomology of Groups, III.1); by the same duality the Schur multiplier
 H_2(E, Z) has the value of H^2(E, kx) = H^3(E, Z).  Every group X gets a
-small free ZX-resolution R (FreeResolution, after G. Ellis, Computing
+small free ZX-resolution R^X (FreeResolution, after G. Ellis, Computing
 group resolutions, J. Symbolic Comput. 38 (2004)), whose ranks grow
 about linearly with the degree where the bar complex has (|X|-1)^n
-cells: resolution_homology_Z reads H_n(X, Z) off R (x)_X Z, and for
-q: E -> G the comparison map phi: R -> Bar(G) over q (comparison_chains)
-carries E's cycles into the bar homology of G (homology_Z, the transpose
-of the cochain complex, cached beside the cohomology groups).  No bar
-complex of E is built; homology_Z on E remains the tests' oracle.
+cells: resolution_homology_Z reads H_n(X, Z) off R^X (x)_X Z, and for
+q: E -> G the chain map psi: R^E -> R^G over q (comparison_chains) carries
+E's cycles into the homology of G read off the same kind of resolution.
+No question about homology builds a bar complex; the bar complex of G
+serves only cocycle classes (the Bockstein's H^3(G, Z) and the extension
+classes), and the bar homology homology_Z stays as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .abelian import (
     induced_map,
     is_surjective,
     kernel_basis,
+    smith_normal_form,
 )
 from .errors import (
     InvariantViolationError,
@@ -76,7 +78,7 @@ __all__ = [
     "Coefficients", "INTEGERS", "UNITS", "mod_coefficients",
     "CohomologyGroup", "CohomologyClass", "bar_differential",
     "cohomology", "cohomology_Z", "cohomology_Zm", "cohomology_units",
-    "homology_Z", "pushforward_classes", "FreeResolution", "free_resolution",
+    "homology_Z", "FreeResolution", "free_resolution",
     "resolution_homology_Z", "comparison_chains", "comparison_classes",
     "pullback_matrix", "inflation_map", "restriction_map",
     "inflation_kernel_trivial", "bockstein", "bockstein_r",
@@ -364,11 +366,10 @@ def cohomology_units(G: FiniteGroup, n: int, characteristic: int = 0) -> Cohomol
 def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
     """H_n(X, Z) for n >= 1, from the bar chain complex; cached.
 
-    This is where comparison_classes and pushforward_classes land: the
-    bar chains of a base group G are the target of the comparison map.
-    Every value is also read off X's free resolution
-    (resolution_homology_Z), so this route, an elimination of its own, is
-    the tests' oracle for it.
+    Nothing outside the tests calls it: every value is read off X's free
+    resolution (resolution_homology_Z), and this route, an elimination of
+    its own, is the tests' independent oracle for it, with
+    _kernel_trivial_by_homology for the push-forward.
 
     The chain complex is the transpose of the cochain complex: the boundary
     C_{m+1} -> C_m is bar_differential(X, m)^T.  In positive degree H_n is
@@ -423,6 +424,7 @@ class FreeResolution:
     def __init__(self, group: FiniteGroup):
         self.group = group
         self._boundaries = []     # _boundaries[n - 1] = boundary(n)
+        self._smith = {}          # n -> smith_normal_form(z_boundary(n)), for lift
         self._lock = threading.RLock()   # a kernel step reads the boundaries below it
 
     def rank(self, n: int) -> int:
@@ -468,14 +470,39 @@ class FreeResolution:
             self.translate(g, d) for d in gens for g in range(N)))
 
     def coinvariant_boundary(self, n: int) -> IntegerMatrix:
-        """d_n (x)_E Z, k_{n-1} x k_n: each entry sums a block of d_n."""
+        """d_n (x)_E Z, k_{n-1} x k_n."""
+        return self.coinvariants(n - 1, self.boundary(n))
+
+    def coinvariants(self, n: int, chains) -> IntegerMatrix:
+        """The columns chains, vectors in R_n, tensored down to R_n (x)_E Z:
+        k_n rows, each entry the sum of a block of |E| entries."""
         N = self.group.order
         entries = {}
-        for i, d in enumerate(self.boundary(n)):
+        for i, d in enumerate(chains):
             for idx, v in d.items():
                 key = (idx // N, i)
                 entries[key] = entries.get(key, 0) + v
-        return IntegerMatrix(self.rank(n - 1), self.rank(n), entries)
+        return IntegerMatrix(self.rank(n), len(chains), entries)
+
+    def lift(self, n: int, y: dict) -> dict:
+        """An x in R_n with d_n x = y, for a boundary y in R_{n-1}.
+
+        With S = U d_n V the Smith form of z_boundary(n), computed once per
+        degree, x = V S^-1 U y.  InvariantViolationError when y is not a
+        boundary.
+        """
+        with self._lock:
+            snf = self._smith.get(n)
+            if snf is None:
+                snf = self._smith[n] = smith_normal_form(self.z_boundary(n))
+        S, U, V = snf
+        diag = S.diagonal()
+        x = {}
+        for i, v in U.apply(y).items():
+            if i >= len(diag) or not diag[i] or v % diag[i]:
+                raise InvariantViolationError(f"not in the image of d_{n}")
+            x[i] = v // diag[i]
+        return V.apply(x)
 
 
 def free_resolution(E: FiniteGroup) -> FreeResolution:
@@ -493,8 +520,8 @@ def resolution_homology_Z(X: FiniteGroup, n: int) -> Subquotient:
 
     In positive degree H_n is finite, so finite_homology_at reads it off
     the incoming boundary d_{n+1} (x) Z, k_n x k_{n+1}.  Its cycles and lifts
-    are vectors over the generators of R_n; comparison_classes carries
-    them into the bar homology of a quotient group.
+    are vectors over the generators of R_n.  For q: E -> X it is also
+    where comparison_classes reduces the images of E's cycles.
     """
     if n < 1:
         raise ValidationError("integral homology is computed here for degree >= 1")
@@ -595,69 +622,43 @@ def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
     return _pushforward_onto(q, n - 1)
 
 
-def pushforward_classes(q: GroupHom, m: int, cycles) -> list:
-    """The classes in H_m(G, Z) (homology_Z) of q_# z for the bar m-cycles z
-    of E, for q: E -> G (the bar oracle's route).
-
-    The bar chain complex is the transpose of the cochain complex, so q_#
-    on C_m is pullback_matrix(q, m)^T.  reduce raises
-    NotChainCompatibleError on a pushed-forward chain that is not a cycle.
-    """
-    H = homology_Z(q.target, m)
-    push = pullback_matrix(q, m).transpose()
-    return [H.reduce(push.apply(z)) for z in cycles]
-
-
 def comparison_chains(q: GroupHom, n: int) -> tuple:
-    """phi_n (x) Z on the generators of R_n, for q: E -> G and R E's free_resolution; cached.
+    """psi_n(e_i) in R^G_n for the generators e_i of R^E_n, for q: E -> G; cached.
 
-    phi: R -> Bar(G) is the chain map over q of the comparison theorem
-    (Brown, Cohomology of Groups, I.7), built with the bar resolution's
-    contracting homotopy h(g[g1|...|gm]) = [g|g1|...|gm], which is 0 when
-    g = 1: phi_0(e_0) = [ ] and phi_n(e_i) = h(q phi_{n-1}(d e_i)).  Every
-    phi_n(e_i) with n >= 1 is an image of h, so its group coefficients
-    are 1 and it is a bar chain of C_n(G) (x) Z, indexed as homology_Z's
-    ambient: phi_n(e_i) = sum of c * a [q(x)|cell] over the terms c (j, x)
-    of d_n(e_i) with q(x) != 1 and a cell of phi_{n-1}(e_j).
+    psi: R^E -> R^G is the chain map over q between the groups'
+    free_resolutions of the comparison theorem (Brown, Cohomology of
+    Groups, I.7), E acting on R^G through q: psi_0(e_0) = (0, 1_G) and
+    psi_n(e_i) = R^G.lift(n, psi_{n-1}(d e_i)), where psi_{n-1}(d e_i) is
+    the sum of c * q(x) psi_{n-1}(e_j) over the terms c (j, x) of d_n(e_i).
     """
     if n < 0:
         raise ValidationError("degree must be nonnegative")
     if n == 0:
-        return ({0: 1},)
+        return ({q.target.identity: 1},)
     key = ("comparison", q.source.table, q.target.table, q.image, n)
     with _CACHE_LOCK:
         cached = _CACHE.get(key)
     if cached is None:
-        G, N = q.target, q.source.order
-        nonid = G.nonidentity()
-        pos = {g: i for i, g in enumerate(nonid)}
-        step = len(nonid) ** (n - 1)
+        R, N = free_resolution(q.target), q.source.order
         prev = comparison_chains(q, n - 1)
         chains = []
         for d in free_resolution(q.source).boundary(n):
-            chain = {}
+            y = {}
             for idx, c in d.items():
-                g = q(idx % N)
-                if g != G.identity:
-                    base = pos[g] * step
-                    for cell, a in prev[idx // N].items():
-                        v = chain.get(base + cell, 0) + c * a
-                        if v:
-                            chain[base + cell] = v
-                        else:
-                            del chain[base + cell]
-            chains.append(chain)
+                for k, a in R.translate(q(idx % N), prev[idx // N]).items():
+                    y[k] = y.get(k, 0) + c * a
+            chains.append(R.lift(n, y))
         with _CACHE_LOCK:
             cached = _CACHE.setdefault(key, tuple(chains))
     return cached
 
 
 def comparison_classes(q: GroupHom, m: int, cycles) -> list:
-    """The classes in H_m(G, Z) (homology_Z) of (phi (x) Z)(z) for the
-    m-cycles z of R (x)_E Z (comparison_chains), for q: E -> G."""
-    H = homology_Z(q.target, m)
-    phi = IntegerMatrix.from_columns(H.ambient_dim, comparison_chains(q, m))
-    return [H.reduce(phi.apply(z)) for z in cycles]
+    """The classes in H_m(G, Z) (resolution_homology_Z) of (psi_m (x) Z)(z)
+    for the m-cycles z of R^E (x)_E Z (comparison_chains), for q: E -> G."""
+    H = resolution_homology_Z(q.target, m)
+    psi = free_resolution(q.target).coinvariants(m, comparison_chains(q, m))
+    return [H.reduce(psi.apply(z)) for z in cycles]
 
 
 def _generate(images, H: FinAbGroup) -> bool:
@@ -671,14 +672,14 @@ def _generate(images, H: FinAbGroup) -> bool:
 def _pushforward_onto(q: GroupHom, m: int) -> bool:
     """Is q_*: H_m(E, Z) -> H_m(G, Z) onto, m >= 1?
 
-    The m-cycles of R (x)_E Z are a kernel basis of d_m (x) Z, k_{m-1} x k_m,
-    for E's free_resolution R; comparison_classes carries them into the
-    cached H_m(G, Z) of homology_Z, and their distinct classes generate
-    the image.
+    The m-cycles of R^E (x)_E Z are a kernel basis of d_m (x) Z,
+    k_{m-1} x k_m, for E's free_resolution R^E; comparison_classes carries
+    them into the cached H_m(G, Z) of resolution_homology_Z, and their
+    distinct classes generate the image.
     """
     cycles = kernel_basis(free_resolution(q.source).coinvariant_boundary(m))
     return _generate(comparison_classes(q, m, cycles.col_view().values()),
-                     homology_Z(q.target, m).quotient)
+                     resolution_homology_Z(q.target, m).quotient)
 
 
 def _kernel_trivial_by_homology(q: GroupHom, src: CohomologyGroup) -> bool:
@@ -687,13 +688,17 @@ def _kernel_trivial_by_homology(q: GroupHom, src: CohomologyGroup) -> bool:
 
     The boundary C_{m+1} -> C_m of the bar chain complex is
     bar_differential(X, m)^T, so the cycles of E in degree n - 1 are a
-    kernel basis of bar_differential(E, n - 2)^T; pushforward_classes
-    carries them into the cached H_{n-1}(G, Z) of homology_Z.
+    kernel basis of bar_differential(E, n - 2)^T, and q_# on C_{n-1} is
+    pullback_matrix(q, n - 1)^T; their images are reduced in the cached
+    H_{n-1}(G, Z) of homology_Z, whose reduce raises
+    NotChainCompatibleError on a pushed-forward chain that is not a cycle.
     """
-    G, E, n = q.target, q.source, src.degree
-    cycles = kernel_basis(bar_differential(E, n - 2).transpose())
-    return _generate(pushforward_classes(q, n - 1, cycles.col_view().values()),
-                     homology_Z(G, n - 1).quotient)
+    n = src.degree
+    H = homology_Z(q.target, n - 1)
+    push = pullback_matrix(q, n - 1).transpose()
+    cycles = kernel_basis(bar_differential(q.source, n - 2).transpose())
+    return _generate([H.reduce(push.apply(z)) for z in cycles.col_view().values()],
+                     H.quotient)
 
 
 # ---------------------------------------------------------------------------

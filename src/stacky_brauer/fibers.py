@@ -18,10 +18,11 @@ Groups, III.1).  The degree-2 units questions are answered one degree
 down the same way: H^2(-, kx) = H^3(-, Z) = Hom(H_2(-, Z), Q/Z), so
 H^2(E, kx) has the value of the Schur multiplier H_2(E, Z), and inflation
 on it is the Pontryagin dual of q_*: H_2(E, Z) -> H_2(G, Z).  Every
-homology group of E is read off E's small free resolution, and q_* off
-the comparison map from it to the bar resolution of G
+homology group of E and of G is read off the group's small free
+resolution, and q_* off the chain map between the two resolutions over q
 (cohomology.resolution_homology_Z, cohomology.comparison_classes): no bar
-complex of E is built at all.
+complex of E is built at all, and the bar complex of G only for the
+Bockstein's classes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .cohomology import (
     bockstein_r,
     cohomology_units,
     comparison_classes,
-    homology_Z,
     inflation_kernel_trivial,
     resolution_homology_Z,
 )
@@ -89,11 +89,11 @@ def h2_section_exists(ext: CentralExtension) -> bool:
 def _h2_pushforward(q: GroupHom) -> AbGroupMap:
     """q_*: H_2(E, Z) -> H_2(G, Z) on the canonical generators.
 
-    H_2(E, Z) is read off E's free resolution; comparison_classes carries
-    each generator's lift into the bar homology H_2(G, Z), and AbGroupMap
-    checks that relations go to relations.
+    Both groups are read off their free resolutions; comparison_classes
+    carries each generator's lift into H_2(G, Z), and AbGroupMap checks
+    that relations go to relations.
     """
-    src, dst = resolution_homology_Z(q.source, 2), homology_Z(q.target, 2).quotient
+    src, dst = resolution_homology_Z(q.source, 2), resolution_homology_Z(q.target, 2).quotient
     images = comparison_classes(q, 2, src.lifts)
     return AbGroupMap(src.quotient, dst, IntegerMatrix.from_columns(
         dst.num_generators, (dict(enumerate(img)) for img in images)))

@@ -3,6 +3,7 @@ against the bar complex of E (the oracle) and closed forms."""
 
 import sys
 import threading
+import time
 from importlib import import_module
 from math import gcd
 
@@ -20,9 +21,9 @@ from stacky_brauer.cohomology import (
     homology_Z,
     resolution_homology_Z,
 )
-from stacky_brauer.curves import brauer_report
+from stacky_brauer.curves import CurveSpec, StabilizerPoint, brauer_report
 from stacky_brauer.cli import parse_input
-from stacky_brauer.errors import ResourceCapError
+from stacky_brauer.errors import InvariantViolationError, ResourceCapError
 from stacky_brauer.groups import (
     FiniteGroup,
     central_extension,
@@ -90,57 +91,23 @@ class TestHomologyAgainstTheBarComplex:
         assert free_resolution(E) is not R
 
 
-def bar_boundary(G, chain):
-    """d of the bar resolution of G on {(g, cell): coefficient}, where
-    g[g1|...|gn] is at (g, (g1, ..., gn)) and cells holding 1 are 0."""
-    e, out = G.identity, {}
-
-    def add(g, cell, v):
-        if e not in cell:
-            out[(g, cell)] = out.get((g, cell), 0) + v
-
-    for (g, cell), v in chain.items():
-        n = len(cell)
-        add(G.mul(g, cell[0]), cell[1:], v)
-        for i in range(n - 1):
-            add(g, cell[:i] + (G.mul(cell[i], cell[i + 1]),) + cell[i + 2:],
-                (-1) ** (i + 1) * v)
-        add(g, cell[:-1], (-1) ** n * v)
-    return {k: v for k, v in out.items() if v}
-
-
-def decode(G, n, chain):
-    """comparison_chains' indices as cells (group coefficient 1)."""
-    nonid, k = G.nonidentity(), G.order - 1
-    out = {}
-    for idx, v in chain.items():
-        cell = []
-        for _ in range(n):
-            idx, p = divmod(idx, k)
-            cell.append(nonid[p])
-        out[(G.identity, tuple(reversed(cell)))] = v
-    return out
-
-
 class TestComparisonMap:
     def test_phi_is_a_chain_map_through_degree_4(self):
+        # psi: R^E -> R^G over q, with E acting on R^G through q
         for label, ext in extensions(16):
-            q, G, N = ext.projection, ext.base, ext.total.order
-            R = free_resolution(ext.total)
+            q, N = ext.projection, ext.total.order
+            RE, RG = free_resolution(ext.total), free_resolution(ext.base)
             for n in range(1, 5):
-                phi_n = comparison_chains(q, n)
-                phi_prev = [decode(G, n - 1, c) for c in comparison_chains(q, n - 1)]
-                for i, d in enumerate(R.boundary(n)):
-                    # phi_{n-1}(d e_i), with E acting on Bar(G) through q
+                psi_n, psi_prev = comparison_chains(q, n), comparison_chains(q, n - 1)
+                d_G = RG.z_boundary(n)
+                for i, d in enumerate(RE.boundary(n)):
+                    # psi_{n-1}(d e_i): c * q(x) psi_{n-1}(e_j) over the terms c (j, x)
                     expected = {}
                     for idx, c in d.items():
-                        x = q(idx % N)
-                        for (g, cell), a in phi_prev[idx // N].items():
-                            key = (G.mul(x, g), cell)
-                            expected[key] = expected.get(key, 0) + c * a
+                        for k, a in RG.translate(q(idx % N), psi_prev[idx // N]).items():
+                            expected[k] = expected.get(k, 0) + c * a
                     expected = {k: v for k, v in expected.items() if v}
-                    assert bar_boundary(G, decode(G, n, phi_n[i])) == expected, \
-                        (label, n, i)
+                    assert d_G.apply(psi_n[i]) == expected, (label, n, i)
 
     def test_consecutive_boundaries_compose_to_zero(self):
         for label, ext in extensions(16):
@@ -160,6 +127,27 @@ class TestSurjectivityAgainstTheBarOracle:
                 onto += expected
         assert 0 < onto < 170
 
+    # (classes, classes onto H_2(G, Z)) with r = 2
+    ORDER_12_COUNTS = {"D6": (8, 4), "Dic12": (2, 2), "Z/2xZ/6": (8, 4)}
+
+    @pytest.mark.parametrize("name, make", [
+        ("D6", lambda: semidirect_cyclic_by_z2(6, 5)),
+        ("Dic12", lambda: dicyclic(3)),
+        ("Z/2xZ/6", lambda: direct_product(cyclic(2), cyclic(6))),
+    ])
+    def test_every_class_of_order_12_bases_with_r_2(self, name, make):
+        # degree 3 only: the bar H_3(G) at |G| = 12 takes about 14 s
+        G = make()
+        t0 = time.perf_counter()
+        onto = []
+        for i, c in enumerate(enumerate_extension_classes(G, 2)):
+            q = central_extension(G, 2, c).projection
+            expected = _kernel_trivial_by_homology(q, cohomology_Z(G, 3))
+            assert _pushforward_onto(q, 2) == expected, (name, i)
+            onto.append(expected)
+        assert time.perf_counter() - t0 < 10, name
+        assert (len(onto), sum(onto)) == self.ORDER_12_COUNTS[name]
+
 
 class TestSchurMultipliersAtOrders12To48:
     CASES = (
@@ -177,6 +165,31 @@ class TestSchurMultipliersAtOrders12To48:
         G = make()
         assert 12 <= G.order <= 48
         assert resolution_homology_Z(G, 2).quotient == FinAbGroup.from_factors(factors)
+
+
+class TestLift:
+    def test_lifts_every_boundary_of_a_generator_translate(self):
+        for name, G in small_family():
+            R = free_resolution(G)
+            for n in range(1, 5):
+                d = R.z_boundary(n)
+                for y in d.col_view().values():
+                    assert d.apply(R.lift(n, y)) == y, (name, n)
+
+    def test_non_boundary_is_refused(self):
+        # the augmentation of e_0 = (0, 1) is 1, so it is not in im d_1
+        for name, G in small_family():
+            with pytest.raises(InvariantViolationError):
+                free_resolution(G).lift(1, {G.identity: 1})
+
+    def test_smith_forms_are_dropped_with_the_resolution(self):
+        G = cyclic(4)
+        clear_cache()
+        R = free_resolution(G)
+        R.lift(2, R.z_boundary(2).column(0))
+        assert R._smith
+        clear_cache()
+        assert not free_resolution(G)._smith
 
 
 class TestCaps:
@@ -229,6 +242,33 @@ def test_d4_node_report_builds_no_bar_complex_of_e(monkeypatch):
     assert d.h2_units_total == FinAbGroup.from_factors((2, 2, 2))
     assert d.h3_inflation_injective
 
+
+
+def test_non_split_d4_node_builds_only_the_bockstein_bar_complex(monkeypatch):
+    G = semidirect_cyclic_by_z2(4, 3)
+    ext = central_extension(G, 2, enumerate_extension_classes(G, 2)[1])
+    pt = StabilizerPoint("node", G, singular=True, extension=ext)
+    curve = CurveSpec(smooth=False, proper=True, points=(pt,),
+                      h1_stack_override=FinAbGroup.trivial())
+    built = []
+    original = cohomology_module.bar_differential
+
+    def counting(X, n):
+        built.append((X.order, n))
+        return original(X, n)
+
+    def refused(X, n):
+        raise AssertionError(f"homology_Z({X.order}, {n}) on the report path")
+
+    monkeypatch.setattr(cohomology_module, "bar_differential", counting)
+    monkeypatch.setattr(cohomology_module, "homology_Z", refused)
+    clear_cache()
+    rep = brauer_report(curve, 2)
+    monkeypatch.undo()
+    clear_cache()
+    # the Bockstein's H^3(G, Z) classes: its d_in and d_out, once each
+    assert sorted(built) == [(8, 2), (8, 3)]
+    assert rep.splitting == "unknown"
 
 
 def test_concurrent_callers_share_one_resolution():
