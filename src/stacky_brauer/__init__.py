@@ -14,6 +14,8 @@ resolutions, in exact sparse integer linear algebra:
 * cli:        the stacky-brauer command
 """
 
+from importlib import import_module as _import_module
+
 from .abelian import (
     AbGroupMap,
     FinAbGroup,
@@ -51,19 +53,6 @@ from .cohomology import (
     mod_coefficients,
     restriction_map,
 )
-from .curves import (
-    BrauerReport,
-    CurveSpec,
-    StabilizerPoint,
-    brauer_report,
-    h1_coarse_zr,
-    h1_stack_zr,
-    left_kernel,
-    local_gerbe_classification,
-    nonvanishing_h2_examples,
-    orbifold_abelianization,
-    stacky_units_cohomology,
-)
 from .errors import (
     ChainCompositionError,
     InputFormatError,
@@ -74,14 +63,6 @@ from .errors import (
     StackyBrauerError,
     TamenessError,
     ValidationError,
-)
-from .fibers import (
-    FiberDiagnostics,
-    analyze_fiber,
-    fiber_is_root_gerbe,
-    fiber_is_root_gerbe_via_inflation,
-    h2_section_exists,
-    h3_inflation_injective,
 )
 from .groups import (
     CentralExtension,
@@ -98,3 +79,42 @@ from .groups import (
 )
 
 __version__ = "0.1.0"
+
+# curves and fibers are imported on first use of one of their names or of
+# the module itself (PEP 562), so a process that only computes cohomology
+# never loads them.
+_LAZY = {
+    "BrauerReport": "curves",
+    "CurveSpec": "curves",
+    "StabilizerPoint": "curves",
+    "brauer_report": "curves",
+    "h1_coarse_zr": "curves",
+    "h1_stack_zr": "curves",
+    "left_kernel": "curves",
+    "local_gerbe_classification": "curves",
+    "nonvanishing_h2_examples": "curves",
+    "orbifold_abelianization": "curves",
+    "stacky_units_cohomology": "curves",
+    "FiberDiagnostics": "fibers",
+    "analyze_fiber": "fibers",
+    "fiber_is_root_gerbe": "fibers",
+    "fiber_is_root_gerbe_via_inflation": "fibers",
+    "h2_section_exists": "fibers",
+    "h3_inflation_injective": "fibers",
+}
+
+# A star import reads every name through __getattr__, so it binds the lazy
+# names as well as the ones imported above.
+__all__ = sorted({name for name in globals() if not name.startswith("_")}
+                 | set(_LAZY) | {"curves", "fibers"})
+
+
+def __getattr__(name):
+    module = name if name in ("curves", "fibers") else _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value

@@ -51,7 +51,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd
 
-from . import abelian
+from . import abelian, groups
 from .abelian import (
     AbGroupMap,
     FinAbGroup,
@@ -269,8 +269,11 @@ _CACHE_LOCK = threading.Lock()
 
 
 def clear_cache() -> None:
+    """Drop every cached value: cohomology groups, free resolutions and the
+    central extensions of groups.central_extension."""
     with _CACHE_LOCK:
         _CACHE.clear()
+    groups._EXTENSIONS.clear()
 
 
 def _integral_degree(n: int, coefficients: Coefficients) -> tuple:
@@ -599,25 +602,26 @@ def restriction_map(i: GroupHom, n: int, coefficients: Coefficients = INTEGERS,
 def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
     """Is inflation injective on H^degree(G, Z) along the surjection q: E -> G?
 
-    Builds no bar complex of E and no cohomology group of E.  A trivial
-    source H^n(G, Z) (a value, read off G's free resolution) certifies it,
-    and so does a section s of q (a split extension, which covers every
-    split gerbe and every fiber with gcd(r, |G|) = 1) in every degree,
-    since s* after q* is (q s)* = id.  Otherwise the question is answered
-    in homology one degree down: for a finite group and n >= 2 the
+    Builds no bar complex at all.  For a finite group and n >= 2 the
     universal coefficient theorem gives H^n(-, Z) = Ext(H_{n-1}(-, Z), Z)
     = Hom(H_{n-1}(-, Z), Q/Z), naturally, and that duality is exact on
-    finite groups, so q* is injective on H^n exactly when
-    q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) is surjective (Brown, Cohomology
-    of Groups, III.1).  q_* is read off E's free resolution
-    (_pushforward_onto).  Degree 0, where H^0(G, Z) = Z, is refused.
+    finite groups (Brown, Cohomology of Groups, III.1); H^1(G, Z) = 0.  So
+    a trivial H_{n-1}(G, Z), read off G's free resolution, certifies a
+    trivial source, and so does a section s of q (a split extension, which
+    covers every split gerbe and every fiber with gcd(r, |G|) = 1) in every
+    degree, since s* after q* is (q s)* = id.  Otherwise q* is injective on
+    H^n exactly when q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) is surjective, read
+    off the two groups' free resolutions (_pushforward_onto).  Degree 0,
+    where H^0(G, Z) = Z, is refused.
     """
     if not q.is_surjective:
         raise ValidationError("inflation needs a surjective homomorphism")
     n = integral_degree
     if n < 1:
         raise ValidationError("expected a finite cohomology group (degree >= 1)")
-    if cohomology_Z(q.target, n).value.is_trivial or section(q) is not None:
+    if n == 1 or resolution_homology_Z(q.target, n - 1).quotient.is_trivial:
+        return True
+    if section(q) is not None:
         return True
     return _pushforward_onto(q, n - 1)
 

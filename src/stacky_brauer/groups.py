@@ -264,8 +264,12 @@ class Cocycle2:
 
     @classmethod
     def zero(cls, base: FiniteGroup, modulus: int) -> "Cocycle2":
-        n = base.order
-        return cls(base, modulus, [[0] * n for _ in range(n)])
+        return cls(base, modulus, cls._zero_values(base.order))
+
+    @staticmethod
+    def _zero_values(n: int) -> tuple:
+        """The values of the zero cocycle on a group of order n."""
+        return ((0,) * n,) * n
 
     @classmethod
     def from_vector(cls, base: FiniteGroup, modulus: int, vec: dict) -> "Cocycle2":
@@ -330,9 +334,33 @@ class CentralExtension:
         return self.cocycle.modulus
 
 
+# (G, G.labels, r, cocycle values) -> CentralExtension; cohomology.clear_cache
+# empties it.
+_EXTENSIONS: dict = {}
+
+
+def _extension_key(G: FiniteGroup, r: int, values: tuple) -> tuple:
+    # E's labels come from G's, so they are part of the key
+    return (G, G.labels, r, values)
+
+
 def central_extension(G: FiniteGroup, r: int, c: Cocycle2) -> CentralExtension:
+    """The extension of G by Z/r with cocycle c, built and validated once.
+
+    Later calls with an equal table, labels, r and cocycle return the same
+    object: a CentralExtension and its groups are never mutated, and
+    setdefault makes concurrent first callers share one.
+    """
     if c.base != G or c.modulus != r:
         raise ValidationError("cocycle does not match the requested extension data")
+    key = _extension_key(G, r, c.values)
+    ext = _EXTENSIONS.get(key)
+    if ext is None:
+        ext = _EXTENSIONS.setdefault(key, _build_extension(G, r, c))
+    return ext
+
+
+def _build_extension(G: FiniteGroup, r: int, c: Cocycle2) -> CentralExtension:
     n = G.order
     idx = lambda g, t: g * r + t
     table = [[0] * (n * r) for _ in range(n * r)]
@@ -356,7 +384,10 @@ def central_extension(G: FiniteGroup, r: int, c: Cocycle2) -> CentralExtension:
 
 
 def split_extension(G: FiniteGroup, r: int) -> CentralExtension:
-    return central_extension(G, r, Cocycle2.zero(G, r))
+    """G x Z/r.  A built one is found before the zero cocycle is made, as
+    the cocycle check costs O(|G|^3) on every call."""
+    ext = _EXTENSIONS.get(_extension_key(G, r, Cocycle2._zero_values(G.order)))
+    return ext if ext is not None else central_extension(G, r, Cocycle2.zero(G, r))
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,51 @@ class TestUnreadableOrUnwritableFiles:
         assert "error: cannot read input:" in proc.stderr
 
 
+class TestRepeatedCalls:
+    """main is called many times in one process: one parser, no state
+    carried from one call to the next."""
+
+    def test_resource_cap_ends_with_its_call(self, capsys):
+        abelian = import_module("stacky_brauer.abelian")
+        assert main(["cohomology", "cyclic:4", "2", "Z", "--max-entries", "10"]) == 1
+        assert main(["cohomology", "semidirect_z2:4:3", "3", "Z"]) == 0
+        assert capsys.readouterr().out.strip() == "Z/2"
+        assert abelian._MAX_ENTRIES.get() == 5_000_000
+
+    def test_each_namespace_holds_only_its_own_flags(self, tmp_path, monkeypatch):
+        cli = import_module("stacky_brauer.cli")
+        seen = []
+        monkeypatch.setattr(cli, "run_brauer", lambda args: seen.append(vars(args)) or 0)
+        monkeypatch.setattr(cli, "run_cohomology", lambda args: seen.append(vars(args)) or 0)
+        inp, rpt = str(tmp_path / "doc.txt"), str(tmp_path / "A")
+        main(["brauer", "--input", inp, "--verify", "--char", "0", "--report", rpt])
+        main(["cohomology", "cyclic:4", "2", "Z"])
+        main(["brauer", "--input", inp])
+        assert seen == [
+            dict(command="brauer", input=inp, report=rpt, max_entries=None,
+                 char=0, verify=True),
+            dict(command="cohomology", group="cyclic:4", degree="2",
+                 coefficients="Z", report=None, max_entries=None, char=None,
+                 verify=False),
+            dict(command="brauer", input=inp, report=None, max_entries=None,
+                 char=None, verify=False),
+        ]
+
+    def test_usage_errors_match_a_fresh_parser(self, capsys):
+        cli = import_module("stacky_brauer.cli")
+        main(["cohomology", "cyclic:2", "1", "Z"])
+        capsys.readouterr()
+        for argv in ([], ["brauer", "--input", "x", "--bogus"],
+                     ["cohomology", "cyclic:2"], ["--help"], ["brauer", "--help"]):
+            with pytest.raises(SystemExit) as reused:
+                main(argv)
+            out = capsys.readouterr()
+            with pytest.raises(SystemExit) as fresh:
+                cli._parser.__wrapped__().parse_args(argv)
+            assert reused.value.code == fresh.value.code == (0 if "--help" in argv else 2)
+            assert capsys.readouterr() == out, argv
+
+
 NODE_Z2_DOC = textwrap.dedent("""\
     [curve]
     smooth = false

@@ -3,10 +3,11 @@ from math import gcd
 
 import pytest
 
-from stacky_brauer.abelian import is_injective, is_split_injection
+from stacky_brauer.abelian import is_injective, is_split_injection, set_resource_cap
 from stacky_brauer.cohomology import (
     UNITS,
     _kernel_trivial_by_homology,
+    clear_cache,
     cohomology_Z,
     cohomology_units,
     enumerate_extension_classes,
@@ -101,6 +102,22 @@ class TestH3Inflation:
             ext = central_extension(S3, 2, c)
             flags.append(h3_inflation_injective(ext))
         assert sorted(flags) == [False, True]
+
+    def test_answer_does_not_need_the_bar_shape_of_h4(self):
+        # a trivial source is read off H_3(G, Z), not off H^4(G, Z), whose
+        # bar rows (|G| - 1)^5 = 16,807 are over this cap: every class of D4
+        # with r = 2, the split one too, gets the same answer under it
+        D4 = semidirect_cyclic_by_z2(4, 3)
+        exts = [central_extension(D4, 2, c) for c in enumerate_extension_classes(D4, 2)]
+        expected = [h3_inflation_injective(ext) for ext in exts]
+        assert expected.count(True) == 1
+        clear_cache()
+        set_resource_cap(10_000)
+        try:
+            assert [h3_inflation_injective(ext) for ext in exts] == expected
+        finally:
+            set_resource_cap(5_000_000)
+            clear_cache()
 
 
 class TestSections:

@@ -1,9 +1,12 @@
+import sys
+import threading
 from collections import Counter
+from importlib import import_module
 
 import pytest
 
 from stacky_brauer.abelian import set_resource_cap
-from stacky_brauer.cohomology import enumerate_extension_classes
+from stacky_brauer.cohomology import clear_cache, enumerate_extension_classes
 from stacky_brauer.errors import ResourceCapError, ValidationError
 from stacky_brauer.groups import (
     Cocycle2,
@@ -64,6 +67,82 @@ class TestConstructors:
         finally:
             set_resource_cap(5_000_000)
         assert ext.total.order == 20
+
+
+class TestExtensionMemo:
+    """central_extension builds and validates each table once."""
+
+    def test_equal_data_share_one_extension(self):
+        G, H = cyclic(4), cyclic(4)
+        assert G is not H
+        ext = central_extension(G, 2, Cocycle2.zero(G, 2))
+        assert central_extension(H, 2, Cocycle2.zero(H, 2)) is ext
+        assert split_extension(H, 2) is ext
+
+    def test_built_split_extension_is_found_without_a_cocycle(self, monkeypatch):
+        # split_extension looks the memo up by the zero cocycle's values;
+        # a key that drifted from central_extension's would miss every time
+        groups = import_module("stacky_brauer.groups")
+        G = cyclic(3)
+        ext = central_extension(G, 4, Cocycle2.zero(G, 4))
+
+        def refuse(*args):
+            raise AssertionError("memo miss")
+
+        monkeypatch.setattr(groups, "central_extension", refuse)
+        monkeypatch.setattr(Cocycle2, "zero", refuse)
+        assert split_extension(cyclic(3), 4) is ext
+
+    def test_other_data_get_other_extensions(self):
+        G = cyclic(4)
+        ext = split_extension(G, 2)
+        nonsplit = enumerate_extension_classes(G, 2)[1]
+        # the same table without labels: E's base must keep its own labels
+        unlabeled = FiniteGroup(G.table)
+        others = [split_extension(G, 3), central_extension(G, 2, nonsplit),
+                  split_extension(unlabeled, 2)]
+        assert all(other is not ext for other in others)
+        assert split_extension(unlabeled, 2).base.labels is None
+        # a coboundary gives an isomorphic extension, but not the same table
+        b = [0, 1, 0, 0]
+        coboundary = Cocycle2(G, 2, [[(b[g] + b[h] - b[G.mul(g, h)]) % 2
+                                      for h in range(4)] for g in range(4)])
+        assert not coboundary.is_zero
+        assert central_extension(G, 2, coboundary) is not ext
+
+    def test_clear_cache_drops_the_memo(self):
+        ext = split_extension(cyclic(3), 2)
+        assert split_extension(cyclic(3), 2) is ext
+        clear_cache()
+        again = split_extension(cyclic(3), 2)
+        assert again is not ext
+        assert again.total == ext.total
+
+    def test_concurrent_callers_share_one_extension(self):
+        # more threads than cores, switching often: every first caller
+        # must get the one stored object
+        V = direct_product(cyclic(2), cyclic(2))
+        c = enumerate_extension_classes(V, 4)[3]
+        clear_cache()
+        results = []
+
+        def work():
+            results.append(central_extension(V, 4, c))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            clear_cache()
+        assert len(results) == 8
+        assert all(ext is results[0] for ext in results)
 
 
 class TestSemidirect:

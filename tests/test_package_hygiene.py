@@ -2,7 +2,9 @@
 name a module exports in __all__ exists."""
 
 import ast
+import subprocess
 import sys
+import textwrap
 from importlib import import_module
 from pathlib import Path
 
@@ -59,3 +61,45 @@ def test_report_path_stays_off_the_bar_homology():
             if name in oracle:
                 found.append((stem, name))
     assert not found, found
+
+
+def test_cohomology_command_loads_only_what_it_runs():
+    # every cohomology-only process would otherwise compile the report path
+    probe = ("import sys; from stacky_brauer.cli import main; main(sys.argv[1:]); "
+             "print(*sorted(m for m in sys.modules if m.startswith('stacky_brauer.')))")
+    lazy = {"stacky_brauer.curves", "stacky_brauer.fibers", "stacky_brauer.oracle"}
+    for flags, expected in (((), set()), (("--verify",), {"stacky_brauer.oracle"})):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "cohomology", "cyclic:4", "2", "Z", *flags],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        value, loaded = proc.stdout.splitlines()
+        assert value == "Z/4"
+        assert lazy & set(loaded.split()) == expected, flags
+
+
+def test_readme_library_tour_runs_as_written():
+    # a fresh process: in this one earlier tests may already have bound the
+    # lazy names on the package, which would hide a star import that misses
+    # them
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour\n\n```python\n", 1)[1].split("```", 1)[0]
+    probe = textwrap.dedent("""\
+        import ast, sys
+        tour, ns = sys.stdin.read(), {}
+        for node in ast.parse(tour).body:
+            if isinstance(node, ast.Expr):
+                value = eval(compile(ast.Expression(node.value), "tour", "eval"), ns)
+                print(node.lineno, value)
+            else:
+                exec(compile(ast.Module([node], []), "tour", "exec"), ns)
+        """)
+    proc = subprocess.run([sys.executable, "-c", probe], input=tour,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # each expression prints what its comment says, up to a remark in ( )
+    lines = tour.splitlines()
+    expected = [f"{node.lineno} {lines[node.lineno - 1].split('# ', 1)[1].split(' (')[0]}"
+                for node in ast.parse(tour).body if isinstance(node, ast.Expr)]
+    assert len(expected) == 4
+    assert proc.stdout.splitlines() == expected
