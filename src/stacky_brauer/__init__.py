@@ -4,7 +4,7 @@ The pipeline reduces everything to finite group cohomology, with values
 read off small free resolutions and classes off normalized bar
 resolutions, in exact sparse integer linear algebra:
 
-* abelian:    Smith normal form, abelian groups, subquotients of Z^n
+* abelian:    echelon and diagonal forms, abelian groups, subquotients of Z^n
 * groups:     multiplication tables, 2-cocycles, central extensions
 * cohomology: H^n(G, Z), H^n(G, Z/m), H^n(G, kx); inflation/restriction;
               Bockstein; integral homology off small free resolutions
@@ -25,15 +25,12 @@ from .abelian import (
     cokernel_of_map,
     homology_at,
     hom_to_cyclic,
-    image_group,
     induced_map,
     is_injective,
     is_split_injection,
     is_surjective,
     kernel_basis,
-    kernel_group,
     set_resource_cap,
-    smith_normal_form,
 )
 from .cohomology import (
     INTEGERS,
@@ -69,7 +66,6 @@ from .groups import (
     Cocycle2,
     FiniteGroup,
     GroupHom,
-    are_isomorphic,
     central_extension,
     cyclic,
     direct_product,

@@ -29,7 +29,7 @@ import contextvars
 import functools
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .abelian import FinAbGroup, set_resource_cap
 from .cohomology import (
@@ -100,6 +100,8 @@ class InputDocument:
     r: int = 1
     coarse_class: str = None
     points: list = field(default_factory=list)
+    # the CurveSpec parse_input built from these fields to validate them
+    spec: CurveSpec = field(default=None, repr=False, compare=False)
 
     def curve_spec(self) -> CurveSpec:
         from .curves import CurveSpec, StabilizerPoint
@@ -380,7 +382,7 @@ def parse_input(text: str) -> InputDocument:
     # semantic validation through the real constructors, mapped back to
     # document-level errors
     try:
-        doc.curve_spec()
+        doc.spec = doc.curve_spec()
     except (ValidationError, StackyBrauerError) as exc:
         raise InputFormatError(str(exc))
     return doc
@@ -521,9 +523,12 @@ def run_brauer(args) -> int:
         return 1
     try:
         doc = parse_input(input_text)
+        curve = doc.spec
         if args.char is not None:
+            # the same checks a fresh build runs: CurveSpec validates the
+            # characteristic, the points it holds were validated already
             doc.characteristic = args.char
-        curve = doc.curve_spec()
+            curve = replace(curve, characteristic=args.char)
         report = brauer_report(curve, doc.r, verify=args.verify)
     except StackyBrauerError as exc:
         return _fail(args.report, input_text, exc)

@@ -38,6 +38,9 @@ about linearly with the degree where the bar complex has (|X|-1)^n
 cells: resolution_homology_Z reads H_n(X, Z) off R^X (x)_X Z, and for
 q: E -> G the chain map psi: R^E -> R^G over q (comparison_chains) carries
 E's cycles into the homology of G read off the same kind of resolution.
+Each boundary d_n of R^X is eliminated once, by column operations alone
+(abelian.ColumnEchelon): its kernel gives the generators of R^X_{n+1} and
+the boundaries of H_n(X, Z), and its echelon form the lifts of psi.
 No question about homology builds a bar complex; the bar complex of G
 serves only cocycle classes (the Bockstein's H^3(G, Z) and the extension
 classes), and the bar homology homology_Z stays as the tests' oracle.
@@ -54,6 +57,7 @@ from math import gcd
 from . import abelian, groups
 from .abelian import (
     AbGroupMap,
+    ColumnEchelon,
     FinAbGroup,
     IntegerMatrix,
     IntegerSpan,
@@ -65,7 +69,6 @@ from .abelian import (
     induced_map,
     is_surjective,
     kernel_basis,
-    smith_normal_form,
 )
 from .errors import (
     InvariantViolationError,
@@ -269,11 +272,13 @@ _CACHE_LOCK = threading.Lock()
 
 
 def clear_cache() -> None:
-    """Drop every cached value: cohomology groups, free resolutions and the
-    central extensions of groups.central_extension."""
+    """Drop every cached value: cohomology groups, free resolutions, the
+    central extensions of groups.central_extension and the cyclic groups of
+    groups.cyclic."""
     with _CACHE_LOCK:
         _CACHE.clear()
     groups._EXTENSIONS.clear()
+    groups._cyclic.cache_clear()
 
 
 def _integral_degree(n: int, coefficients: Coefficients) -> tuple:
@@ -411,10 +416,18 @@ class FreeResolution:
 
     R_n = (ZE)^{k_n} has Z-basis (i, g), at index i * |E| + g, and E acts
     by h(i, g) = (i, hg); R_0 = ZE, augmented by (0, g) -> 1.  boundary(n)
-    lists d_n(e_i) in R_{n-1} for the generators e_i of R_n.  The
-    generators of R_{n+1} are chosen greedily from a Z-basis of ker d_n
-    (G. Ellis, Computing group resolutions, J. Symbolic Comput. 38 (2004)):
-    a kernel vector is kept when it is not in the integer span of the
+    lists d_n(e_i) in R_{n-1} for the generators e_i of R_n.  Each d_n (the
+    augmentation for n = 0) is eliminated once, into the ColumnEchelon
+    d_n V = [H | 0] (echelon(n)), held under the resolution's lock and
+    dropped with the resolution by clear_cache.  Its zero columns give a
+    Z-basis of ker d_n, which serves twice: as the candidates for
+    the generators of R_{n+1}, and, tensored down, as the incoming boundary
+    of resolution_homology_Z, since im(d_{n+1}) = ker d_n.  H and V answer
+    lift by forward substitution.
+
+    The generators of R_{n+1} are chosen greedily from that basis (G.
+    Ellis, Computing group resolutions, J. Symbolic Comput. 38 (2004)): a
+    kernel vector is kept when it is not in the integer span of the
     E-translates of those kept before it.  Once every basis vector has been
     passed, that span is all of ker d_n, so R is exact.  A rational span
     would keep too few generators and give a complex that is not exact.
@@ -427,7 +440,7 @@ class FreeResolution:
     def __init__(self, group: FiniteGroup):
         self.group = group
         self._boundaries = []     # _boundaries[n - 1] = boundary(n)
-        self._smith = {}          # n -> smith_normal_form(z_boundary(n)), for lift
+        self._echelons = {}       # n -> ColumnEchelon of d_n (n = 0: the augmentation)
         self._lock = threading.RLock()   # a kernel step reads the boundaries below it
 
     def rank(self, n: int) -> int:
@@ -446,17 +459,26 @@ class FreeResolution:
         N, row = self.group.order, self.group.table[h]
         return {i - i % N + row[i % N]: v for i, v in vec.items()}
 
+    def echelon(self, n: int) -> ColumnEchelon:
+        """The ColumnEchelon of d_n, of the augmentation R_0 -> Z for n = 0; built once."""
+        with self._lock:
+            ech = self._echelons.get(n)
+            if ech is None:
+                N = self.group.order
+                check_cap(N * self.rank(n), f"resolution kernel step |E| * k_{n}")
+                if n:
+                    d = self.z_boundary(n)
+                else:
+                    d = IntegerMatrix(1, N, {(0, g): 1 for g in range(N)})
+                ech = self._echelons[n] = ColumnEchelon(d)
+        return ech
+
     def _kernel_generators(self) -> tuple:
         n = len(self._boundaries)
         N = self.group.order
-        check_cap(N * self.rank(n), f"resolution kernel step |E| * k_{n}")
-        if n:
-            d = self.z_boundary(n)
-        else:
-            d = IntegerMatrix(1, N, {(0, g): 1 for g in range(N)})
         span = IntegerSpan()
         gens = []
-        for v in sorted(kernel_basis(d).col_view().values(), key=len):
+        for v in sorted(self.echelon(n).kernel(), key=len):
             if v in span:
                 continue
             gens.append(v)
@@ -488,24 +510,14 @@ class FreeResolution:
         return IntegerMatrix(self.rank(n), len(chains), entries)
 
     def lift(self, n: int, y: dict) -> dict:
-        """An x in R_n with d_n x = y, for a boundary y in R_{n-1}.
-
-        With S = U d_n V the Smith form of z_boundary(n), computed once per
-        degree, x = V S^-1 U y.  InvariantViolationError when y is not a
-        boundary.
+        """An x in R_n with d_n x = y, for a boundary y in R_{n-1}, by forward
+        substitution through echelon(n).  InvariantViolationError when y is
+        not a boundary.
         """
-        with self._lock:
-            snf = self._smith.get(n)
-            if snf is None:
-                snf = self._smith[n] = smith_normal_form(self.z_boundary(n))
-        S, U, V = snf
-        diag = S.diagonal()
-        x = {}
-        for i, v in U.apply(y).items():
-            if i >= len(diag) or not diag[i] or v % diag[i]:
-                raise InvariantViolationError(f"not in the image of d_{n}")
-            x[i] = v // diag[i]
-        return V.apply(x)
+        x = self.echelon(n).solve(y)
+        if x is None:
+            raise InvariantViolationError(f"not in the image of d_{n}")
+        return x
 
 
 def free_resolution(E: FiniteGroup) -> FreeResolution:
@@ -521,10 +533,15 @@ def free_resolution(E: FiniteGroup) -> FreeResolution:
 def resolution_homology_Z(X: FiniteGroup, n: int) -> Subquotient:
     """H_n(X, Z) for n >= 1, the homology of R (x)_X Z for X's free_resolution; cached.
 
-    In positive degree H_n is finite, so finite_homology_at reads it off
-    the incoming boundary d_{n+1} (x) Z, k_n x k_{n+1}.  Its cycles and lifts
-    are vectors over the generators of R_n.  For q: E -> X it is also
-    where comparison_classes reduces the images of E's cycles.
+    H_n = ker(d_n (x) Z) / im(d_{n+1} (x) Z), and im(d_{n+1} (x) Z) is the
+    image pi(ker d_n) of ker d_n = im d_{n+1} under the map pi: R_n ->
+    R_n (x)_X Z that sums each block of |X| entries.  So the incoming
+    boundary is pi of the kernel basis the degree-n echelon already gives
+    (k_n rows), and R is built only through degree n: no generator of
+    R_{n+1} is chosen.  In positive degree H_n is finite, so
+    finite_homology_at reads it off that boundary alone.  Its cycles and
+    lifts are vectors over the generators of R_n.  For q: E -> X it is
+    also where comparison_classes reduces the images of E's cycles.
     """
     if n < 1:
         raise ValidationError("integral homology is computed here for degree >= 1")
@@ -534,7 +551,7 @@ def resolution_homology_Z(X: FiniteGroup, n: int) -> Subquotient:
     if cached is None:
         R = free_resolution(X)
         cached = finite_homology_at(R.coinvariant_boundary(n),
-                                    R.coinvariant_boundary(n + 1))
+                                    R.coinvariants(n, R.echelon(n).kernel()))
         with _CACHE_LOCK:
             cached = _CACHE.setdefault(key, cached)
     return cached

@@ -9,6 +9,7 @@ search for sections of a surjection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .abelian import capped_power
@@ -17,8 +18,7 @@ from .errors import ValidationError
 __all__ = [
     "FiniteGroup", "GroupHom", "Cocycle2", "CentralExtension",
     "trivial_group", "cyclic", "direct_product", "semidirect_cyclic_by_z2",
-    "central_extension", "split_extension", "section", "are_isomorphic",
-    "check_group_order",
+    "central_extension", "split_extension", "section", "check_group_order",
 ]
 
 
@@ -141,7 +141,11 @@ def cyclic(n: int) -> FiniteGroup:
     return _cyclic(n)
 
 
+@lru_cache(maxsize=64)
 def _cyclic(n: int) -> FiniteGroup:
+    """Z/n, built and validated once while it is among the 64 orders last
+    asked for; cohomology.clear_cache empties the memo.  cyclic checks the
+    resource cap before every lookup, so a lower cap still refuses."""
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, labels=[str(i) for i in range(n)])
 
@@ -392,7 +396,7 @@ def split_extension(G: FiniteGroup, r: int) -> CentralExtension:
 
 # ---------------------------------------------------------------------------
 # Homomorphisms determined by a generating sequence: sections of a
-# surjection (the fiber battery) and brute-force isomorphism testing (tests)
+# surjection (the fiber battery; oracle.are_isomorphic uses them too)
 
 
 def _generating_sequence(G: FiniteGroup):
@@ -466,31 +470,3 @@ def section(q: GroupHom):
         if all(q(s(g)) == g for g in range(G.order)):
             return s
     return None
-
-
-def are_isomorphic(G: FiniteGroup, H: FiniteGroup, max_order: int = 16) -> bool:
-    """Brute-force isomorphism test for groups of order <= max_order."""
-    if G.order != H.order:
-        return False
-    if G.order > max_order:
-        raise ValidationError(f"isomorphism testing is capped at order {max_order}")
-    if G.element_orders() != H.element_orders():
-        return False
-    if G.is_abelian != H.is_abelian:
-        return False
-    gens = _generating_sequence(G)
-    by_order = {}
-    for h in range(H.order):
-        by_order.setdefault(H.element_order(h), []).append(h)
-
-    def backtrack(i, images):
-        if i == len(gens):
-            phi = _extend_hom(G, H, gens, images)
-            return phi is not None and len(set(phi.values())) == H.order
-        need = G.element_order(gens[i])
-        for h in by_order.get(need, ()):
-            if backtrack(i + 1, images + [h]):
-                return True
-        return False
-
-    return backtrack(0, [])

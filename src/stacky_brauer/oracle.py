@@ -12,7 +12,15 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .abelian import FinAbGroup, IntegerMatrix, capped_power, homology_at
+from . import abelian, groups
+from .abelian import (
+    AbGroupMap,
+    FinAbGroup,
+    IntegerMatrix,
+    capped_power,
+    cokernel,
+    homology_at,
+)
 from .cohomology import Coefficients, INTEGERS
 from .errors import ResourceCapError, ValidationError
 from .groups import FiniteGroup
@@ -21,6 +29,8 @@ __all__ = [
     "OracleResult", "ORACLE_CAP", "ORACLE_ELIMINATION_BUDGET",
     "full_bar_differential", "full_bar_cohomology",
     "cyclic_closed_form", "brute_cocycles", "brute_hom_from_presentation",
+    "determinant", "smith_normal_form", "image_group", "kernel_group",
+    "are_isomorphic",
 ]
 
 ORACLE_CAP = 500_000
@@ -300,3 +310,110 @@ def brute_hom_from_presentation(genus: int, orders, r: int) -> FinAbGroup:
     torsion_part = _type_from_order_counts(valid, multiple_is_zero, len(valid))
     free_images = FinAbGroup.from_factors([r] * (2 * genus))
     return torsion_part.direct_sum(free_images)
+
+
+# ---------------------------------------------------------------------------
+# Helpers with no caller in the engine: the tests' checks of its linear
+# algebra and of the groups it builds
+
+
+def determinant(M: IntegerMatrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination (small dense use)."""
+    if M.rows != M.cols:
+        raise ValidationError("determinant needs a square matrix")
+    n = M.rows
+    if n == 0:
+        return 1
+    a = M.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def smith_normal_form(M: IntegerMatrix):
+    """Smith normal form S = U @ M @ V with U, V unimodular.
+
+    S is diagonal with d1 | d2 | ... and all d_i >= 0 (nonzero entries
+    first).  Raises ResourceCapError when M exceeds the entry budget.
+    """
+    elim = abelian._Elim(M, track_v=True, log_rows=True).diagonalize()
+    elim.canonicalize()
+    urows, _ = abelian._replay_rows(elim.row_ops)
+
+    k = len(elim.pivots)
+    # permutations completing pivot order to full row/col orderings
+    row_order = [r for r, _ in elim.pivots] + sorted(set(range(M.rows)) - elim._pivot_rows)
+    col_order = [c for _, c in elim.pivots] + sorted(set(range(M.cols)) - elim._pivot_cols)
+    s_entries = {(i, i): elim.pivot_value(i) for i in range(k)}
+    S = IntegerMatrix(M.rows, M.cols, s_entries)
+
+    u_entries = {}
+    for i, r in enumerate(row_order):
+        for c, v in abelian._identity_vector(urows, r).items():
+            u_entries[(i, c)] = v
+    U = IntegerMatrix(M.rows, M.rows, u_entries)
+
+    v_entries = {}
+    for j, c in enumerate(col_order):
+        for r, v in elim.v_column(c).items():
+            v_entries[(r, j)] = v
+    V = IntegerMatrix(M.cols, M.cols, v_entries)
+    return S, U, V
+
+
+def image_group(f: AbGroupMap) -> FinAbGroup:
+    """The image of f, as an abstract group (source modulo kernel lattice)."""
+    return cokernel(abelian._map_solver(f).cycle_basis)
+
+
+def kernel_group(f: AbGroupMap) -> FinAbGroup:
+    """The kernel of f as an abstract group: kernel lattice modulo source relations.
+
+    The source relations d_i * e_i lie in the kernel lattice; their
+    coordinates in its basis are read off the one elimination of
+    _CycleSolver, and the kernel is the cokernel of those columns.
+    """
+    solver = abelian._map_solver(f)
+    rel = [solver.coords({i: d}) for i, d in enumerate(f.source.invariant_factors)]
+    return cokernel(IntegerMatrix.from_columns(solver.cycle_basis.cols, rel))
+
+
+def are_isomorphic(G: FiniteGroup, H: FiniteGroup, max_order: int = 16) -> bool:
+    """Brute-force isomorphism test for groups of order <= max_order."""
+    if G.order != H.order:
+        return False
+    if G.order > max_order:
+        raise ValidationError(f"isomorphism testing is capped at order {max_order}")
+    if G.element_orders() != H.element_orders():
+        return False
+    if G.is_abelian != H.is_abelian:
+        return False
+    gens = groups._generating_sequence(G)
+    by_order = {}
+    for h in range(H.order):
+        by_order.setdefault(H.element_order(h), []).append(h)
+
+    def backtrack(i, images):
+        if i == len(gens):
+            phi = groups._extend_hom(G, H, gens, images)
+            return phi is not None and len(set(phi.values())) == H.order
+        need = G.element_order(gens[i])
+        for h in by_order.get(need, ()):
+            if backtrack(i + 1, images + [h]):
+                return True
+        return False
+
+    return backtrack(0, [])

@@ -12,20 +12,16 @@ from stacky_brauer.abelian import (
     capped_power,
     cokernel,
     cokernel_of_map,
-    determinant,
     finite_homology_at,
     hom_to_cyclic,
     homology_at,
-    image_group,
     induced_map,
     invariant_factor_chain,
     is_injective,
     is_split_injection,
     is_surjective,
     kernel_basis,
-    kernel_group,
     set_resource_cap,
-    smith_normal_form,
 )
 from stacky_brauer.cohomology import bar_differential
 from stacky_brauer.errors import (
@@ -35,7 +31,13 @@ from stacky_brauer.errors import (
     ValidationError,
 )
 from stacky_brauer.groups import cyclic
-from stacky_brauer.oracle import _type_from_order_counts
+from stacky_brauer.oracle import (
+    _type_from_order_counts,
+    determinant,
+    image_group,
+    kernel_group,
+    smith_normal_form,
+)
 
 
 class TestSmithNormalForm:

@@ -511,6 +511,47 @@ class TestRepeatedCalls:
             assert capsys.readouterr() == out, argv
 
 
+class TestCurveSpecOnce:
+    """A brauer run builds the document's CurveSpec once, in parse_input."""
+
+    def test_a_run_builds_it_once(self, tmp_path, monkeypatch):
+        cli = import_module("stacky_brauer.cli")
+        built = []
+        original = cli.InputDocument.curve_spec
+
+        def counting(doc):
+            built.append(doc.characteristic)
+            return original(doc)
+
+        monkeypatch.setattr(cli.InputDocument, "curve_spec", counting)
+        inp, rpt = tmp_path / "doc.txt", tmp_path / "doc.rpt"
+        inp.write_text(SMOOTH_DOC)
+        assert main(["brauer", "--input", str(inp), "--report", str(rpt)]) == 0
+        assert main(["brauer", "--input", str(inp), "--char", "5", "--report", str(rpt)]) == 0
+        assert built == [0, 0]
+        assert "characteristic = 5" in rpt.read_text().splitlines()
+
+    @pytest.mark.parametrize("char, code, message", [
+        ("3", 1, "characteristic 3 divides |G| = 3 at point 'a'"),
+        ("1", 1, "characteristic must be 0 or a prime"),
+        ("2", 1, "characteristic 2 divides the gerbe modulus 2"),
+        ("5", 0, None),
+    ])
+    def test_an_overriding_characteristic_is_validated(self, tmp_path, capsys,
+                                                       char, code, message):
+        inp, rpt = tmp_path / "doc.txt", tmp_path / "doc.rpt"
+        inp.write_text(SMOOTH_DOC)
+        assert main(["brauer", "--input", str(inp), "--char", char,
+                     "--report", str(rpt)]) == code
+        lines = rpt.read_text().splitlines()
+        if message is None:
+            assert "status = error" not in lines
+        else:
+            assert lines[-3:] == ["status = error", "error-code = validation",
+                                  f"error-message = {message}"]
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
 NODE_Z2_DOC = textwrap.dedent("""\
     [curve]
     smooth = false

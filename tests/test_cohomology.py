@@ -14,8 +14,6 @@ from stacky_brauer.abelian import (
     is_split_injection,
     is_surjective,
     kernel_basis,
-    kernel_group,
-    image_group,
     cokernel_of_map,
 )
 from stacky_brauer.cohomology import (
@@ -52,6 +50,7 @@ from stacky_brauer.groups import (
     semidirect_cyclic_by_z2,
     trivial_group,
 )
+from stacky_brauer.oracle import image_group, kernel_group
 from conftest import quaternion8, quaternion_cocycle, small_family
 
 

@@ -12,7 +12,6 @@ from stacky_brauer.groups import (
     Cocycle2,
     FiniteGroup,
     GroupHom,
-    are_isomorphic,
     central_extension,
     cyclic,
     direct_product,
@@ -20,6 +19,7 @@ from stacky_brauer.groups import (
     semidirect_cyclic_by_z2,
     split_extension,
 )
+from stacky_brauer.oracle import are_isomorphic
 from conftest import quaternion_cocycle
 
 
@@ -73,7 +73,9 @@ class TestExtensionMemo:
     """central_extension builds and validates each table once."""
 
     def test_equal_data_share_one_extension(self):
-        G, H = cyclic(4), cyclic(4)
+        # cyclic(4) is built once per process, so H is built from its data
+        G = cyclic(4)
+        H = FiniteGroup(G.table, labels=G.labels)
         assert G is not H
         ext = central_extension(G, 2, Cocycle2.zero(G, 2))
         assert central_extension(H, 2, Cocycle2.zero(H, 2)) is ext
@@ -303,3 +305,42 @@ class TestIsomorphism:
     def test_order_cap(self):
         with pytest.raises(ValidationError):
             are_isomorphic(cyclic(17), cyclic(17))
+
+
+class TestCyclicMemo:
+    """groups.cyclic builds and validates one table per order."""
+
+    def test_each_order_is_built_once(self, monkeypatch):
+        clear_cache()
+        built = []
+        init = FiniteGroup.__init__
+
+        def counting(self, table, labels=None):
+            built.append(len(table))
+            init(self, table, labels)
+
+        monkeypatch.setattr(FiniteGroup, "__init__", counting)
+        groups = [cyclic(n) for n in (5, 7, 5, 7, 5)]
+        assert built == [5, 7]
+        assert groups[0] is groups[2] is groups[4] and groups[1] is groups[3]
+        clear_cache()
+
+    def test_a_lower_cap_still_refuses_a_built_order(self):
+        G = cyclic(30)
+        try:
+            set_resource_cap(30 ** 3 - 1)
+            with pytest.raises(ResourceCapError, match="associativity"):
+                cyclic(30)
+        finally:
+            set_resource_cap(5_000_000)
+        assert cyclic(30) is G
+
+    def test_clear_cache_drops_the_memo(self):
+        G = cyclic(9)
+        clear_cache()
+        H = cyclic(9)
+        assert H is not G and H == G and H.labels == G.labels
+
+    def test_memo_is_bounded(self):
+        maxsize = import_module("stacky_brauer.groups")._cyclic.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 256

@@ -63,6 +63,22 @@ def test_report_path_stays_off_the_bar_homology():
     assert not found, found
 
 
+def test_free_resolution_eliminates_with_its_own_echelon():
+    # each boundary is eliminated once, into FreeResolution.echelon; a call
+    # of either routine would eliminate the same matrix a second time
+    path = PACKAGE / "cohomology.py"
+    tree = ast.parse(path.read_text(), str(path))
+    cls, = [node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "FreeResolution"]
+    found = []
+    for node in ast.walk(cls):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in ("smith_normal_form", "kernel_basis"):
+            found.append((node.lineno, name))
+    assert not found, found
+
+
 def test_cohomology_command_loads_only_what_it_runs():
     # every cohomology-only process would otherwise compile the report path
     probe = ("import sys; from stacky_brauer.cli import main; main(sys.argv[1:]); "

@@ -9,7 +9,14 @@ from math import gcd
 
 import pytest
 
-from stacky_brauer.abelian import FinAbGroup, set_resource_cap
+from stacky_brauer.abelian import (
+    FinAbGroup,
+    IntegerMatrix,
+    IntegerSpan,
+    cokernel,
+    kernel_basis,
+    set_resource_cap,
+)
 from stacky_brauer.cohomology import (
     _kernel_trivial_by_homology,
     _pushforward_onto,
@@ -182,14 +189,92 @@ class TestLift:
             with pytest.raises(InvariantViolationError):
                 free_resolution(G).lift(1, {G.identity: 1})
 
-    def test_smith_forms_are_dropped_with_the_resolution(self):
+    def test_echelons_are_dropped_with_the_resolution(self):
         G = cyclic(4)
         clear_cache()
         R = free_resolution(G)
         R.lift(2, R.z_boundary(2).column(0))
-        assert R._smith
+        assert R._echelons
         clear_cache()
-        assert not free_resolution(G)._smith
+        assert not free_resolution(G)._echelons
+
+    def test_lift_solves_through_the_echelon(self):
+        for name, G in small_family():
+            clear_cache()
+            R = free_resolution(G)
+            for n in range(1, 5):
+                d, echelon = R.z_boundary(n), R.echelon(n)
+                for y in d.col_view().values():
+                    x = R.lift(n, y)
+                    assert x == echelon.solve(y) and d.apply(x) == y, (name, n)
+                assert R.echelon(n) is echelon, (name, n)
+        clear_cache()
+
+
+class TestOneEliminationPerDegree:
+    def test_kernel_is_the_kernel_lattice_through_degree_4(self):
+        # a Z-basis of ker d_n: killed by d_n, as many vectors as the
+        # nullity an untracked diagonalization gives, spanning a saturated
+        # lattice (torsion-free cokernel), and the same lattice as
+        # kernel_basis(z_boundary(n))
+        for label, ext in extensions(16):
+            R = free_resolution(ext.total)
+            for n in range(1, 5):
+                d = R.z_boundary(n)
+                K = R.echelon(n).kernel()
+                assert all(not d.apply(v) for v in K), (label, n)
+                rank = d.rows - cokernel(d).free_rank
+                assert len(K) == d.cols - rank, (label, n)
+                assert not cokernel(IntegerMatrix.from_columns(d.cols, K)).invariant_factors
+                other = kernel_basis(d).col_view().values()
+                span, other_span = IntegerSpan(), IntegerSpan()
+                for v in K:
+                    span.add(v)
+                for v in other:
+                    other_span.add(v)
+                assert all(v in other_span for v in K), (label, n)
+                assert all(v in span for v in other), (label, n)
+
+    def test_cold_homology_builds_only_its_own_degrees(self):
+        for label, ext in extensions(16):
+            for n in range(1, 5):
+                clear_cache()
+                resolution_homology_Z(ext.total, n)
+                R = free_resolution(ext.total)
+                assert len(R._boundaries) == n, (label, n)
+                assert sorted(R._echelons) == list(range(n + 1)), (label, n)
+        clear_cache()
+
+
+class TestDihedral24WithR2:
+    """The eight extension classes of the dihedral group of order 24 by
+    Z/2, split class first: H_2(E), and whether q_* is onto H_2(G) and
+    H_3(G)."""
+
+    H2 = [(2, 2, 2), (2, 2), (), (), (2, 2), (2,), (2,), ()]
+    ONTO_H2 = [True, True, False, False, True, True, False, False]
+    ONTO_H3 = [True] + [False] * 7
+
+    def test_answers_and_time(self):
+        G = semidirect_cyclic_by_z2(12, 11)
+        clear_cache()
+        projections = [central_extension(G, 2, c).projection
+                       for c in enumerate_extension_classes(G, 2)]
+        t0 = time.perf_counter()
+        answers = []
+        for q in projections:
+            answers.append((resolution_homology_Z(q.source, 2).quotient,
+                            _pushforward_onto(q, 2), _pushforward_onto(q, 3),
+                            resolution_homology_Z(G, 3).quotient))
+        elapsed = time.perf_counter() - t0
+        clear_cache()
+        assert answers == [
+            (FinAbGroup.from_factors(h2), onto2, onto3, FinAbGroup.from_factors((2, 2, 12)))
+            for h2, onto2, onto3 in zip(self.H2, self.ONTO_H2, self.ONTO_H3)]
+        # these take 0.2-0.3 s on a 2-vCPU VM; the bound leaves room for a
+        # slower machine and still catches a blow-up of the entries in the
+        # span of translates, which took minutes
+        assert elapsed < 10
 
 
 class TestCaps:
