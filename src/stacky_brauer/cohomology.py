@@ -17,7 +17,11 @@ from G's small free resolution (resolution_homology_Z below): no bar
 matrix is built for a value.  Its classes (representatives, class_of,
 bockstein, enumerate_extension_classes) come from the normalized bar
 complex, built on first use, and the quotient they give must equal the
-value, so every class build checks its value independently.  For
+value, so every class build checks its value independently.  bockstein_r,
+the Bockstein of an extension class, is read off H_2(G, Z) instead, as a
+character through the chain map from G's free resolution into the bar
+complex (FreeResolution.bar_chains), and builds bar classes only where
+|H^3(G, Z)| > 2 leaves its coordinates open.  For
 integral coefficients in positive degree H^n(G, Z) is finite, the
 torsion of coker(d_in), d_in: C^{n-1} -> C^n, and
 `abelian.finite_homology_at` eliminates d_in alone, only checking the
@@ -42,8 +46,9 @@ Each boundary d_n of R^X is eliminated once, by column operations alone
 (abelian.ColumnEchelon): its kernel gives the generators of R^X_{n+1} and
 the boundaries of H_n(X, Z), and its echelon form the lifts of psi.
 No question about homology builds a bar complex; the bar complex of G
-serves only cocycle classes (the Bockstein's H^3(G, Z) and the extension
-classes), and the bar homology homology_Z stays as the tests' oracle.
+serves only cocycle classes (the extension classes, and the Bockstein's
+coordinates where |H^3(G, Z)| > 2), and the bar homology homology_Z stays
+as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -441,6 +446,7 @@ class FreeResolution:
         self.group = group
         self._boundaries = []     # _boundaries[n - 1] = boundary(n)
         self._echelons = {}       # n -> ColumnEchelon of d_n (n = 0: the augmentation)
+        self._bar_chains = {}     # n -> bar_chains(n)
         self._lock = threading.RLock()   # a kernel step reads the boundaries below it
 
     def rank(self, n: int) -> int:
@@ -508,6 +514,37 @@ class FreeResolution:
                 key = (idx // N, i)
                 entries[key] = entries.get(key, 0) + v
         return IntegerMatrix(self.rank(n), len(chains), entries)
+
+    def bar_chains(self, n: int) -> tuple:
+        """phi_n(e_i) in the normalized bar complex of E for the generators e_i
+        of R_n, as {(x_1, ..., x_n): c} for the chain sum c [x_1|...|x_n]; built once.
+
+        phi: R -> Bar(E) is the chain map over the identity built with the
+        bar complex's contracting homotopy h(g_0[g_1|...]) = [g_0|g_1|...],
+        which is 0 when g_0 = 1 (Brown, Cohomology of Groups, I.7):
+        phi_0(e_0) = [] and phi_n(e_i) = h(phi_{n-1}(d_n e_i)), the sum of
+        c c' [x|t] over the terms c (j, x) of d_n(e_i) with x != 1 and the
+        terms c' [t] of phi_{n-1}(e_j).  Dropped with the resolution by
+        clear_cache.
+        """
+        if n == 0:
+            return ({(): 1},)
+        with self._lock:
+            chains = self._bar_chains.get(n)
+            if chains is None:
+                N, e = self.group.order, self.group.identity
+                prev = self.bar_chains(n - 1)
+                chains = []
+                for d in self.boundary(n):
+                    out = {}
+                    for idx, c in d.items():
+                        j, x = divmod(idx, N)
+                        if x != e:
+                            for t, c2 in prev[j].items():
+                                out[(x,) + t] = out.get((x,) + t, 0) + c * c2
+                    chains.append({k: v for k, v in out.items() if v})
+                chains = self._bar_chains[n] = tuple(chains)
+        return chains
 
     def lift(self, n: int, y: dict) -> dict:
         """An x in R_n with d_n x = y, for a boundary y in R_{n-1}, by forward
@@ -745,10 +782,53 @@ def bockstein(G: FiniteGroup, cochain: dict, degree: int, r: int) -> CohomologyC
 
 
 def bockstein_r(G: FiniteGroup, c: Cocycle2) -> CohomologyClass:
-    """Bockstein of a 2-cocycle class: an element of H^2(G, kx) = H^3(G, Z)."""
+    """Bockstein of a 2-cocycle class: an element of H^2(G, kx) = H^3(G, Z).
+
+    Read off H_2(G, Z) of G's free resolution, with no bar complex (Brown,
+    Cohomology of Groups, III.1): the Bockstein of Z/r -> Z -> Z/r factors
+    as delta after Z/r -> Q/Z, 1 -> 1/r, and for finite G, delta:
+    H^2(G, Q/Z) -> H^3(G, Z) is an isomorphism and H^2(G, Q/Z) =
+    Hom(H_2(G, Z), Q/Z).  So the class is the character z -> c(z)/r on
+    H_2(G, Z) (_bockstein_order), whose order is the class's.  Where
+    |H^3(G, Z)| <= 2 that order forces the coordinates; otherwise they are
+    the bar Bockstein's (bockstein), whose order must agree with the
+    character's, or InvariantViolationError.
+    """
     if c.base != G:
         raise ValidationError("cocycle is not defined over the given group")
-    return bockstein(G, c.to_vector(), 2, c.modulus)
+    order = _bockstein_order(G, c)
+    target = cohomology_Z(G, 3)
+    size = target.value.order()
+    if size <= 2:
+        if size % order:
+            raise InvariantViolationError(
+                f"a Bockstein of order {order} in H^3(G, Z) of order {size}")
+        # () when H^3(G, Z) = 0; (0,) or (1,) when it is Z/2
+        return CohomologyClass(target, (order - 1,) * target.value.num_generators)
+    beta = bockstein(G, c.to_vector(), 2, c.modulus)
+    if beta.order() != order:
+        raise InvariantViolationError(
+            f"the bar Bockstein has order {beta.order()}, its character on "
+            f"H_2(G, Z) order {order}")
+    return beta
+
+
+def _bockstein_order(G: FiniteGroup, c: Cocycle2) -> int:
+    """The order of the character z -> c(z)/r on H_2(G, Z): the lcm of
+    r / gcd(c(z_j), r) over the lifts z_j of resolution_homology_Z(G, 2),
+    each evaluated as c on its image under the free resolution's bar_chains(2).
+    """
+    H2 = resolution_homology_Z(G, 2)
+    if H2.quotient.is_trivial:
+        return 1
+    r, values = c.modulus, c.values
+    on_gens = [sum(v * values[x][g] for (x, g), v in chain.items())
+               for chain in free_resolution(G).bar_chains(2)]
+    order = 1
+    for z in H2.lifts:
+        value = sum(v * on_gens[i] for i, v in z.items())
+        order = abelian.lcm(order, r // gcd(value, r))
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ on it is the Pontryagin dual of q_*: H_2(E, Z) -> H_2(G, Z).  Every
 homology group of E and of G is read off the group's small free
 resolution, and q_* off the chain map between the two resolutions over q
 (cohomology.resolution_homology_Z, cohomology.comparison_classes): no bar
-complex of E is built at all, and the bar complex of G only for the
-Bockstein's classes.
+complex of E is built at all.  The Bockstein detector reads the class off
+H_2(G, Z) too (cohomology.bockstein_r), and builds the bar complex of G
+only to print coordinates where |H^3(G, Z)| > 2.
 """
 
 from __future__ import annotations
