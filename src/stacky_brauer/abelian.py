@@ -888,14 +888,23 @@ class IntegerSpan:
     basis vector, pivoting on its smallest entry.  Pivots are mostly +-1
     that way, so merges, and the growth of entries they cause, stay rare (a
     pivot fixed at the first nonzero index reached entries of tens of
-    thousands of bits on some kernels).  nnz counts the entries the basis
-    vectors hold.
+    thousands of bits on some kernels).  bits counts what the basis vectors
+    hold, each entry by its bit length (at least 1), and every time it
+    grows it is checked against the resource cap (ResourceCapError), so a
+    span whose entries explode is refused however few entries it has.
     """
 
     def __init__(self):
         self.basis = []
         self._position = {}    # p -> j for basis[j] = (p, u)
-        self.nnz = 0
+        self.bits = 0
+
+    def _hold(self, added: dict, dropped: dict) -> None:
+        grown = sum(map(int.bit_length, added.values())) - \
+            sum(map(int.bit_length, dropped.values()))
+        self.bits += grown
+        if grown > 0:
+            check_cap(self.bits, "integer span bits")
 
     def __contains__(self, vec: dict) -> bool:
         return not self._reduce(vec, insert=False)
@@ -941,12 +950,12 @@ class IntegerSpan:
             merged = _Elim._combine(u, x, w, y)
             w = _Elim._combine(u, b // g, w, -(a // g))
             basis[j] = (p, merged)
-            self.nnz += len(merged) - len(u)
+            self._hold(merged, u)
         if w and insert:
             p = min(w, key=lambda k: (abs(w[k]), k))
             position[p] = len(basis)
             basis.append((p, w))
-            self.nnz += len(w)
+            self._hold(w, {})
         return w
 
 

@@ -1,4 +1,4 @@
-"""Group cohomology with trivial coefficients via normalized bar resolutions.
+"""Group cohomology with trivial coefficients, valued off free resolutions.
 
 Computes H^n(G, Z), H^n(G, Z/m), and H^n(G, kx) for a finite group G
 acting trivially, together with inflation and restriction maps and the
@@ -10,47 +10,34 @@ algebraically closed field whose characteristic does not divide |G|
 (the unit group is then divisible with full prime-to-p torsion).  The
 characteristic enters only through that tameness check.
 
-cohomology() reads a group's value off homology, by the universal
-coefficient theorem H^n(G, A) = Hom(H_n(G, Z), A) + Ext(H_{n-1}(G, Z), A)
-(Brown, Cohomology of Groups, III.1), with H_0 = Z and H_n for n >= 1
-from G's small free resolution (resolution_homology_Z below): no bar
-matrix is built for a value.  Its classes (representatives, class_of,
-bockstein, enumerate_extension_classes) come from the normalized bar
-complex, built on first use, and the quotient they give must equal the
-value, so every class build checks its value independently.  bockstein_r,
-the Bockstein of an extension class, is read off H_2(G, Z) instead, as a
-character through the chain map from G's free resolution into the bar
-complex (FreeResolution.bar_chains), and builds bar classes only where
-|H^3(G, Z)| > 2 leaves its coordinates open.  For
-integral coefficients in positive degree H^n(G, Z) is finite, the
-torsion of coker(d_in), d_in: C^{n-1} -> C^n, and
-`abelian.finite_homology_at` eliminates d_in alone, only checking the
-much larger d_out; otherwise (Z/m coefficients, where every cochain is
-torsion, and degree 0) `abelian.homology_at` eliminates d_out, augmented
-by m*I for Z/m, for a cycle basis.
+cohomology() reads every value off homology, by the universal coefficient
+theorem H^n(G, A) = Hom(H_n(G, Z), A) + Ext(H_{n-1}(G, Z), A) (Brown,
+Cohomology of Groups, III.1), with H_n(X, Z), n >= 1, read off a small
+free ZX-resolution R^X (FreeResolution, after G. Ellis, Computing group
+resolutions, J. Symbolic Comput. 38 (2004)), whose ranks grow about
+linearly with the degree where the bar complex has (|X|-1)^n cells.  Only
+the resolution's own caps bound a value.  Each boundary d_n of R^X is
+eliminated once, by column operations alone (abelian.ColumnEchelon): its
+kernel gives the generators of R^X_{n+1} and the boundaries of H_n(X, Z),
+and its echelon form the lifts of the chain map psi: R^E -> R^G over
+q: E -> G (comparison_chains), which carries E's cycles into G's homology.
+For a finite group and n >= 2 the same theorem gives an exact duality
+H^n(-, Z) = Ext(H_{n-1}(-, Z), Z) = Hom(H_{n-1}(-, Z), Q/Z), so q* is
+injective on H^n exactly when q_* is onto H_{n-1}, and the Schur
+multiplier H_2(E, Z) has the value of H^2(E, kx) = H^3(E, Z).  The
+Bockstein of an extension class (bockstein_r) is a character on
+H_2(G, Z), through the chain map from R^G into the bar complex
+(FreeResolution.bar_chains).
 
-Injectivity of inflation on a non-split extension is decided in homology
-one degree down: for a finite group and n >= 2 the universal coefficient
-theorem gives natural isomorphisms H^n(-, Z) = Ext(H_{n-1}(-, Z), Z) =
-Hom(H_{n-1}(-, Z), Q/Z), an exact duality on finite groups, so q* is
-injective on H^n exactly when q_* is surjective on H_{n-1} (Brown,
-Cohomology of Groups, III.1); by the same duality the Schur multiplier
-H_2(E, Z) has the value of H^2(E, kx) = H^3(E, Z).  Every group X gets a
-small free ZX-resolution R^X (FreeResolution, after G. Ellis, Computing
-group resolutions, J. Symbolic Comput. 38 (2004)), whose ranks grow
-about linearly with the degree where the bar complex has (|X|-1)^n
-cells: resolution_homology_Z reads H_n(X, Z) off R^X (x)_X Z, and for
-q: E -> G the chain map psi: R^E -> R^G over q (comparison_chains) carries
-E's cycles into the homology of G read off the same kind of resolution.
-Each boundary d_n of R^X is eliminated once, by column operations alone
-(abelian.ColumnEchelon): its kernel gives the generators of R^X_{n+1} and
-the boundaries of H_n(X, Z), and its echelon form the lifts of psi.
-No question about homology builds a bar complex; the bar complex of G
-serves only cocycle classes (the extension classes, and the Bockstein's
-coordinates where |H^3(G, Z)| > 2), and the bar homology homology_Z stays
-as the tests' oracle.
+The normalized bar complex serves cocycle classes alone: a
+CohomologyGroup's representatives and class_of, the extension classes,
+and bockstein_r's coordinates where |H^3(G, Z)| > 2.  They are built on
+first use, checked against the value, and refused where bar_differential
+is over the cap.  With Z coefficients in positive degree they are the
+torsion of coker(d_in), d_in: C^{n-1} -> C^n (abelian.finite_homology_at);
+otherwise abelian.homology_at eliminates d_out, augmented by m*I for Z/m,
+for a cycle basis.  The bar homology is the tests' oracle (oracle.py).
 """
-
 from __future__ import annotations
 
 import threading
@@ -86,7 +73,7 @@ __all__ = [
     "Coefficients", "INTEGERS", "UNITS", "mod_coefficients",
     "CohomologyGroup", "CohomologyClass", "bar_differential",
     "cohomology", "cohomology_Z", "cohomology_Zm", "cohomology_units",
-    "homology_Z", "FreeResolution", "free_resolution",
+    "FreeResolution", "free_resolution",
     "resolution_homology_Z", "comparison_chains", "comparison_classes",
     "pullback_matrix", "inflation_map", "restriction_map",
     "inflation_kernel_trivial", "bockstein", "bockstein_r",
@@ -139,22 +126,6 @@ def validate_tameness(G: FiniteGroup, characteristic: int) -> None:
 # Normalized bar complex
 
 
-def _bar_shape(G: FiniteGroup, n: int) -> tuple:
-    """(rows, columns) of bar_differential(G, n), or ResourceCapError.
-
-    The rows, (|G|-1)^(n+1), are capped.  For |G| <= 2 the row count does
-    not grow with n, but one row's n + 2 faces of up to n + 1 entries are
-    held at once, so their count is capped too.
-    """
-    if n < 0:
-        raise ValidationError("degree must be nonnegative")
-    k = G.order - 1
-    rows = capped_power(k, n + 1, f"bar differential rows (|G|-1)^{n + 1}")
-    if k < 2:
-        check_cap((n + 1) * (n + 2), "bar differential faces of one row")
-    return rows, k ** n
-
-
 def bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:
     """The normalized bar differential d: C^n -> C^{n+1} (trivial action).
 
@@ -163,11 +134,18 @@ def bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:
     are dropped.  The matrix is the same integer matrix for every trivial
     coefficient module (Z/m coefficients reduce it modulo m later), and
     its entries stay in {-1, 0, +1} before coincidence-summing, which
-    keeps the eliminations well-conditioned.
+    keeps the eliminations well-conditioned.  Refused (ResourceCapError)
+    before it is built when its rows, (|G|-1)^(n+1), are over the cap; for
+    |G| <= 2, where they do not grow with n, when the n + 2 faces of up to
+    n + 1 entries of one row are.
     """
-    rows_n, cols_n = _bar_shape(G, n)
+    if n < 0:
+        raise ValidationError("degree must be nonnegative")
+    k = G.order - 1
+    rows_n = capped_power(k, n + 1, f"bar differential rows (|G|-1)^{n + 1}")
+    if k < 2:
+        check_cap((n + 1) * (n + 2), "bar differential faces of one row")
     nonid = G.nonidentity()
-    k = len(nonid)
     pos = {g: i for i, g in enumerate(nonid)}
     e = G.identity
     mul = G.mul
@@ -193,7 +171,7 @@ def bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:
                 entries[key] = nv
             elif key in entries:
                 del entries[key]
-    return IntegerMatrix(rows_n, cols_n, entries)
+    return IntegerMatrix(rows_n, k ** n, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +184,13 @@ class CohomologyGroup:
 
     representatives[i] is a sparse cochain vector over the normalized
     tuple basis for the i-th canonical generator; for units coefficients
-    these are integral cochains one degree up.  The value, read off the
-    homology of G's free resolution, is known on construction;
-    representatives, class_of and the subquotient's classes are built off
-    the bar complex on first use, and that build fails
-    (InvariantViolationError) unless its quotient is the value (see
-    cohomology).  For integral and units coefficients in positive degree
-    the classes are read off the cokernel of the incoming differential:
-    the generators are the U^-1 columns of its Smith form at the pivots
-    other than 1, and class_of checks that a vector is a cocycle and then
-    takes its U rows at those pivots modulo the invariant factors.  Where
-    the value does not force a basis (for example (Z/2)^3), these
+    these are integral cochains one degree up.  The value is known on
+    construction; representatives, class_of and the subquotient's classes
+    are built off the bar complex on first use (see cohomology).  For
+    integral and units coefficients in positive degree the generators are
+    the U^-1 columns of the Smith form of d_in at the pivots other than 1,
+    and class_of takes a cocycle's U rows there modulo the invariant
+    factors.  Where the value forces no basis (as for (Z/2)^3), these
     generators are the ones that route chose.
     """
 
@@ -301,10 +275,10 @@ def cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS,
                characteristic: int = 0) -> CohomologyGroup:
     """H^n(G, coefficients) with trivial action: the value now, the classes on first use.
 
-    The value is read off G's free resolution (_universal_coefficients)
-    and refused (ResourceCapError) wherever the bar differential of the
-    integral degree d (n + 1 for units) would be (_bar_shape).  The
-    classes are built off the bar complex on first use (_bar_classes).
+    The value is read off G's free resolution (_universal_coefficients),
+    and refused (ResourceCapError) only where that resolution's caps refuse
+    it (FreeResolution).  The classes are built off the bar complex on
+    first use (_bar_classes), refused where bar_differential is.
     """
     if n < 0:
         raise ValidationError("degree must be nonnegative")
@@ -315,9 +289,9 @@ def cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS,
     with _CACHE_LOCK:
         cached = _CACHE.get(key)
     if cached is None:
-        _, ambient = _bar_shape(G, degree)
         value = _universal_coefficients(G, degree, modulus)
-        cached = Subquotient(ambient, value, _bar_classes(G, degree, modulus, value))
+        cached = Subquotient((G.order - 1) ** degree, value,
+                             _bar_classes(G, degree, modulus, value))
         with _CACHE_LOCK:
             cached = _CACHE.setdefault(key, cached)
     return CohomologyGroup(G, n, coefficients, cached.quotient, cached)
@@ -326,7 +300,7 @@ def cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS,
 def _universal_coefficients(G: FiniteGroup, d: int, modulus: int) -> FinAbGroup:
     """H^d(G, A) = Hom(H_d, A) + Ext(H_{d-1}, A) for A = Z (modulus 0) or Z/modulus.
 
-    H_0 = Z and H_n = H_n(G, Z) = resolution_homology_Z(G, n) above, which
+    H_0 = Z and H_n = H_n(G, Z) = resolution_homology_Z(G, n) below, which
     is finite, so Hom(H_d, Z) is Z for d = 0 and 0 above; Ext(Z/e, A) = A/eA
     and Ext(Z, A) = 0.
     """
@@ -376,42 +350,6 @@ def cohomology_units(G: FiniteGroup, n: int, characteristic: int = 0) -> Cohomol
     return cohomology(G, n, UNITS, characteristic)
 
 
-def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
-    """H_n(X, Z) for n >= 1, from the bar chain complex; cached.
-
-    Nothing outside the tests calls it: every value is read off X's free
-    resolution (resolution_homology_Z), and this route, an elimination of
-    its own, is the tests' independent oracle for it, with
-    _kernel_trivial_by_homology for the push-forward.
-
-    The chain complex is the transpose of the cochain complex: the boundary
-    C_{m+1} -> C_m is bar_differential(X, m)^T.  In positive degree H_n is
-    finite, so finite_homology_at reads it off one elimination of the
-    incoming boundary bar_differential(X, n)^T and only checks the outgoing
-    one.  By the universal coefficient theorem H^{n+1}(X, Z) =
-    Ext(H_n(X, Z), Z) = Hom(H_n(X, Z), Q/Z), so the quotient has the
-    canonical value of H^{n+1}(X, Z).
-
-    It is refused (ResourceCapError) where H^{n+1}(X, Z) is refused by the
-    row count of its d_out, (|X|-1)^{n+2}.  The incoming boundary's
-    nonzeros are no measure of the elimination, which fills far beyond
-    them (at |X| = 50, H_2 with U and U^-1 built took 20 s and 650 MB on a
-    2-vCPU x86-64 VM).
-    """
-    if n < 1:
-        raise ValidationError("integral homology is computed here for degree >= 1")
-    key = ("homology", X.table, n)   # cohomology() keys start with a table
-    with _CACHE_LOCK:
-        cached = _CACHE.get(key)
-    if cached is None:
-        capped_power(X.order - 1, n + 2, f"H_{n} as H^{n + 1}: d_out rows (|G|-1)^{n + 2}")
-        cached = finite_homology_at(bar_differential(X, n - 1).transpose(),
-                                    bar_differential(X, n).transpose())
-        with _CACHE_LOCK:
-            cached = _CACHE.setdefault(key, cached)
-    return cached
-
-
 # ---------------------------------------------------------------------------
 # Free resolutions (the extension groups' route)
 
@@ -437,9 +375,16 @@ class FreeResolution:
     passed, that span is all of ker d_n, so R is exact.  A rational span
     would keep too few generators and give a complex that is not exact.
 
-    The kernel step of degree n is refused (ResourceCapError) when its
-    column count |E| * k_n is over the resource cap, and so is the span of
-    translates when its echelon form holds more entries than the cap.
+    Three resource caps bound it (ResourceCapError): the column count
+    |E| * k_n of the kernel step of degree n, the bits the span of
+    translates holds (IntegerSpan), and, before a walk to degree n starts
+    (after the kernel step of degree 0), (n + 1) * 5 * |E| for its n + 1
+    degrees.  5 * |E| entries a degree is a lower bound: the step forms
+    d_n, whose |E| * k_n >= |E| columns have 2 or more entries each (no
+    generator's boundary is one term), and the cyclic groups, whose rank-1
+    resolutions are the smallest, keep 3 * |E| (Z/2) to 3.5 * |E| (Z/50)
+    more.  The trivial group keeps none but costs 370 bytes and 8 us a
+    degree, and is charged 5.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -456,6 +401,10 @@ class FreeResolution:
         if n < 1:
             raise ValidationError("the resolution's boundaries start in degree 1")
         with self._lock:
+            if len(self._boundaries) < n:
+                self.echelon(0)
+                check_cap((n + 1) * 5 * self.group.order,
+                          f"resolution walk to degree {n}, 5 * |E| per degree")
             while len(self._boundaries) < n:
                 self._boundaries.append(self._kernel_generators())
         return self._boundaries[n - 1]
@@ -490,7 +439,6 @@ class FreeResolution:
             gens.append(v)
             for h in range(N):
                 span.add(self.translate(h, v))
-            check_cap(span.nnz, f"resolution span of E-translates in degree {n + 1}")
         return tuple(gens)
 
     def z_boundary(self, n: int) -> IntegerMatrix:
@@ -656,17 +604,14 @@ def restriction_map(i: GroupHom, n: int, coefficients: Coefficients = INTEGERS,
 def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
     """Is inflation injective on H^degree(G, Z) along the surjection q: E -> G?
 
-    Builds no bar complex at all.  For a finite group and n >= 2 the
-    universal coefficient theorem gives H^n(-, Z) = Ext(H_{n-1}(-, Z), Z)
-    = Hom(H_{n-1}(-, Z), Q/Z), naturally, and that duality is exact on
-    finite groups (Brown, Cohomology of Groups, III.1); H^1(G, Z) = 0.  So
-    a trivial H_{n-1}(G, Z), read off G's free resolution, certifies a
-    trivial source, and so does a section s of q (a split extension, which
-    covers every split gerbe and every fiber with gcd(r, |G|) = 1) in every
-    degree, since s* after q* is (q s)* = id.  Otherwise q* is injective on
-    H^n exactly when q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) is surjective, read
-    off the two groups' free resolutions (_pushforward_onto).  Degree 0,
-    where H^0(G, Z) = Z, is refused.
+    Builds no bar complex.  By the exact duality H^n(-, Z) =
+    Hom(H_{n-1}(-, Z), Q/Z) for n >= 2 (see the module docstring), and
+    H^1(G, Z) = 0, a trivial H_{n-1}(G, Z) certifies a trivial source, and
+    so does a section s of q (every split gerbe and every fiber with
+    gcd(r, |G|) = 1) in every degree, since s* after q* is (q s)* = id.
+    Otherwise q* is injective on H^n exactly when q_*: H_{n-1}(E, Z) ->
+    H_{n-1}(G, Z) is onto, read off the two groups' free resolutions
+    (_pushforward_onto).  Degree 0, where H^0(G, Z) = Z, is refused.
     """
     if not q.is_surjective:
         raise ValidationError("inflation needs a surjective homomorphism")
@@ -738,25 +683,6 @@ def _pushforward_onto(q: GroupHom, m: int) -> bool:
     cycles = kernel_basis(free_resolution(q.source).coinvariant_boundary(m))
     return _generate(comparison_classes(q, m, cycles.col_view().values()),
                      resolution_homology_Z(q.target, m).quotient)
-
-
-def _kernel_trivial_by_homology(q: GroupHom, src: CohomologyGroup) -> bool:
-    """The bar oracle of inflation_kernel_trivial's homology route: is
-    q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) onto, for src = H^n(G, Z), n >= 2?
-
-    The boundary C_{m+1} -> C_m of the bar chain complex is
-    bar_differential(X, m)^T, so the cycles of E in degree n - 1 are a
-    kernel basis of bar_differential(E, n - 2)^T, and q_# on C_{n-1} is
-    pullback_matrix(q, n - 1)^T; their images are reduced in the cached
-    H_{n-1}(G, Z) of homology_Z, whose reduce raises
-    NotChainCompatibleError on a pushed-forward chain that is not a cycle.
-    """
-    n = src.degree
-    H = homology_Z(q.target, n - 1)
-    push = pullback_matrix(q, n - 1).transpose()
-    cycles = kernel_basis(bar_differential(q.source, n - 2).transpose())
-    return _generate([H.reduce(push.apply(z)) for z in cycles.col_view().values()],
-                     H.quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .abelian import FinAbGroup, IntegerMatrix, cokernel, hom_to_cyclic, lcm
-from .cohomology import bockstein_r, cohomology_units, cohomology_Z
+from .cohomology import CohomologyClass, bockstein_r, cohomology_units, cohomology_Z
 from .errors import (
     InvariantViolationError,
     MissingDataError,
@@ -210,14 +210,15 @@ def left_kernel(curve: CurveSpec, r: int) -> FinAbGroup:
     """Kernel of the left map: the cyclic subgroup of (+) H^2(G_i, kx)
     generated by the tuple of Bockstein classes of the extensions."""
     curve.validate_modulus(r)
-    return _bockstein_span([pt.materialize_extension(r) for pt in curve.points])
+    exts = [pt.materialize_extension(r) for pt in curve.points]
+    return _bockstein_span(bockstein_r(ext.base, ext.cocycle) for ext in exts)
 
 
-def _bockstein_span(extensions) -> FinAbGroup:
-    """The cyclic group generated by the tuple of the extensions' Bockstein classes."""
+def _bockstein_span(classes) -> FinAbGroup:
+    """The cyclic group generated by a tuple of Bockstein classes."""
     order = 1
-    for ext in extensions:
-        order = lcm(order, bockstein_r(ext.base, ext.cocycle).order())
+    for beta in classes:
+        order = lcm(order, beta.order())
     return FinAbGroup.cyclic(order)
 
 
@@ -329,16 +330,18 @@ def brauer_report(curve: CurveSpec, r: int, *, verify: bool = False,
     fibers = tuple(
         (pt.name, analyze_fiber(ext, with_h3=shortcut != "smooth-shortcut"))
         for pt, ext in extensions)
-    lk = _bockstein_span(ext for _, ext in extensions)
+    # each fiber's Bockstein class, in H^2(G_i, kx) = H^3(G_i, Z)
+    betas = [CohomologyClass(cohomology_Z(pt.group, 3), d.bockstein_class)
+             for pt, (_, d) in zip(curve.points, fibers)]
+    lk = _bockstein_span(betas)
     root = lk.is_trivial
     right_exact = _conjunction(d.h3_inflation_injective for _, d in fibers)
 
     if root:
         left_image = left_term
     else:
-        gens = [cohomology_Z(pt.group, 3).value for pt in curve.points]
-        tuples = [d.bockstein_class for _, d in fibers]
-        left_image = _quotient_by_cyclic_subgroup(gens, tuples)
+        left_image = _quotient_by_cyclic_subgroup(
+            [b.parent.value for b in betas], [b.coords for b in betas])
 
     # decision table; on a smooth curve left_term is 0 (cyclic stabilizers)
     if shortcut is not None:

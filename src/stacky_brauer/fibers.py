@@ -14,16 +14,14 @@ coefficient theorem, H^n(-, Z) = Ext(H_{n-1}(-, Z), Z) =
 Hom(H_{n-1}(-, Z), Q/Z) naturally for a finite group and n >= 2, an exact
 duality, so q* is injective on H^n exactly when
 q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) is surjective (Brown, Cohomology of
-Groups, III.1).  The degree-2 units questions are answered one degree
-down the same way: H^2(-, kx) = H^3(-, Z) = Hom(H_2(-, Z), Q/Z), so
-H^2(E, kx) has the value of the Schur multiplier H_2(E, Z), and inflation
-on it is the Pontryagin dual of q_*: H_2(E, Z) -> H_2(G, Z).  Every
-homology group of E and of G is read off the group's small free
-resolution, and q_* off the chain map between the two resolutions over q
-(cohomology.resolution_homology_Z, cohomology.comparison_classes): no bar
-complex of E is built at all.  The Bockstein detector reads the class off
-H_2(G, Z) too (cohomology.bockstein_r), and builds the bar complex of G
-only to print coordinates where |H^3(G, Z)| > 2.
+Groups, III.1).  So are the degree-2 units questions: H^2(-, kx) =
+H^3(-, Z) = Hom(H_2(-, Z), Q/Z), so H^2(E, kx) has the value of the Schur
+multiplier H_2(E, Z), and inflation on it is the Pontryagin dual of q_*.
+Every homology group is read off the group's free resolution, and q_* off
+the chain map between the two resolutions over q: no bar complex of E is
+built.  The Bockstein detector reads the class off H_2(G, Z) too
+(cohomology.bockstein_r), and builds the bar complex of G only for
+coordinates where |H^3(G, Z)| > 2.
 """
 
 from __future__ import annotations

@@ -1,14 +1,17 @@
 """Independent verification paths for the cohomology engine.
 
-Three routes that share only the integer linear algebra with the main
-engine: the full (un-normalized) standard complex, closed forms for
-cyclic groups, and exhaustive cocycle/coboundary enumeration for tiny
-inputs.  Tests use these to certify the normalized-complex engine.
+Routes that share only the integer linear algebra with the engine's
+values: the full (un-normalized) standard complex, closed forms for
+cyclic groups, exhaustive cocycle enumeration for tiny inputs, and
+integral homology off the normalized bar chain complex (homology_Z).  No
+reported value passes through them; `cohomology --verify` runs the first
+two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from itertools import product
 from math import gcd
 
@@ -17,26 +20,32 @@ from .abelian import (
     AbGroupMap,
     FinAbGroup,
     IntegerMatrix,
+    Subquotient,
     capped_power,
     cokernel,
-    homology_at,
+    finite_homology_at,
+    kernel_basis,
 )
-from .cohomology import Coefficients, INTEGERS
+from .cohomology import Coefficients, CohomologyGroup, INTEGERS
 from .errors import ResourceCapError, ValidationError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, GroupHom
+
+# the engine's module (the package's `cohomology` is the function)
+_engine = import_module(".cohomology", __package__)
 
 __all__ = [
     "OracleResult", "ORACLE_CAP", "ORACLE_ELIMINATION_BUDGET",
-    "full_bar_differential", "full_bar_cohomology",
+    "full_bar_differential", "full_bar_cohomology", "homology_Z",
     "cyclic_closed_form", "brute_cocycles", "brute_hom_from_presentation",
     "determinant", "smith_normal_form", "image_group", "kernel_group",
     "are_isomorphic",
 ]
 
 ORACLE_CAP = 500_000
-# rows x columns of the d_out that full_bar_cohomology eliminates with V and
-# V^-1 tracked: over every query of the tests (Z/6 in degree 4, 7776 x 1296),
-# under H^4 of a group of order 12 (248,832 x 20,736), which ran for minutes
+# rows x columns of the d_out that full_bar_cohomology diagonalizes: over
+# every query of the tests (Z/6 in degree 4, 7776 x 1296), under H^4 of a
+# group of order 12 (248,832 x 20,736), which ran for minutes with V and
+# V^-1 tracked; kept so that `cohomology --verify` skips the same queries
 ORACLE_ELIMINATION_BUDGET = 100_000_000
 
 
@@ -80,9 +89,14 @@ def full_bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:
 def full_bar_cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS) -> OracleResult:
     """H^n via the full standard complex; must equal the normalized engine.
 
-    Refused (ResourceCapError) when d_out, which homology_at eliminates with
-    V and V^-1 tracked, has more than ORACLE_ELIMINATION_BUDGET entries
-    counting zeros, or more than ORACLE_CAP rows.
+    The value is read off untracked diagonalizations of d_in and d_out
+    (abelian.cokernel), once d_out @ d_in = 0 is checked.  With N cochains
+    H^n(G, Z) = Z^(N - rk d_in - rk d_out) + tors coker d_in, and with Z/m
+    coefficients, H^n(G, Z) (x) Z/m + Tor(H^{n+1}(G, Z), Z/m): (Z/m)^(the
+    same rank) + the Z/gcd(a_i, m) + the Z/gcd(b_j, m), over the invariant
+    factors a_i of coker d_in and b_j of coker d_out.  Refused
+    (ResourceCapError) when d_out has more than ORACLE_ELIMINATION_BUDGET
+    entries counting zeros, or more than ORACLE_CAP rows.
     """
     if coefficients.kind == "units":
         if n < 1:
@@ -95,8 +109,59 @@ def full_bar_cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INT
                  cap=ORACLE_ELIMINATION_BUDGET)
     d_out = full_bar_differential(G, n)
     d_in = full_bar_differential(G, n - 1) if n else IntegerMatrix(1, 0)
-    sub = homology_at(d_out, d_in, modulus=modulus)
-    return OracleResult(f"H^{n}(G, {coefficients}) via full bar", sub.quotient, "full-bar")
+    abelian._check_chain(d_out, d_in, 0)
+    coker_in, coker_out = cokernel(d_in), cokernel(d_out)
+    rank = coker_in.free_rank - (d_out.rows - coker_out.free_rank)
+    if modulus:
+        torsion = coker_in.invariant_factors + coker_out.invariant_factors
+        value = FinAbGroup.from_factors([modulus] * rank + [gcd(e, modulus) for e in torsion])
+    else:
+        value = FinAbGroup(rank, coker_in.invariant_factors)
+    return OracleResult(f"H^{n}(G, {coefficients}) via full bar", value, "full-bar")
+
+
+def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
+    """H_n(X, Z) for n >= 1 off the normalized bar chain complex, the tests'
+    oracle for cohomology.resolution_homology_Z; cached beside the engine's
+    values (cohomology.clear_cache drops it).
+
+    The boundary C_{m+1} -> C_m is bar_differential(X, m)^T.  H_n is
+    finite, so finite_homology_at reads it off one elimination of the
+    incoming boundary and only checks the outgoing one; its quotient has the
+    canonical value of H^{n+1}(X, Z) = Ext(H_n(X, Z), Z).  Refused
+    (ResourceCapError) where the bar d_out of H^{n+1}(X, Z) has over the
+    cap's (|X|-1)^{n+2} rows: the elimination fills far beyond the incoming
+    boundary's nonzeros (H_2 at |X| = 50 took 20 s and 650 MB).
+    """
+    if n < 1:
+        raise ValidationError("integral homology is computed here for degree >= 1")
+    key = ("homology", X.table, n)   # the engine's keys start with a table or a tag
+    with _engine._CACHE_LOCK:
+        cached = _engine._CACHE.get(key)
+    if cached is None:
+        capped_power(X.order - 1, n + 2, f"H_{n} as H^{n + 1}: d_out rows (|G|-1)^{n + 2}")
+        cached = finite_homology_at(_engine.bar_differential(X, n - 1).transpose(),
+                                    _engine.bar_differential(X, n).transpose())
+        with _engine._CACHE_LOCK:
+            cached = _engine._CACHE.setdefault(key, cached)
+    return cached
+
+
+def _kernel_trivial_by_homology(q: GroupHom, src: CohomologyGroup) -> bool:
+    """The bar oracle of cohomology.inflation_kernel_trivial's homology
+    route: is q_*: H_{n-1}(E, Z) -> H_{n-1}(G, Z) onto, for src = H^n(G, Z)?
+
+    E's (n-1)-cycles are a kernel basis of bar_differential(E, n - 2)^T,
+    pushed forward by pullback_matrix(q, n - 1)^T and reduced in
+    homology_Z(G, n - 1), which raises NotChainCompatibleError on a
+    non-cycle.
+    """
+    n = src.degree
+    H = homology_Z(q.target, n - 1)
+    push = _engine.pullback_matrix(q, n - 1).transpose()
+    cycles = kernel_basis(_engine.bar_differential(q.source, n - 2).transpose())
+    return _engine._generate(
+        [H.reduce(push.apply(z)) for z in cycles.col_view().values()], H.quotient)
 
 
 def cyclic_closed_form(n: int, degree: int, coefficients: Coefficients) -> OracleResult:

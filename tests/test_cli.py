@@ -226,6 +226,16 @@ class TestEndToEnd:
         assert proc.returncode == 1
         assert "cap" in proc.stderr.lower()
 
+    def test_report_past_the_bar_caps(self, tmp_path):
+        # H^3(Z/50, Z)'s bar d_out has 49^4 rows, over the default cap; the
+        # report reads every value off the free resolutions
+        inp, rpt = tmp_path / "node50.txt", tmp_path / "node50.rpt"
+        inp.write_text(NODE_DOC.replace("semidirect_z2:4:3", "cyclic:50")
+                       .replace("h1_stack = 0", "h1_stack = 2"))
+        proc = run_cli("brauer", "--input", str(inp), "--report", str(rpt))
+        assert proc.returncode == 0, proc.stderr
+        assert "result = Z/2" in rpt.read_text().splitlines()
+
     def test_huge_degree_is_refused_before_the_power(self, tmp_path):
         # (|G|-1)^(n+1) for n = 99999999999 must not be formed
         rpt = tmp_path / "huge.rpt"
@@ -316,8 +326,8 @@ class TestEndToEnd:
              "3", "units"], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "Z/12"
-        # the trivial group's bar rows do not grow with the degree, but the
-        # faces of one row do: refused before the resolution is walked
+        # the trivial group holds nothing a degree, but a walk through
+        # 10^11 degrees is still charged: refused before it starts
         rpt = tmp_path / "huge.rpt"
         proc = subprocess.run(
             [sys.executable, "-m", "stacky_brauer", "cohomology", "cyclic:1",

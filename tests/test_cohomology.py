@@ -19,7 +19,6 @@ from stacky_brauer.abelian import (
 from stacky_brauer.cohomology import (
     INTEGERS,
     UNITS,
-    _kernel_trivial_by_homology,
     bar_differential,
     bockstein,
     bockstein_r,
@@ -29,7 +28,6 @@ from stacky_brauer.cohomology import (
     cohomology_Zm,
     cohomology_units,
     enumerate_extension_classes,
-    homology_Z,
     inflation_kernel_trivial,
     inflation_map,
     mod_coefficients,
@@ -50,7 +48,12 @@ from stacky_brauer.groups import (
     semidirect_cyclic_by_z2,
     trivial_group,
 )
-from stacky_brauer.oracle import image_group, kernel_group
+from stacky_brauer.oracle import (
+    _kernel_trivial_by_homology,
+    homology_Z,
+    image_group,
+    kernel_group,
+)
 from conftest import quaternion8, quaternion_cocycle, small_family
 
 
@@ -253,13 +256,22 @@ class TestHomologyZ:
         with pytest.raises(ValidationError):
             homology_Z(cyclic(2), 0)
 
-    def test_refused_where_the_cohomology_it_replaces_is(self):
-        # |G| = 50: H^3(G, Z)'s d_out has 49^4 > 5M rows; H_2's elimination
-        # would run tens of seconds, so it is refused at once as well
+    def test_refused_where_its_bar_d_out_is(self, monkeypatch):
+        # |G| = 50: the bar d_out of H^3(G, Z) has 49^4 > 5M rows, and H_2's
+        # elimination would run tens of seconds, so it is refused at once;
+        # the engine reads H^3(G, Z) = Ext(H_2(G, Z), Z) off G's free
+        # resolution instead, with no bar matrix
         G = cyclic(50)
-        for question in (lambda: homology_Z(G, 2), lambda: cohomology_Z(G, 3)):
-            with pytest.raises(ResourceCapError, match="49\\^4|5764801"):
-                question()
+        with pytest.raises(ResourceCapError, match="49\\^4|5764801"):
+            homology_Z(G, 2)
+        coh, built = import_module("stacky_brauer.cohomology"), []
+        real = coh.bar_differential
+        monkeypatch.setattr(coh, "bar_differential",
+                            lambda X, n: built.append((X.order, n)) or real(X, n))
+        clear_cache()
+        assert cohomology_Z(G, 3).value == FinAbGroup.trivial()
+        assert built == []
+        monkeypatch.undo()
         assert homology_Z(cyclic(48), 1).quotient == FinAbGroup.cyclic(48)
 
 

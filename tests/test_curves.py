@@ -3,6 +3,7 @@ from importlib import import_module
 import pytest
 
 from stacky_brauer.abelian import FinAbGroup
+from stacky_brauer.cohomology import enumerate_extension_classes
 from stacky_brauer.curves import (
     CurveSpec,
     StabilizerPoint,
@@ -176,6 +177,32 @@ class TestLeftKernel:
         assert built == [(2, 2), (8, 2)]
         assert rep.left_kernel == left_kernel(curve, 2) == FinAbGroup.cyclic(2)
         assert built == [(2, 2), (8, 2)] * 2
+
+    def test_report_computes_each_fibers_bockstein_once(self, monkeypatch):
+        # the left kernel is read off the fibers' own classes; on Z/3 x Z/3
+        # (H^3 = Z/3) the classes come off the bar complex, on D4 (H^3 = Z/2)
+        # off the resolution alone
+        real = import_module("stacky_brauer.cohomology").bockstein_r
+        calls = []
+
+        def counting(G, c):
+            calls.append(G.order)
+            return real(G, c)
+
+        for name in ("curves", "fibers"):
+            monkeypatch.setattr(import_module(f"stacky_brauer.{name}"), "bockstein_r", counting)
+        for G, r, kernel in ((semidirect_cyclic_by_z2(4, 3), 2, 2),
+                             (direct_product(cyclic(3), cyclic(3)), 3, 3)):
+            classes = enumerate_extension_classes(G, r)
+            pts = tuple(StabilizerPoint(f"p{i}", G, singular=True,
+                                        extension=central_extension(G, r, classes[i]))
+                        for i in (0, len(classes) - 1))
+            curve = CurveSpec(smooth=False, proper=True, points=pts,
+                              h1_stack_override=FinAbGroup.trivial())
+            calls.clear()
+            rep = brauer_report(curve, r)
+            assert calls == [G.order] * 2
+            assert rep.left_kernel == left_kernel(curve, r) == FinAbGroup.cyclic(kernel)
 
 
 class TestLocalClassification:

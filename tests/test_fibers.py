@@ -6,7 +6,6 @@ import pytest
 from stacky_brauer.abelian import is_injective, is_split_injection, set_resource_cap
 from stacky_brauer.cohomology import (
     UNITS,
-    _kernel_trivial_by_homology,
     clear_cache,
     cohomology_Z,
     cohomology_units,
@@ -30,6 +29,7 @@ from stacky_brauer.groups import (
     semidirect_cyclic_by_z2,
     split_extension,
 )
+from stacky_brauer.oracle import _kernel_trivial_by_homology
 from conftest import quaternion_cocycle
 
 # the module, which the package's `cohomology` function shadows

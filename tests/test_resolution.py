@@ -19,16 +19,15 @@ from stacky_brauer.abelian import (
 )
 from stacky_brauer.cohomology import (
     FreeResolution,
-    _kernel_trivial_by_homology,
     _pushforward_onto,
     bockstein,
     bockstein_r,
     clear_cache,
     cohomology_Z,
+    cohomology_units,
     comparison_chains,
     enumerate_extension_classes,
     free_resolution,
-    homology_Z,
     resolution_homology_Z,
 )
 from stacky_brauer.curves import CurveSpec, StabilizerPoint, brauer_report
@@ -42,6 +41,8 @@ from stacky_brauer.groups import (
     semidirect_cyclic_by_z2,
     split_extension,
 )
+from stacky_brauer import oracle
+from stacky_brauer.oracle import _kernel_trivial_by_homology, homology_Z
 from conftest import small_family
 
 # the module, which the package's `cohomology` function shadows
@@ -293,6 +294,29 @@ class TestCaps:
             clear_cache()
         assert resolution_homology_Z(E, 2).quotient == FinAbGroup.cyclic(2)
 
+    def test_huge_degrees_are_refused_before_the_walk(self):
+        # a walk to degree n is charged (n + 1) * 5 * |E| before it starts,
+        # and the trivial group is charged as well, though it holds nothing
+        for order in (1, 2, 4):
+            t0 = time.perf_counter()
+            with pytest.raises(ResourceCapError, match="resolution walk"):
+                cohomology_Z(cyclic(order), 10 ** 11)
+            assert time.perf_counter() - t0 < 1, order
+
+    def test_span_whose_entries_explode_is_refused(self):
+        # the span of translates in D4's degree-11 kernel step holds
+        # 17.7 M bits in 2,663 entries when unbounded, and took 23 s; its
+        # bit count refuses it (0.6 s on a 2-vCPU x86-64 VM; the bound of
+        # 5 s was fixed before this test was written)
+        D4 = semidirect_cyclic_by_z2(4, 3)
+        clear_cache()
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="integer span bits"):
+            resolution_homology_Z(D4, 11)
+        elapsed = time.perf_counter() - t0
+        clear_cache()
+        assert elapsed < 5
+
 
 def node_curve(ext):
     """A proper nodal curve with one stacky node whose fiber is ext."""
@@ -353,7 +377,7 @@ def test_non_split_d4_node_builds_no_bar_complex(monkeypatch):
         raise AssertionError(f"homology_Z({X.order}, {n}) on the report path")
 
     built = count_bar_differentials(monkeypatch)
-    monkeypatch.setattr(cohomology_module, "homology_Z", refused)
+    monkeypatch.setattr(oracle, "homology_Z", refused)
     clear_cache()
     rep = brauer_report(node_curve(ext), 2)
     monkeypatch.undo()
@@ -361,6 +385,25 @@ def test_non_split_d4_node_builds_no_bar_complex(monkeypatch):
     # H^3(D4, Z) = Z/2: the Bockstein is read off H_2(D4, Z)
     assert built == []
     assert rep.splitting == "unknown"
+
+
+def test_values_past_the_bar_caps_build_no_bar_complex(monkeypatch):
+    # the bar d_out of each is over the default cap (49^4 rows for Z/50 in
+    # degree 3, 23^5 for the dihedral group of order 24 in degree 4), but
+    # only the free resolutions' caps bound a value
+    built = count_bar_differentials(monkeypatch)
+    clear_cache()
+    assert cohomology_Z(cyclic(50), 3).value == FinAbGroup.trivial()
+    assert cohomology_units(semidirect_cyclic_by_z2(12, 11), 3).value == \
+        FinAbGroup.from_factors((2, 2, 12))
+    node = StabilizerPoint("node", cyclic(50), singular=True)
+    rep = brauer_report(CurveSpec(smooth=False, proper=True, points=(node,),
+                                  h1_stack_override=FinAbGroup.cyclic(2)), 2)
+    monkeypatch.undo()
+    clear_cache()
+    assert built == []
+    assert rep.result.status == "determined"
+    assert rep.result.value == FinAbGroup.cyclic(2)
 
 
 class TestBocksteinOffTheResolution:
