@@ -16,9 +16,8 @@ from __future__ import annotations
 import contextvars
 import heapq
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .errors import (
     ChainCompositionError,
@@ -26,6 +25,7 @@ from .errors import (
     ResourceCapError,
     ValidationError,
 )
+from .records import Record
 
 _MAX_ENTRIES = contextvars.ContextVar("stacky_brauer_max_entries", default=5_000_000)
 
@@ -274,8 +274,7 @@ class IntegerMatrix:
 # Finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Record):
     """A finitely generated abelian group in canonical form.
 
     Torsion is an ascending divisibility chain with no factor equal to 1;
@@ -284,20 +283,20 @@ class FinAbGroup:
     generators.
     """
 
-    free_rank: int = 0
-    invariant_factors: tuple = ()
+    _fields = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, invariant_factors: tuple = ()):
+        if free_rank < 0:
             raise ValidationError("free rank must be nonnegative")
-        fs = tuple(self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", fs)
+        fs = tuple(invariant_factors)
         for d in fs:
             if d < 2:
                 raise ValidationError("invariant factors must be >= 2")
         for a, b in zip(fs, fs[1:]):
             if b % a != 0:
                 raise ValidationError(f"broken divisibility chain {fs}")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "invariant_factors", fs)
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":
@@ -1038,14 +1037,12 @@ class _CycleSolver:
         return out
 
 
-class _Classes(NamedTuple):
-    """What a Subquotient needs beyond its value to name and reduce classes."""
-
-    cycle_basis: IntegerMatrix
-    boundary_basis: IntegerMatrix
-    lifts: tuple        # one ambient cycle per canonical generator
-    solver: object      # cycle test and cycle coordinates
-    reduce_rows: tuple  # cycle coordinates -> quotient, one row per generator
+# What a Subquotient needs beyond its value to name and reduce classes:
+# the cycle and boundary bases (IntegerMatrix), lifts (one ambient cycle
+# per canonical generator), solver (cycle test and cycle coordinates) and
+# reduce_rows (cycle coordinates -> quotient, one row per generator).
+_Classes = namedtuple(
+    "_Classes", "cycle_basis boundary_basis lifts solver reduce_rows")
 
 
 class Subquotient:

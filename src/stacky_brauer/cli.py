@@ -29,7 +29,6 @@ import contextvars
 import functools
 import os
 import sys
-from dataclasses import dataclass, field, replace
 
 from .abelian import FinAbGroup, set_resource_cap
 from .cohomology import (
@@ -55,6 +54,7 @@ from .groups import (
     direct_product,
     semidirect_cyclic_by_z2,
 )
+from .records import MutableRecord
 
 FORMAT_VERSION = "1"
 
@@ -76,32 +76,44 @@ _GERBE_KEYS = {"r", "coarse_class"}
 _POINT_KEYS = {"group", "singular", "extension"}
 
 
-@dataclass
-class PointSection:
-    name: str
-    group_spec: str
-    group: FiniteGroup
-    singular: bool = False
-    extension_spec: str = "split"
-    cocycle: Cocycle2 = None
+class PointSection(MutableRecord):
+    _fields = ("name", "group_spec", "group", "singular", "extension_spec", "cocycle")
+
+    def __init__(self, name: str, group_spec: str, group: FiniteGroup,
+                 singular: bool = False, extension_spec: str = "split",
+                 cocycle: Cocycle2 = None):
+        self.name = name
+        self.group_spec = group_spec
+        self.group = group
+        self.singular = singular
+        self.extension_spec = extension_spec
+        self.cocycle = cocycle
 
 
-@dataclass
-class InputDocument:
+class InputDocument(MutableRecord):
     """A parsed and semantically validated input file."""
 
-    smooth: bool
-    proper: bool
-    connected: bool = True
-    genus: int = None
-    characteristic: int = 0
-    h1_stack: FinAbGroup = None
-    h1_coarse: FinAbGroup = None
-    r: int = 1
-    coarse_class: str = None
-    points: list = field(default_factory=list)
-    # the CurveSpec parse_input built from these fields to validate them
-    spec: CurveSpec = field(default=None, repr=False, compare=False)
+    _fields = ("smooth", "proper", "connected", "genus", "characteristic",
+               "h1_stack", "h1_coarse", "r", "coarse_class", "points")
+
+    def __init__(self, smooth: bool, proper: bool, connected: bool = True,
+                 genus: int = None, characteristic: int = 0,
+                 h1_stack: FinAbGroup = None, h1_coarse: FinAbGroup = None,
+                 r: int = 1, coarse_class: str = None, points: list = None,
+                 spec: CurveSpec = None):
+        self.smooth = smooth
+        self.proper = proper
+        self.connected = connected
+        self.genus = genus
+        self.characteristic = characteristic
+        self.h1_stack = h1_stack
+        self.h1_coarse = h1_coarse
+        self.r = r
+        self.coarse_class = coarse_class
+        self.points = [] if points is None else points
+        # the CurveSpec parse_input built from these fields to validate
+        # them; not compared or shown
+        self.spec = spec
 
     def curve_spec(self) -> CurveSpec:
         from .curves import CurveSpec, StabilizerPoint
@@ -279,6 +291,7 @@ def parse_input(text: str) -> InputDocument:
     section = None
     current_point = None
     point_names = []
+    keys_seen = set()        # the keys of the current section
     deferred_cocycles = []   # (PointSection, path, line)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -289,6 +302,7 @@ def parse_input(text: str) -> InputDocument:
             if not stripped.endswith("]"):
                 raise InputFormatError("unterminated section header", lineno)
             name = stripped[1:-1].strip()
+            keys_seen = set()
             if name == "curve":
                 if seen_curve:
                     raise InputFormatError("duplicate [curve] section", lineno)
@@ -319,6 +333,10 @@ def parse_input(text: str) -> InputDocument:
         value = value.strip()
         if section is None:
             raise InputFormatError("key outside any section", lineno)
+        if key in keys_seen:
+            where = f"point.{current_point.name}" if section == "point" else section
+            raise InputFormatError(f"duplicate key {key!r} in [{where}]", lineno)
+        keys_seen.add(key)
         if section == "curve":
             if key not in _CURVE_KEYS:
                 raise InputFormatError(f"unknown key {key!r} in [curve]", lineno)
@@ -513,7 +531,7 @@ def _fail(report_path, input_text: str, exc: StackyBrauerError) -> int:
 
 
 def run_brauer(args) -> int:
-    from .curves import brauer_report
+    from .curves import CurveSpec, brauer_report
 
     try:
         with open(args.input) as fh:
@@ -528,7 +546,10 @@ def run_brauer(args) -> int:
             # the same checks a fresh build runs: CurveSpec validates the
             # characteristic, the points it holds were validated already
             doc.characteristic = args.char
-            curve = replace(curve, characteristic=args.char)
+            curve = CurveSpec(
+                curve.smooth, curve.proper, curve.points, curve.coarse_genus,
+                args.char, curve.connected, curve.h1_stack_override,
+                curve.h1_coarse_override)
         report = brauer_report(curve, doc.r, verify=args.verify)
     except StackyBrauerError as exc:
         return _fail(args.report, input_text, exc)

@@ -41,7 +41,6 @@ for a cycle basis.  The bar homology is the tests' oracle (oracle.py).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import gcd
@@ -68,6 +67,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import Cocycle2, FiniteGroup, GroupHom, section
+from .records import Record
 
 __all__ = [
     "Coefficients", "INTEGERS", "UNITS", "mod_coefficients",
@@ -81,20 +81,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Coefficients:
+class Coefficients(Record):
     """Trivial-action coefficient tag: Z, Z/m, or the unit group kx."""
 
-    kind: str          # "Z" | "Zm" | "units"
-    modulus: int = 0   # m for "Zm", otherwise 0
+    _fields = ("kind", "modulus")
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Zm", "units"):
-            raise ValidationError(f"unknown coefficient kind {self.kind!r}")
-        if self.kind == "Zm" and self.modulus < 1:
+    def __init__(self, kind: str, modulus: int = 0):
+        # kind is "Z", "Zm" or "units"; modulus is m for "Zm", otherwise 0
+        if kind not in ("Z", "Zm", "units"):
+            raise ValidationError(f"unknown coefficient kind {kind!r}")
+        if kind == "Zm" and modulus < 1:
             raise ValidationError("Z/m coefficients need m >= 1")
-        if self.kind != "Zm" and self.modulus:
+        if kind != "Zm" and modulus:
             raise ValidationError("modulus only applies to Z/m coefficients")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "modulus", modulus)
 
     def __str__(self):
         if self.kind == "Z":
@@ -178,8 +179,7 @@ def bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:
 # Cohomology groups
 
 
-@dataclass(frozen=True)
-class CohomologyGroup:
+class CohomologyGroup(Record):
     """H^degree(group, coefficients): canonical value plus cocycle representatives.
 
     representatives[i] is a sparse cochain vector over the normalized
@@ -194,11 +194,15 @@ class CohomologyGroup:
     generators are the ones that route chose.
     """
 
-    group: FiniteGroup
-    degree: int
-    coefficients: Coefficients
-    value: FinAbGroup
-    subquotient: Subquotient
+    _fields = ("group", "degree", "coefficients", "value", "subquotient")
+
+    def __init__(self, group: FiniteGroup, degree: int, coefficients: Coefficients,
+                 value: FinAbGroup, subquotient: Subquotient):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "subquotient", subquotient)
 
     @cached_property
     def representatives(self) -> tuple:
@@ -219,12 +223,14 @@ class CohomologyGroup:
         return [CohomologyClass(self, tup) for tup in product(*ranges)]
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(Record):
     """An element of a computed cohomology group, in generator coordinates."""
 
-    parent: CohomologyGroup
-    coords: tuple
+    _fields = ("parent", "coords")
+
+    def __init__(self, parent: CohomologyGroup, coords: tuple):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "coords", coords)
 
     @property
     def is_zero(self) -> bool:

@@ -18,7 +18,6 @@ else yields honest partial bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .abelian import FinAbGroup, IntegerMatrix, cokernel, hom_to_cyclic, lcm
@@ -32,6 +31,7 @@ from .errors import (
 from .fibers import FiberDiagnostics, analyze_fiber
 from .groups import CentralExtension, FiniteGroup, split_extension
 from . import groups as _groups
+from .records import Record
 
 __all__ = [
     "StabilizerPoint", "CurveSpec", "ReportResult", "BrauerReport",
@@ -41,26 +41,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StabilizerPoint:
+class StabilizerPoint(Record):
     """A marked point: its stabilizer group, singularity flag, and gerbe data.
 
     extension is None for the split gerbe (it is materialized on demand);
     at a non-singular point the stabilizer must be cyclic.
     """
 
-    name: str
-    group: FiniteGroup
-    singular: bool = False
-    extension: CentralExtension = None
+    _fields = ("name", "group", "singular", "extension")
 
-    def __post_init__(self):
-        if not self.singular and not self.group.is_cyclic:
+    def __init__(self, name: str, group: FiniteGroup, singular: bool = False,
+                 extension: CentralExtension = None):
+        if not singular and not group.is_cyclic:
             raise ValidationError(
-                f"non-cyclic stabilizer at smooth point {self.name!r}")
-        if self.extension is not None and self.extension.base != self.group:
+                f"non-cyclic stabilizer at smooth point {name!r}")
+        if extension is not None and extension.base != group:
             raise ValidationError(
-                f"extension at point {self.name!r} is not over its stabilizer")
+                f"extension at point {name!r} is not over its stabilizer")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "singular", singular)
+        object.__setattr__(self, "extension", extension)
 
     def materialize_extension(self, r: int) -> CentralExtension:
         if self.extension is None:
@@ -72,8 +73,7 @@ class StabilizerPoint:
         return self.extension
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Record):
     """A tame stacky curve over an algebraically closed field.
 
     h1 overrides supply H^1(curve, Z/r) (stack) and H^1(coarse, Z/r) when
@@ -81,40 +81,45 @@ class CurveSpec:
     curves); they are the caller's responsibility and never guessed.
     """
 
-    smooth: bool
-    proper: bool
-    points: tuple = ()
-    coarse_genus: int = None
-    characteristic: int = 0
-    connected: bool = True
-    h1_stack_override: FinAbGroup = None
-    h1_coarse_override: FinAbGroup = None
+    _fields = ("smooth", "proper", "points", "coarse_genus", "characteristic",
+               "connected", "h1_stack_override", "h1_coarse_override")
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if not self.connected:
+    def __init__(self, smooth: bool, proper: bool, points: tuple = (),
+                 coarse_genus: int = None, characteristic: int = 0,
+                 connected: bool = True, h1_stack_override: FinAbGroup = None,
+                 h1_coarse_override: FinAbGroup = None):
+        points = tuple(points)
+        if not connected:
             raise ValidationError("disconnected curves are not supported")
-        names = [p.name for p in self.points]
+        names = [p.name for p in points]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate point names")
-        if self.characteristic:
-            p = self.characteristic
+        if characteristic:
+            p = characteristic
             if p < 2:
                 raise ValidationError("characteristic must be 0 or a prime")
-            for pt in self.points:
+            for pt in points:
                 if pt.group.order % p == 0:
                     raise TamenessError(
                         f"characteristic {p} divides |G| = {pt.group.order} "
                         f"at point {pt.name!r}")
-        if self.smooth:
-            for pt in self.points:
+        if smooth:
+            for pt in points:
                 if pt.singular:
                     raise ValidationError(
                         f"smooth curve cannot carry singular point {pt.name!r}")
-        if self.smooth and self.proper and self.coarse_genus is None:
+        if smooth and proper and coarse_genus is None:
             raise ValidationError("smooth proper curves need a coarse genus")
-        if self.coarse_genus is not None and self.coarse_genus < 0:
+        if coarse_genus is not None and coarse_genus < 0:
             raise ValidationError("genus must be nonnegative")
+        object.__setattr__(self, "smooth", smooth)
+        object.__setattr__(self, "proper", proper)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "coarse_genus", coarse_genus)
+        object.__setattr__(self, "characteristic", characteristic)
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "h1_stack_override", h1_stack_override)
+        object.__setattr__(self, "h1_coarse_override", h1_coarse_override)
 
     def validate_modulus(self, r: int) -> None:
         if r < 1:
@@ -233,8 +238,7 @@ def _conjunction(flags) -> object:
     return out
 
 
-@dataclass(frozen=True)
-class ReportResult:
+class ReportResult(Record):
     """Either the full Brauer group or honest partial information.
 
     status "determined": value holds the group.  status "partial":
@@ -242,37 +246,51 @@ class ReportResult:
     into quotient_bound (exactly equal when quotient_exact).
     """
 
-    status: str
-    value: FinAbGroup = None
-    subgroup: FinAbGroup = None
-    quotient_bound: FinAbGroup = None
-    quotient_exact: bool = False
+    _fields = ("status", "value", "subgroup", "quotient_bound", "quotient_exact")
+
+    def __init__(self, status: str, value: FinAbGroup = None,
+                 subgroup: FinAbGroup = None, quotient_bound: FinAbGroup = None,
+                 quotient_exact: bool = False):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "quotient_bound", quotient_bound)
+        object.__setattr__(self, "quotient_exact", quotient_exact)
 
 
-@dataclass(frozen=True)
-class BrauerReport:
-    curve: CurveSpec
-    r: int
-    left_term: FinAbGroup
-    left_kernel: FinAbGroup
-    left_image: FinAbGroup
-    right_term: FinAbGroup
-    right_term_source: str
-    fibers: tuple            # (point name, FiberDiagnostics) pairs
-    is_root_gerbe: bool
-    right_exact: object      # True / False / None (undetermined)
-    splitting: str           # coprime | sections | smooth-shortcut | unknown
-    result: ReportResult
+class BrauerReport(Record):
+    _fields = ("curve", "r", "left_term", "left_kernel", "left_image", "right_term",
+               "right_term_source", "fibers", "is_root_gerbe", "right_exact",
+               "splitting", "result")
 
-    def __post_init__(self):
-        flags = [d.is_root_gerbe for _, d in self.fibers]
-        if self.is_root_gerbe != all(flags):
+    def __init__(self, curve: CurveSpec, r: int, left_term: FinAbGroup,
+                 left_kernel: FinAbGroup, left_image: FinAbGroup,
+                 right_term: FinAbGroup, right_term_source: str,
+                 fibers: tuple, is_root_gerbe: bool, right_exact: object,
+                 splitting: str, result: ReportResult):
+        # fibers: (point name, FiberDiagnostics) pairs; right_exact: True,
+        # False or None (undetermined); splitting: coprime | sections |
+        # smooth-shortcut | unknown
+        flags = [d.is_root_gerbe for _, d in fibers]
+        if is_root_gerbe != all(flags):
             raise InvariantViolationError("root-gerbe flag mismatch")
-        if self.is_root_gerbe != self.left_kernel.is_trivial:
+        if is_root_gerbe != left_kernel.is_trivial:
             raise InvariantViolationError("left kernel contradicts fiber flags")
-        expected = _conjunction(d.h3_inflation_injective for _, d in self.fibers)
-        if self.right_exact != expected:
+        expected = _conjunction(d.h3_inflation_injective for _, d in fibers)
+        if right_exact != expected:
             raise InvariantViolationError("right-exactness flag mismatch")
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "left_term", left_term)
+        object.__setattr__(self, "left_kernel", left_kernel)
+        object.__setattr__(self, "left_image", left_image)
+        object.__setattr__(self, "right_term", right_term)
+        object.__setattr__(self, "right_term_source", right_term_source)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "is_root_gerbe", is_root_gerbe)
+        object.__setattr__(self, "right_exact", right_exact)
+        object.__setattr__(self, "splitting", splitting)
+        object.__setattr__(self, "result", result)
 
 
 def _quotient_by_cyclic_subgroup(total_gens, tuple_coords) -> FinAbGroup:

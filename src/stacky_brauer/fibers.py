@@ -26,8 +26,6 @@ coordinates where |H^3(G, Z)| > 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abelian import AbGroupMap, FinAbGroup, IntegerMatrix, is_split_injection
 from .cohomology import (
     bockstein_r,
@@ -38,6 +36,7 @@ from .cohomology import (
 )
 from .errors import InvariantViolationError, ResourceCapError
 from .groups import CentralExtension, GroupHom, section
+from .records import Record
 
 __all__ = [
     "FiberDiagnostics",
@@ -115,8 +114,7 @@ def _pontryagin_dual(f: AbGroupMap) -> AbGroupMap:
     return AbGroupMap(f.target, f.source, IntegerMatrix(len(a), len(b), entries))
 
 
-@dataclass(frozen=True)
-class FiberDiagnostics:
+class FiberDiagnostics(Record):
     """All per-fiber decision data for one stabilizer point.
 
     h2_units_total, h3_inflation_injective and h2_section_exists are None
@@ -126,25 +124,30 @@ class FiberDiagnostics:
     root_gerbe_via_inflation is None only in diagnostics built by hand.
     """
 
-    extension: CentralExtension
-    h2_units_base: FinAbGroup
-    h2_units_total: FinAbGroup
-    is_root_gerbe: bool
-    root_gerbe_via_inflation: object
-    h3_inflation_injective: object
-    h2_section_exists: object
-    bockstein_class: tuple
+    _fields = ("extension", "h2_units_base", "h2_units_total", "is_root_gerbe",
+               "root_gerbe_via_inflation", "h3_inflation_injective",
+               "h2_section_exists", "bockstein_class")
 
-    def __post_init__(self):
-        if self.root_gerbe_via_inflation is not None and \
-                self.root_gerbe_via_inflation != self.is_root_gerbe:
+    def __init__(self, extension: CentralExtension, h2_units_base: FinAbGroup,
+                 h2_units_total: FinAbGroup, is_root_gerbe: bool,
+                 root_gerbe_via_inflation: object, h3_inflation_injective: object,
+                 h2_section_exists: object, bockstein_class: tuple):
+        if root_gerbe_via_inflation is not None and \
+                root_gerbe_via_inflation != is_root_gerbe:
             raise InvariantViolationError(
                 "root-gerbe detectors disagree: Bockstein "
-                f"{self.is_root_gerbe}, inflation {self.root_gerbe_via_inflation}")
-        if self.h2_section_exists is True and \
-                self.root_gerbe_via_inflation is False:
+                f"{is_root_gerbe}, inflation {root_gerbe_via_inflation}")
+        if h2_section_exists is True and root_gerbe_via_inflation is False:
             raise InvariantViolationError(
                 "a split injection cannot fail to be injective")
+        object.__setattr__(self, "extension", extension)
+        object.__setattr__(self, "h2_units_base", h2_units_base)
+        object.__setattr__(self, "h2_units_total", h2_units_total)
+        object.__setattr__(self, "is_root_gerbe", is_root_gerbe)
+        object.__setattr__(self, "root_gerbe_via_inflation", root_gerbe_via_inflation)
+        object.__setattr__(self, "h3_inflation_injective", h3_inflation_injective)
+        object.__setattr__(self, "h2_section_exists", h2_section_exists)
+        object.__setattr__(self, "bockstein_class", bockstein_class)
 
 
 def _capped(question, *args):

@@ -8,12 +8,12 @@ search for sections of a surjection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .abelian import capped_power
 from .errors import ValidationError
+from .records import Record
 
 __all__ = [
     "FiniteGroup", "GroupHom", "Cocycle2", "CentralExtension",
@@ -192,26 +192,25 @@ def semidirect_cyclic_by_z2(n: int, a: int) -> FiniteGroup:
     return FiniteGroup(table, labels=labels)
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Record):
     """A homomorphism given by the image index of every source element."""
 
-    source: FiniteGroup
-    target: FiniteGroup
-    image: tuple
+    _fields = ("source", "target", "image")
 
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
-        if len(self.image) != self.source.order:
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, image: tuple):
+        image = tuple(image)
+        if len(image) != source.order:
             raise ValidationError("image list length mismatch")
-        for v in self.image:
-            if not (0 <= v < self.target.order):
+        for v in image:
+            if not (0 <= v < target.order):
                 raise ValidationError("image index out of range")
-        for a in range(self.source.order):
-            for b in range(self.source.order):
-                if self.image[self.source.mul(a, b)] != \
-                        self.target.mul(self.image[a], self.image[b]):
+        for a in range(source.order):
+            for b in range(source.order):
+                if image[source.mul(a, b)] != target.mul(image[a], image[b]):
                     raise ValidationError("not a homomorphism")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "image", image)
 
     @classmethod
     def identity(cls, G: FiniteGroup) -> "GroupHom":
@@ -316,18 +315,21 @@ class Cocycle2:
         return f"Cocycle2(|G|={self.base.order}, r={self.modulus})"
 
 
-@dataclass(frozen=True)
-class CentralExtension:
+class CentralExtension(Record):
     """0 -> Z/r -> E -> G -> 0 built from a normalized 2-cocycle.
 
     Elements of E are pairs (g, t) with index g*r + t and multiplication
     (g,s)(h,t) = (gh, s + t + c(g,h)).
     """
 
-    cocycle: Cocycle2
-    total: FiniteGroup
-    projection: GroupHom
-    kernel_embedding: GroupHom
+    _fields = ("cocycle", "total", "projection", "kernel_embedding")
+
+    def __init__(self, cocycle: Cocycle2, total: FiniteGroup, projection: GroupHom,
+                 kernel_embedding: GroupHom):
+        object.__setattr__(self, "cocycle", cocycle)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "kernel_embedding", kernel_embedding)
 
     @property
     def base(self) -> FiniteGroup:

@@ -10,7 +10,6 @@ two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import import_module
 from itertools import product
 from math import gcd
@@ -29,6 +28,7 @@ from .abelian import (
 from .cohomology import Coefficients, CohomologyGroup, INTEGERS
 from .errors import ResourceCapError, ValidationError
 from .groups import FiniteGroup, GroupHom
+from .records import Record
 
 # the engine's module (the package's `cohomology` is the function)
 _engine = import_module(".cohomology", __package__)
@@ -49,11 +49,13 @@ ORACLE_CAP = 500_000
 ORACLE_ELIMINATION_BUDGET = 100_000_000
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    description: str
-    value: FinAbGroup
-    method: str
+class OracleResult(Record):
+    _fields = ("description", "value", "method")
+
+    def __init__(self, description: str, value: FinAbGroup, method: str):
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)
 
 
 def full_bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:

@@ -75,6 +75,37 @@ class TestParsing:
         assert err.value.line == 5
         assert "color" in str(err.value)
 
+    @pytest.mark.parametrize("text, line, where", [
+        ("[curve]\nsmooth = true\nproper = true\ngenus = 1\ngenus = 2\n"
+         "[gerbe]\nr = 2\n", 5, "'genus' in [curve]"),
+        ("[curve]\nsmooth = true\nproper = true\ngenus = 1\n"
+         "[gerbe]\nr = 2\nr = 3\n", 7, "'r' in [gerbe]"),
+        ("[curve]\nsmooth = true\nproper = true\ngenus = 1\n[gerbe]\nr = 2\n"
+         "[point.p]\ngroup = cyclic:2\n[point.q]\ngroup = cyclic:2\n"
+         "group = cyclic:3\n", 11, "'group' in [point.q]"),
+    ])
+    def test_repeated_key_positioned(self, text, line, where):
+        with pytest.raises(InputFormatError) as err:
+            parse_input(text)
+        assert err.value.line == line
+        assert f"duplicate key {where}" in str(err.value)
+
+    def test_repeated_extension_does_not_keep_the_first(self, tmp_path):
+        # a repeated extension key once kept the deferred cocycle of the first
+        (tmp_path / "c.coc").write_text("modulus 2\n0 0\n0 1\n")
+        head = ("[curve]\nsmooth = false\nproper = true\nh1_stack = 2\n"
+                "[gerbe]\nr = 2\n[point.node]\ngroup = cyclic:2\nsingular = true\n")
+        cocycle = f"extension = cocycle:{tmp_path / 'c.coc'}\n"
+        inp, rpt = tmp_path / "doc.txt", tmp_path / "doc.rpt"
+        for body, code, line in ((cocycle, 2, "result-subgroup = 0"),
+                                 ("extension = split\n", 0, "result = Z/2"),
+                                 (cocycle + "extension = split\n", 1,
+                                  "error-message = line 11: duplicate key "
+                                  "'extension' in [point.node]")):
+            inp.write_text(head + body)
+            assert main(["brauer", "--input", str(inp), "--report", str(rpt)]) == code
+            assert line in rpt.read_text().splitlines()
+
     def test_noncyclic_smooth_point_rejected(self):
         text = ("[curve]\nsmooth = true\nproper = true\ngenus = 0\n"
                 "[gerbe]\nr = 2\n[point.p]\ngroup = product:cyclic:2*cyclic:2\n")
@@ -555,7 +586,14 @@ class TestCurveSpecOnce:
                      "--report", str(rpt)]) == code
         lines = rpt.read_text().splitlines()
         if message is None:
-            assert "status = error" not in lines
+            # the report of a document that states the characteristic itself
+            written = tmp_path / "written.txt"
+            written.write_text(SMOOTH_DOC.replace("characteristic = 0",
+                                                  f"characteristic = {char}"))
+            assert main(["brauer", "--input", str(written), "--report", str(rpt)]) == 0
+            assert [x for x in lines if not x.startswith("input-sha256")] == \
+                [x for x in rpt.read_text().splitlines() if not x.startswith("input-sha256")]
+            assert capsys.readouterr().err == ""
         else:
             assert lines[-3:] == ["status = error", "error-code = validation",
                                   f"error-message = {message}"]

@@ -2,6 +2,7 @@
 name a module exports in __all__ exists."""
 
 import ast
+import os
 import subprocess
 import sys
 import textwrap
@@ -28,6 +29,23 @@ def test_every_import_is_stdlib_or_the_package():
                 if top != "stacky_brauer" and top not in sys.stdlib_module_names:
                     foreign.append((path.name, node.lineno, name))
     assert not foreign, foreign
+
+
+def test_no_module_imports_dataclasses():
+    # each @dataclass compiles and execs generated methods at import, and
+    # importing dataclasses itself loads inspect, ast, dis and tokenize
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "dataclasses" in names:
+                found.append((path.name, node.lineno))
+    assert not found, found
 
 
 def test_every_exported_name_resolves():
@@ -103,14 +121,20 @@ def test_free_resolution_eliminates_with_its_own_echelon():
 
 
 def test_cohomology_command_loads_only_what_it_runs():
-    # every cohomology-only process would otherwise compile the report path
+    # every cohomology-only process would otherwise compile the report path,
+    # or the standard modules that dataclasses loads; -S keeps site's hooks
+    # from loading modules the command does not
     probe = ("import sys; from stacky_brauer.cli import main; main(sys.argv[1:]); "
-             "print(*sorted(m for m in sys.modules if m.startswith('stacky_brauer.')))")
-    lazy = {"stacky_brauer.curves", "stacky_brauer.fibers", "stacky_brauer.oracle"}
+             "print(*sorted(m for m in sys.modules if m.startswith('stacky_brauer.')"
+             " or m in ('dataclasses', 'inspect')))")
+    lazy = {"stacky_brauer.curves", "stacky_brauer.fibers", "stacky_brauer.oracle",
+            "dataclasses", "inspect"}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
     for flags, expected in (((), set()), (("--verify",), {"stacky_brauer.oracle"})):
         proc = subprocess.run(
-            [sys.executable, "-c", probe, "cohomology", "cyclic:4", "2", "Z", *flags],
-            capture_output=True, text=True, timeout=60)
+            [sys.executable, "-S", "-c", probe, "cohomology", "cyclic:4", "2", "Z", *flags],
+            capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
         value, loaded = proc.stdout.splitlines()
         assert value == "Z/4"
