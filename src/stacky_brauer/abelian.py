@@ -791,7 +791,9 @@ class ColumnEchelon:
     is triangular in retirement order (pivots: row, column and H column)
     and has full column rank.  Since V is unimodular, the V columns of the
     columns left zero are a basis of the integer kernel lattice of M
-    (kernel), and H answers M x = y by forward substitution (solve).
+    (kernel), and H answers M x = y by forward substitution (solve).  A row
+    with one live column left retires it at once, with no pivot rule to
+    apply.
     """
 
     def __init__(self, M: IntegerMatrix):
@@ -813,9 +815,10 @@ class ColumnEchelon:
                     heapq.heappush(heap, (len(live), r))
                 continue
             while True:
-                c = min(live, key=lambda cc: (abs(cols[cc][r]), len(cols[cc]), -cc))
                 if len(live) == 1:
+                    c = next(iter(live))
                     break
+                c = min(live, key=lambda cc: (abs(cols[cc][r]), len(cols[cc]), -cc))
                 pcol, v = cols[c], cols[c][r]
                 pv = vcols.get(c) or {c: 1}
                 for c2 in sorted(live - {c}):
@@ -880,22 +883,26 @@ class IntegerSpan:
     It is held as a column echelon built by insertion: basis[j] = (p, u)
     with u[p] != 0, and u is zero at the pivot index p of every earlier
     basis vector.  A vector is in the span exactly when reducing it by the
-    basis vectors in order (forward substitution) leaves 0: at step j its
-    entry at p must be a multiple of u[p].  A new vector whose entry is not
-    such a multiple is merged with u by a unimodular gcd step, so the span
-    is over Z, not over Q; what is left after the last step becomes a new
-    basis vector, pivoting on its smallest entry.  Pivots are mostly +-1
-    that way, so merges, and the growth of entries they cause, stay rare (a
-    pivot fixed at the first nonzero index reached entries of tens of
-    thousands of bits on some kernels).  bits counts what the basis vectors
-    hold, each entry by its bit length (at least 1), and every time it
-    grows it is checked against the resource cap (ResourceCapError), so a
-    span whose entries explode is refused however few entries it has.
+    basis vectors in order (forward substitution, one pass over the basis)
+    leaves 0: at step j its entry at p must be a multiple of u[p].  A new
+    vector whose entry is not such a multiple is merged with u by a
+    unimodular gcd step, so the span is over Z, not over Q; what is left
+    after the last step becomes a new basis vector, pivoting on its
+    smallest entry.  On the pivot indices the basis is triangular, so once
+    every u[p] is +-1 the span is saturated (is_saturated), and then it is
+    the whole of any saturated lattice of its rank that holds it, such as
+    the kernel of a matrix: no vector of that lattice changes it.  Pivots
+    are mostly +-1 that way, so merges, and the growth of entries they
+    cause, stay rare (a pivot fixed at the first nonzero index reached
+    entries of tens of thousands of bits on some kernels).  bits counts
+    what the basis vectors hold, each entry by its bit length (at least 1),
+    and every time it grows it is checked against the resource cap
+    (ResourceCapError), so a span whose entries explode is refused however
+    few entries it has.
     """
 
     def __init__(self):
         self.basis = []
-        self._position = {}    # p -> j for basis[j] = (p, u)
         self.bits = 0
 
     def _hold(self, added: dict, dropped: dict) -> None:
@@ -911,37 +918,30 @@ class IntegerSpan:
     def add(self, vec: dict) -> None:
         self._reduce(vec, insert=True)
 
+    def is_saturated(self) -> bool:
+        """Whether every pivot is +-1, so that Z^n / span has no torsion."""
+        return all(u[p] in (1, -1) for p, u in self.basis)
+
     def _reduce(self, vec: dict, insert: bool) -> dict:
         """Reduce vec by the basis vectors in order and return what is left.
 
         Without insert the reduction stops at the first step it cannot
         clear, so {} comes back exactly when vec is in the span.  With
         insert that step's basis vector and vec are merged, and the rest
-        goes on.  Only the steps whose pivot index is nonzero in what is
-        left are visited, in order, from a heap.
+        goes on.  One ordered pass over the basis visits the steps whose
+        pivot index is nonzero in what is left, and ends once nothing is.
         """
-        basis, position = self.basis, self._position
+        basis = self.basis
         w = {k: v for k, v in vec.items() if v}
-        todo = [position[k] for k in w if k in position]
-        heapq.heapify(todo)
-        last = -1
-        while todo:
-            j = heapq.heappop(todo)
-            if j == last:
-                continue
-            last = j
-            p, u = basis[j]
+        for j, (p, u) in enumerate(basis):
             b = w.get(p)
             if not b:
                 continue
-            for k in u:
-                if k not in w:
-                    i = position.get(k)
-                    if i is not None and i > j:
-                        heapq.heappush(todo, i)
             a = u[p]
             if b % a == 0:
                 _Elim._vec_acc(w, u, -(b // a))
+                if not w:
+                    return w
                 continue
             if not insert:
                 return w
@@ -952,7 +952,6 @@ class IntegerSpan:
             self._hold(merged, u)
         if w and insert:
             p = min(w, key=lambda k: (abs(w[k]), k))
-            position[p] = len(basis)
             basis.append((p, w))
             self._hold(w, {})
         return w

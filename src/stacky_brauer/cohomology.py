@@ -192,9 +192,14 @@ class CohomologyGroup(Record):
     and class_of takes a cocycle's U rows there modulo the invariant
     factors.  Where the value forces no basis (as for (Z/2)^3), these
     generators are the ones that route chose.
+
+    Two groups are equal when group, degree, coefficients and value are:
+    the classes come from the bar complex of the group, which its table
+    fixes, so the subquotient (built anew after clear_cache) is not
+    compared.
     """
 
-    _fields = ("group", "degree", "coefficients", "value", "subquotient")
+    _fields = ("group", "degree", "coefficients", "value")
 
     def __init__(self, group: FiniteGroup, degree: int, coefficients: Coefficients,
                  value: FinAbGroup, subquotient: Subquotient):
@@ -380,6 +385,12 @@ class FreeResolution:
     E-translates of those kept before it.  Once every basis vector has been
     passed, that span is all of ker d_n, so R is exact.  A rational span
     would keep too few generators and give a complex that is not exact.
+    The greedy stops early, adding no more translates and testing no more
+    candidates, once the span has the nullity of d_n as its rank and +-1
+    pivots: it is then saturated (IntegerSpan), so it is ker d_n and would
+    keep nothing more.  The translates of the generators it kept are the
+    columns of d_{n+1}, in order; the first z_boundary(n + 1), which
+    echelon(n + 1) asks for, takes them, and no later call holds them.
 
     Three resource caps bound it (ResourceCapError): the column count
     |E| * k_n of the kernel step of degree n, the bits the span of
@@ -397,6 +408,7 @@ class FreeResolution:
         self.group = group
         self._boundaries = []     # _boundaries[n - 1] = boundary(n)
         self._echelons = {}       # n -> ColumnEchelon of d_n (n = 0: the augmentation)
+        self._translates = {}     # n -> the columns of d_n the greedy formed, until used
         self._bar_chains = {}     # n -> bar_chains(n)
         self._lock = threading.RLock()   # a kernel step reads the boundaries below it
 
@@ -437,22 +449,34 @@ class FreeResolution:
     def _kernel_generators(self) -> tuple:
         n = len(self._boundaries)
         N = self.group.order
+        kernel = self.echelon(n).kernel()
         span = IntegerSpan()
-        gens = []
-        for v in sorted(self.echelon(n).kernel(), key=len):
+        gens, translates = [], []
+        full = False     # the span is ker d_n: saturated, of rank its nullity
+        for v in sorted(kernel, key=len):
             if v in span:
                 continue
             gens.append(v)
             for h in range(N):
-                span.add(self.translate(h, v))
+                t = self.translate(h, v)
+                translates.append(t)
+                if not full:
+                    span.add(t)
+                    full = len(span.basis) == len(kernel) and span.is_saturated()
+            if full:
+                break
+        self._translates[n + 1] = translates
         return tuple(gens)
 
     def z_boundary(self, n: int) -> IntegerMatrix:
-        """d_n as an integer matrix, |E| * k_{n-1} x |E| * k_n."""
+        """d_n as an integer matrix, |E| * k_{n-1} x |E| * k_n; the first call
+        takes the columns the greedy formed, later ones form them again."""
         N = self.group.order
         gens = self.boundary(n)
-        return IntegerMatrix.from_columns(N * self.rank(n - 1), (
-            self.translate(g, d) for d in gens for g in range(N)))
+        columns = self._translates.pop(n, None)
+        if columns is None:
+            columns = (self.translate(g, d) for d in gens for g in range(N))
+        return IntegerMatrix.from_columns(N * self.rank(n - 1), columns)
 
     def coinvariant_boundary(self, n: int) -> IntegerMatrix:
         """d_n (x)_E Z, k_{n-1} x k_n."""

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .abelian import FinAbGroup, IntegerMatrix, cokernel, hom_to_cyclic, lcm
+from .abelian import (FinAbGroup, IntegerMatrix, cokernel, hom_to_cyclic,
+                      invariant_factor_chain, lcm)
 from .cohomology import CohomologyClass, bockstein_r, cohomology_units, cohomology_Z
 from .errors import (
     InvariantViolationError,
@@ -151,18 +152,12 @@ def orbifold_abelianization(genus: int, orders) -> FinAbGroup:
     """Abelianized orbifold fundamental group of a smooth proper curve.
 
     Generators: 2*genus free ones and one torsion generator per marked
-    point, with relations n_i g_i = 0 and sum g_i = 0.
+    point, with relations n_i g_i = 0 and sum g_i = 0.  The torsion part
+    is (+) Z/n_i modulo the diagonal, whose p-part, of order the largest
+    p-part of the n_i, spans a direct summand at each prime p; the
+    quotient drops it, and so drops the last invariant factor.
     """
-    orders = list(orders)
-    n = len(orders)
-    gens = 2 * genus + n
-    entries = {}
-    for i, ni in enumerate(orders):
-        entries[(2 * genus + i, i)] = ni
-    for i in range(n):
-        entries[(2 * genus + i, n)] = 1
-    rel = IntegerMatrix(gens, n + 1, entries)
-    return cokernel(rel)
+    return FinAbGroup(2 * genus, invariant_factor_chain(orders)[:-1])
 
 
 def h1_stack_zr(curve: CurveSpec, r: int) -> FinAbGroup:

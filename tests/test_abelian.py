@@ -193,6 +193,82 @@ class TestIntegerSpan:
                 assert (v in span) == (grown == base), (vecs, v)
 
 
+class TestIntegerSpanProperties:
+    """Hypothesis properties of IntegerSpan, derandomized: what its one
+    ordered reduction pass and the free resolution's early stop rely on."""
+
+    @staticmethod
+    def vector_lists():
+        from hypothesis import strategies as st
+
+        def build(n):
+            vec = st.lists(st.integers(-6, 6) | st.just(0), min_size=n, max_size=n)
+            return st.tuples(st.just(n), st.lists(vec, min_size=1, max_size=6),
+                             st.lists(vec, min_size=1, max_size=3))
+
+        return st.integers(1, 5).flatmap(build)
+
+    def test_basis_bits_and_membership(self):
+        from hypothesis import given, settings
+
+        def sparse(row):
+            return {i: x for i, x in enumerate(row) if x}
+
+        @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @given(self.vector_lists())
+        def check(case):
+            n, added, probes = case
+            added, probes = [sparse(v) for v in added], [sparse(v) for v in probes]
+            span = IntegerSpan()
+            for k, w in enumerate(added, 1):
+                span.add(w)
+                # each basis vector is zero at every earlier pivot
+                for j, (p, u) in enumerate(span.basis):
+                    assert u[p] and all(not u.get(q) for q, _ in span.basis[:j])
+                assert span.bits == sum(x.bit_length() for _, u in span.basis
+                                        for x in u.values())
+                base = cokernel(IntegerMatrix.from_columns(n, added[:k]))
+                if span.is_saturated():
+                    assert not base.invariant_factors
+                for v in probes:
+                    grown = cokernel(IntegerMatrix.from_columns(n, added[:k] + [v]))
+                    assert (v in span) == (grown == base)
+
+        check()
+
+    def test_a_saturated_span_of_full_rank_is_the_kernel(self):
+        # the translates of a free resolution's kernel basis, added in any
+        # order: once the span has the nullity as rank and +-1 pivots, every
+        # kernel vector is in it
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from stacky_brauer.cohomology import free_resolution
+        from conftest import small_family
+
+        family = small_family()
+        stopped = []
+
+        @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+        @given(st.sampled_from(family), st.integers(0, 3), st.randoms(use_true_random=False))
+        def check(named, n, rng):
+            _, G = named
+            R = free_resolution(G)
+            kernel = R.echelon(n).kernel()
+            translates = [R.translate(h, v) for v in kernel for h in range(G.order)]
+            rng.shuffle(translates)
+            span = IntegerSpan()
+            for t in translates:
+                span.add(t)
+                if len(span.basis) == len(kernel) and span.is_saturated():
+                    assert all(v in span for v in kernel)
+                    stopped.append(n)
+                    break
+
+        check()
+        assert len(stopped) > 100 and set(stopped) == {0, 1, 2, 3}
+
+
 class TestHomologyAt:
     def test_cyclic_quotient(self):
         sq = homology_at(IntegerMatrix.zeros(1, 1), IntegerMatrix.from_rows([[5]]))

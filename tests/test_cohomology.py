@@ -275,6 +275,39 @@ class TestHomologyZ:
         assert homology_Z(cyclic(48), 1).quotient == FinAbGroup.cyclic(48)
 
 
+class TestEquality:
+    """Groups and classes compare by group, degree, coefficients and value,
+    not by the cached subquotient that clear_cache drops."""
+
+    def test_equal_across_clear_cache(self):
+        clear_cache()
+        before = cohomology(cyclic(4), 2)
+        clear_cache()
+        after = cohomology(cyclic(4), 2)
+        assert before.subquotient is not after.subquotient
+        assert before == after and hash(before) == hash(after)
+        assert before.representatives == after.representatives
+        clear_cache()
+
+    def test_equal_classes(self):
+        clear_cache()
+        before = cohomology_Zm(cyclic(2), 2, 2).all_classes()
+        clear_cache()
+        after = cohomology_Zm(cyclic(2), 2, 2).all_classes()
+        assert before == after
+        assert [hash(c) for c in before] == [hash(c) for c in after]
+        assert before[0] != before[1]
+        clear_cache()
+
+    def test_unequal_degree_or_coefficients(self):
+        G = cyclic(2)
+        # H^2(Z/2, Z) = H^2(Z/2, Z/2) = H^3(Z/2, Z/2) = Z/2
+        groups = [cohomology_Z(G, 2), cohomology_Zm(G, 2, 2), cohomology_Zm(G, 3, 2)]
+        assert len({g.value for g in groups}) == 1
+        assert len(set(groups)) == 3
+        assert len({g.all_classes()[1] for g in groups}) == 3
+
+
 class TestInflation:
     def test_identity(self):
         q = GroupHom.identity(cyclic(4))

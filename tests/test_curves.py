@@ -1,8 +1,9 @@
 from importlib import import_module
+from itertools import combinations_with_replacement
 
 import pytest
 
-from stacky_brauer.abelian import FinAbGroup
+from stacky_brauer.abelian import FinAbGroup, IntegerMatrix, cokernel
 from stacky_brauer.cohomology import enumerate_extension_classes
 from stacky_brauer.curves import (
     CurveSpec,
@@ -119,6 +120,21 @@ class TestH1:
         assert orbifold_abelianization(0, [2, 3]).is_trivial
         assert orbifold_abelianization(0, [4, 4]) == FinAbGroup.cyclic(4)
         assert orbifold_abelianization(1, []) == FinAbGroup.free(2)
+
+    def test_orbifold_abelianization_against_the_presentation(self):
+        # Z^(2g + n) modulo the relations n_i g_i = 0 and sum g_i = 0, as
+        # the cokernel of the presentation matrix
+        def presented(genus, orders):
+            n = len(orders)
+            entries = {(2 * genus + i, i): ni for i, ni in enumerate(orders)}
+            entries.update({(2 * genus + i, n): 1 for i in range(n)})
+            return cokernel(IntegerMatrix(2 * genus + n, n + 1, entries))
+
+        for size in range(6):
+            for orders in combinations_with_replacement(range(1, 13), size):
+                for genus in range(4):
+                    assert orbifold_abelianization(genus, orders) == \
+                        presented(genus, orders), (genus, orders)
 
     def test_missing_overrides(self):
         curve = CurveSpec(smooth=False, proper=True,
