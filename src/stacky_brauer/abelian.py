@@ -777,6 +777,14 @@ def cokernel(M: IntegerMatrix) -> FinAbGroup:
 class ColumnEchelon:
     """M @ V = [H | 0] by unimodular column operations alone, V tracked.
 
+    M is given by its columns: rows, and a list of sparse columns {row:
+    nonzero value}, column c of M at index c.  The echelon consumes them:
+    it eliminates in those dicts and keeps them as its H columns, so the
+    caller hands them over and holds none of them afterwards.  The
+    nonzeros are checked against the resource cap (ResourceCapError)
+    before any column is touched, and a stored zero or a row index outside
+    [0, rows) is refused (ValidationError).
+
     Each step takes a row r with the fewest nonzeros among the columns not
     yet retired and Euclid-reduces it across them (col -= q * pivot col,
     floor quotients) until one column is left nonzero at r; that column is
@@ -791,18 +799,22 @@ class ColumnEchelon:
     is triangular in retirement order (pivots: row, column and H column)
     and has full column rank.  Since V is unimodular, the V columns of the
     columns left zero are a basis of the integer kernel lattice of M
-    (kernel), and H answers M x = y by forward substitution (solve).  A row
-    with one live column left retires it at once, with no pivot rule to
-    apply.
+    (kernel; an empty column c gives e_c), and H answers M x = y by
+    forward substitution (solve).  A row with one live column left retires
+    it at once, with no pivot rule to apply.
     """
 
-    def __init__(self, M: IntegerMatrix):
-        check_cap(M.nnz, "matrix nonzeros")
-        cols = {c: dict(col) for c, col in M.col_view().items()}
-        row_index = {}
-        for c, col in cols.items():
-            for r in col:
-                row_index.setdefault(r, set()).add(c)
+    def __init__(self, rows: int, columns: list):
+        check_cap(sum(map(len, columns)), "matrix nonzeros")
+        cols, row_index = {}, {}
+        for c, col in enumerate(columns):
+            if col:
+                cols[c] = col
+                for r, v in col.items():
+                    if not (v and 0 <= r < rows):
+                        raise ValidationError(f"entry ({r},{c}) = {v} is zero or out of "
+                                              f"bounds for {rows}x{len(columns)}")
+                    row_index.setdefault(r, set()).add(c)
         vcols = {}           # lazy identity: a missing column is e_c
         pivots = []          # (row, col, H column) in retirement order
         heap = [(len(cs), r) for r, cs in row_index.items()]
@@ -848,7 +860,7 @@ class ColumnEchelon:
         self.pivots = pivots
         self._vcols = vcols
         retired = {c for _, c, _ in pivots}
-        self._kernel_columns = [c for c in range(M.cols) if c not in retired]
+        self._kernel_columns = [c for c in range(len(columns)) if c not in retired]
 
     def kernel(self) -> list:
         """A basis of the integer kernel lattice of M, as sparse vectors."""
@@ -872,9 +884,11 @@ class ColumnEchelon:
 
 
 def kernel_basis(M: IntegerMatrix) -> IntegerMatrix:
-    """Columns form a basis of the integer kernel lattice of M, read off its
-    ColumnEchelon."""
-    return IntegerMatrix.from_columns(M.cols, ColumnEchelon(M).kernel())
+    """Columns form a basis of the integer kernel lattice of M, read off the
+    ColumnEchelon of copies of its columns."""
+    view = M.col_view()
+    echelon = ColumnEchelon(M.rows, [dict(view.get(c, ())) for c in range(M.cols)])
+    return IntegerMatrix.from_columns(M.cols, echelon.kernel())
 
 
 class IntegerSpan:

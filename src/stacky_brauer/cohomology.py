@@ -389,8 +389,9 @@ class FreeResolution:
     candidates, once the span has the nullity of d_n as its rank and +-1
     pivots: it is then saturated (IntegerSpan), so it is ker d_n and would
     keep nothing more.  The translates of the generators it kept are the
-    columns of d_{n+1}, in order; the first z_boundary(n + 1), which
-    echelon(n + 1) asks for, takes them, and no later call holds them.
+    columns of d_{n+1}, in order, and echelon(n + 1) eliminates in them:
+    it takes them from the resolution and hands them to its ColumnEchelon,
+    which keeps them as its H columns.  d_n is never formed as a matrix.
 
     Three resource caps bound it (ResourceCapError): the column count
     |E| * k_n of the kernel step of degree n, the bits the span of
@@ -440,10 +441,14 @@ class FreeResolution:
                 N = self.group.order
                 check_cap(N * self.rank(n), f"resolution kernel step |E| * k_{n}")
                 if n:
-                    d = self.z_boundary(n)
+                    columns = self._translates.pop(n, None)
+                    if columns is None:
+                        columns = [self.translate(g, d) for d in self.boundary(n)
+                                   for g in range(N)]
+                    ech = ColumnEchelon(N * self.rank(n - 1), columns)
                 else:
-                    d = IntegerMatrix(1, N, {(0, g): 1 for g in range(N)})
-                ech = self._echelons[n] = ColumnEchelon(d)
+                    ech = ColumnEchelon(1, [{0: 1} for _ in range(N)])
+                self._echelons[n] = ech
         return ech
 
     def _kernel_generators(self) -> tuple:
@@ -467,16 +472,6 @@ class FreeResolution:
                 break
         self._translates[n + 1] = translates
         return tuple(gens)
-
-    def z_boundary(self, n: int) -> IntegerMatrix:
-        """d_n as an integer matrix, |E| * k_{n-1} x |E| * k_n; the first call
-        takes the columns the greedy formed, later ones form them again."""
-        N = self.group.order
-        gens = self.boundary(n)
-        columns = self._translates.pop(n, None)
-        if columns is None:
-            columns = (self.translate(g, d) for d in gens for g in range(N))
-        return IntegerMatrix.from_columns(N * self.rank(n - 1), columns)
 
     def coinvariant_boundary(self, n: int) -> IntegerMatrix:
         """d_n (x)_E Z, k_{n-1} x k_n."""

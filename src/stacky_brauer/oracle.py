@@ -38,7 +38,7 @@ __all__ = [
     "full_bar_differential", "full_bar_cohomology", "homology_Z",
     "cyclic_closed_form", "brute_cocycles", "brute_hom_from_presentation",
     "determinant", "smith_normal_form", "image_group", "kernel_group",
-    "are_isomorphic",
+    "are_isomorphic", "resolution_boundary",
 ]
 
 ORACLE_CAP = 500_000
@@ -147,6 +147,16 @@ def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
         with _engine._CACHE_LOCK:
             cached = _engine._CACHE.setdefault(key, cached)
     return cached
+
+
+def resolution_boundary(R: _engine.FreeResolution, n: int) -> IntegerMatrix:
+    """d_n of the free resolution R as an integer matrix, |E| * k_{n-1} x
+    |E| * k_n, column (i, g) at index i * |E| + g: formed afresh from the
+    generators' boundaries R.boundary(n), never from the translates R
+    holds for its next echelon."""
+    N = R.group.order
+    return IntegerMatrix.from_columns(
+        N * R.rank(n - 1), (R.translate(g, d) for d in R.boundary(n) for g in range(N)))
 
 
 def _kernel_trivial_by_homology(q: GroupHom, src: CohomologyGroup) -> bool:

@@ -6,6 +6,7 @@ import pytest
 
 from stacky_brauer.abelian import (
     AbGroupMap,
+    ColumnEchelon,
     FinAbGroup,
     IntegerMatrix,
     IntegerSpan,
@@ -159,6 +160,53 @@ class TestKernelAndSolve:
         K = kernel_basis(M)
         assert K.cols == 2
         assert (M @ K).is_zero()
+
+    def test_kernel_basis_leaves_its_matrix_unchanged(self):
+        M = IntegerMatrix.from_rows([[2, 4, 0, 1], [0, 6, 0, 3], [1, 0, 0, 5]])
+        entries = dict(M.entries)
+        view = {c: dict(col) for c, col in M.col_view().items()}
+        K = kernel_basis(M)
+        assert K.cols == 1 and (M @ K).is_zero()
+        assert M.entries == entries and M.col_view() == view
+
+
+class TestColumnEchelonColumns:
+    """ColumnEchelon takes M as rows and a list of sparse columns, which it
+    consumes."""
+
+    def test_a_row_outside_the_matrix_is_refused(self):
+        for bad in (3, -1):
+            with pytest.raises(ValidationError):
+                ColumnEchelon(3, [{0: 1}, {bad: 2, 1: 1}])
+
+    def test_a_stored_zero_is_refused(self):
+        with pytest.raises(ValidationError):
+            ColumnEchelon(2, [{0: 1, 1: 0}])
+
+    def test_nonzeros_over_the_cap_are_refused_before_any_column_is_touched(self):
+        columns = [{0: 2, 1: 3}, {0: 4, 2: 1}, {1: 6, 2: 5}]
+        before = [dict(col) for col in columns]
+        set_resource_cap(5)
+        try:
+            with pytest.raises(ResourceCapError) as refused:
+                ColumnEchelon(3, columns)
+        finally:
+            set_resource_cap(5_000_000)
+        assert refused.value.needed == 6
+        assert columns == before
+
+    def test_empty_columns_are_kernel_columns(self):
+        echelon = ColumnEchelon(2, [{}, {0: 1, 1: 2}, {}, {0: 2, 1: 4}, {}])
+        kernel = echelon.kernel()
+        assert len(kernel) == 4 and all({c: 1} in kernel for c in (0, 2, 4))
+        assert echelon.solve({0: 3, 1: 6}) is not None
+        assert echelon.solve({0: 1}) is None
+
+    def test_columns_become_the_h_columns(self):
+        columns = [{0: 1, 1: 1}, {0: 2, 1: 3}]
+        echelon = ColumnEchelon(2, columns)
+        held = {id(col) for _, _, col in echelon.pivots}
+        assert held <= {id(col) for col in columns} and len(held) == 2
 
 
 class TestIntegerSpan:

@@ -105,8 +105,10 @@ def test_report_path_stays_off_the_bar_homology():
 
 
 def test_free_resolution_eliminates_with_its_own_echelon():
-    # each boundary is eliminated once, into FreeResolution.echelon; a call
-    # of either routine would eliminate the same matrix a second time
+    # each boundary is eliminated once, into FreeResolution.echelon, on the
+    # columns the greedy formed: smith_normal_form or kernel_basis would
+    # eliminate the same matrix a second time, and from_columns or a
+    # z_boundary would form it again as an IntegerMatrix
     path = PACKAGE / "cohomology.py"
     tree = ast.parse(path.read_text(), str(path))
     cls, = [node for node in tree.body
@@ -114,8 +116,9 @@ def test_free_resolution_eliminates_with_its_own_echelon():
     found = []
     for node in ast.walk(cls):
         name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
-        if name in ("smith_normal_form", "kernel_basis"):
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.FunctionDef) else None)
+        if name in ("smith_normal_form", "kernel_basis", "from_columns", "z_boundary"):
             found.append((node.lineno, name))
     assert not found, found
 

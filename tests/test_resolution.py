@@ -43,7 +43,11 @@ from stacky_brauer.groups import (
     split_extension,
 )
 from stacky_brauer import oracle
-from stacky_brauer.oracle import _kernel_trivial_by_homology, homology_Z
+from stacky_brauer.oracle import (
+    _kernel_trivial_by_homology,
+    homology_Z,
+    resolution_boundary,
+)
 from conftest import small_family
 
 # the module, which the package's `cohomology` function shadows
@@ -111,7 +115,7 @@ class TestComparisonMap:
             RE, RG = free_resolution(ext.total), free_resolution(ext.base)
             for n in range(1, 5):
                 psi_n, psi_prev = comparison_chains(q, n), comparison_chains(q, n - 1)
-                d_G = RG.z_boundary(n)
+                d_G = resolution_boundary(RG, n)
                 for i, d in enumerate(RE.boundary(n)):
                     # psi_{n-1}(d e_i): c * q(x) psi_{n-1}(e_j) over the terms c (j, x)
                     expected = {}
@@ -125,7 +129,8 @@ class TestComparisonMap:
         for label, ext in extensions(16):
             R = free_resolution(ext.total)
             for n in range(1, 4):
-                assert (R.z_boundary(n) @ R.z_boundary(n + 1)).is_zero(), (label, n)
+                d, d_next = resolution_boundary(R, n), resolution_boundary(R, n + 1)
+                assert (d @ d_next).is_zero(), (label, n)
 
 
 class TestSurjectivityAgainstTheBarOracle:
@@ -184,7 +189,7 @@ class TestLift:
         for name, G in small_family():
             R = free_resolution(G)
             for n in range(1, 5):
-                d = R.z_boundary(n)
+                d = resolution_boundary(R, n)
                 for y in d.col_view().values():
                     assert d.apply(R.lift(n, y)) == y, (name, n)
 
@@ -198,7 +203,7 @@ class TestLift:
         G = cyclic(4)
         clear_cache()
         R = free_resolution(G)
-        R.lift(2, R.z_boundary(2).column(0))
+        R.lift(2, resolution_boundary(R, 2).column(0))
         assert R._echelons
         clear_cache()
         assert not free_resolution(G)._echelons
@@ -208,7 +213,7 @@ class TestLift:
             clear_cache()
             R = free_resolution(G)
             for n in range(1, 5):
-                d, echelon = R.z_boundary(n), R.echelon(n)
+                d, echelon = resolution_boundary(R, n), R.echelon(n)
                 for y in d.col_view().values():
                     x = R.lift(n, y)
                     assert x == echelon.solve(y) and d.apply(x) == y, (name, n)
@@ -221,11 +226,11 @@ class TestOneEliminationPerDegree:
         # a Z-basis of ker d_n: killed by d_n, as many vectors as the
         # nullity an untracked diagonalization gives, spanning a saturated
         # lattice (torsion-free cokernel), and the same lattice as
-        # kernel_basis(z_boundary(n))
+        # kernel_basis(resolution_boundary(R, n))
         for label, ext in extensions(16):
             R = free_resolution(ext.total)
             for n in range(1, 5):
-                d = R.z_boundary(n)
+                d = resolution_boundary(R, n)
                 K = R.echelon(n).kernel()
                 assert all(not d.apply(v) for v in K), (label, n)
                 rank = d.rows - cokernel(d).free_rank
@@ -260,17 +265,17 @@ def plain_greedy(E, top):
     def translate(h, vec):
         return {i - i % N + E.table[h][i % N]: v for i, v in vec.items()}
 
-    d = IntegerMatrix(1, N, {(0, g): 1 for g in range(N)})
+    rows, columns = 1, [{0: 1} for _ in range(N)]
     out = []
     for _ in range(top):
         span, gens = IntegerSpan(), []
-        for v in sorted(ColumnEchelon(d).kernel(), key=len):
+        for v in sorted(ColumnEchelon(rows, columns).kernel(), key=len):
             if v not in span:
                 gens.append(v)
                 for h in range(N):
                     span.add(translate(h, v))
         out.append(tuple(gens))
-        d = IntegerMatrix.from_columns(d.cols, (translate(h, v) for v in gens for h in range(N)))
+        rows, columns = len(columns), [translate(h, v) for v in gens for h in range(N)]
     return out
 
 
@@ -282,7 +287,8 @@ class TestTheGeneratorsAreThePlainGreedys:
             assert [R.boundary(n) for n in range(1, 4)] == plain_greedy(E, 3), label
             for n in range(1, 4):
                 kept = R.echelon(n)       # built from the greedy's translates
-                rebuilt = ColumnEchelon(R.z_boundary(n))
+                d = resolution_boundary(R, n)
+                rebuilt = ColumnEchelon(d.rows, [d.column(c) for c in range(d.cols)])
                 assert kept.pivots == rebuilt.pivots, (label, n)
                 assert kept._vcols == rebuilt._vcols, (label, n)
                 assert kept._kernel_columns == rebuilt._kernel_columns, (label, n)
@@ -296,7 +302,10 @@ class TestKernelStepWork:
     next echelon reuses its translates, so the span sees fewer adds and
     membership tests (985 and 455 before the early stop, 703 and 229 with
     it), while the echelons built and the ranks of R stay as they were.
-    The bounds were fixed before the early stop was written."""
+    The bounds were fixed before the early stop was written.  Each echelon
+    eliminates in the columns the greedy formed, so no d_n is built as an
+    IntegerMatrix on the way (one from_columns per echelon of degree >= 1
+    before)."""
 
     BASES = ((cyclic(2), (2, 3, 4)), (cyclic(3), (2, 3)), (cyclic(4), (2,)),
              (cyclic(5), (2,)), (direct_product(cyclic(2), cyclic(2)), (2,)))
@@ -305,9 +314,11 @@ class TestKernelStepWork:
         nodes = [(r, central_extension(G, r, c)) for G, moduli in self.BASES
                  for r in moduli for c in enumerate_extension_classes(G, r)]
         assert len(nodes) == 20
-        counts = dict.fromkeys(("add", "in", "echelons"), 0)
+        counts = dict.fromkeys(("add", "in", "echelons", "from_columns"), 0)
         add, contains = IntegerSpan.add, IntegerSpan.__contains__
-        build = ColumnEchelon.__init__
+        build, echelon = ColumnEchelon.__init__, FreeResolution.echelon
+        from_columns = IntegerMatrix.from_columns.__func__
+        depth = [0]               # calls of FreeResolution.echelon under way
 
         def counting_add(span, vec):
             counts["add"] += 1
@@ -317,13 +328,26 @@ class TestKernelStepWork:
             counts["in"] += 1
             return contains(span, vec)
 
-        def counting_build(echelon, M):
+        def counting_build(ech, rows, columns):
             counts["echelons"] += 1
-            build(echelon, M)
+            build(ech, rows, columns)
+
+        def tracked_echelon(R, n):
+            depth[0] += 1
+            try:
+                return echelon(R, n)
+            finally:
+                depth[0] -= 1
+
+        def counting_from_columns(cls, rows, columns):
+            counts["from_columns"] += depth[0] > 0
+            return from_columns(cls, rows, columns)
 
         monkeypatch.setattr(IntegerSpan, "add", counting_add)
         monkeypatch.setattr(IntegerSpan, "__contains__", counting_contains)
         monkeypatch.setattr(ColumnEchelon, "__init__", counting_build)
+        monkeypatch.setattr(FreeResolution, "echelon", tracked_echelon)
+        monkeypatch.setattr(IntegerMatrix, "from_columns", classmethod(counting_from_columns))
         clear_cache()
         for r, ext in nodes:
             brauer_report(node_curve(ext), r, verify=True)
@@ -333,6 +357,7 @@ class TestKernelStepWork:
         clear_cache()
         assert counts["add"] < 985 and counts["in"] < 455, counts
         assert (counts["echelons"], counts["ranks"]) == (96, 135), counts
+        assert counts["from_columns"] == 0, counts
 
 
 class TestDihedral24WithR2:
