@@ -5,9 +5,13 @@ read off small free resolutions and classes off normalized bar
 resolutions, in exact sparse integer linear algebra:
 
 * abelian:    echelon and diagonal forms, abelian groups, subquotients of Z^n
+* abelian_maps: cokernels, homology with a free part or a modulus, maps of
+              abelian groups and the maps induced on subquotients
 * groups:     multiplication tables, 2-cocycles, central extensions
-* cohomology: H^n(G, Z), H^n(G, Z/m), H^n(G, kx); inflation/restriction;
-              Bockstein; integral homology off small free resolutions
+* cohomology: H^n(G, Z), H^n(G, Z/m), H^n(G, kx) and integral homology
+              off small free resolutions
+* cohomology_maps: bar-complex classes, inflation/restriction, comparison
+              maps, Bocksteins, extension classes
 * fibers:     per-stabilizer root-gerbe and exactness diagnostics
 * curves:     the stacky-curve data model and the Brauer report
 * oracle:     independent recomputation paths used by the test suite
@@ -17,37 +21,24 @@ resolutions, in exact sparse integer linear algebra:
 from importlib import import_module as _import_module
 
 from .abelian import (
-    AbGroupMap,
     FinAbGroup,
     IntegerMatrix,
     Subquotient,
-    cokernel,
-    cokernel_of_map,
-    homology_at,
-    hom_to_cyclic,
-    induced_map,
-    is_injective,
-    is_split_injection,
-    is_surjective,
-    kernel_basis,
     set_resource_cap,
 )
+# cohomology is imported here, before anything can import it lazily: the
+# import of a submodule binds its name on the package, and the function
+# bound below must be what stacky_brauer.cohomology names.
 from .cohomology import (
     INTEGERS,
     UNITS,
     CohomologyClass,
     CohomologyGroup,
-    bar_differential,
-    bockstein,
-    bockstein_r,
     cohomology,
     cohomology_Z,
     cohomology_Zm,
     cohomology_units,
-    enumerate_extension_classes,
-    inflation_map,
     mod_coefficients,
-    restriction_map,
 )
 from .errors import (
     ChainCompositionError,
@@ -75,10 +66,26 @@ from .groups import (
 
 __version__ = "0.1.0"
 
-# curves and fibers are imported on first use of one of their names or of
-# the module itself (PEP 562), so a process that only computes cohomology
-# never loads them.
+# These modules are imported on first use of one of their names (PEP 562),
+# curves and fibers also on first use of the module itself, so a process
+# that only computes cohomology values never loads them.
 _LAZY = {
+    "AbGroupMap": "abelian_maps",
+    "cokernel": "abelian_maps",
+    "cokernel_of_map": "abelian_maps",
+    "hom_to_cyclic": "abelian_maps",
+    "homology_at": "abelian_maps",
+    "induced_map": "abelian_maps",
+    "is_injective": "abelian_maps",
+    "is_split_injection": "abelian_maps",
+    "is_surjective": "abelian_maps",
+    "kernel_basis": "abelian_maps",
+    "bar_differential": "cohomology_maps",
+    "bockstein": "cohomology_maps",
+    "bockstein_r": "cohomology_maps",
+    "enumerate_extension_classes": "cohomology_maps",
+    "inflation_map": "cohomology_maps",
+    "restriction_map": "cohomology_maps",
     "BrauerReport": "curves",
     "CurveSpec": "curves",
     "StabilizerPoint": "curves",

@@ -8,7 +8,8 @@ Multiplicative-group coefficients are handled through the shift
 H^n(G, kx) = H^{n+1}(G, Z) for n >= 1, which is valid over an
 algebraically closed field whose characteristic does not divide |G|
 (the unit group is then divisible with full prime-to-p torsion).  The
-characteristic enters only through that tameness check.
+characteristic enters only through that tameness check; for every
+coefficient kind it must be 0 or a prime (validate_characteristic).
 
 cohomology() reads every value off homology, by the universal coefficient
 theorem H^n(G, A) = Hom(H_n(G, Z), A) + Ext(H_{n-1}(G, Z), A) (Brown,
@@ -37,36 +38,42 @@ is over the cap.  With Z coefficients in positive degree they are the
 torsion of coker(d_in), d_in: C^{n-1} -> C^n (abelian.finite_homology_at);
 otherwise abelian.homology_at eliminates d_out, augmented by m*I for Z/m,
 for a cycle basis.  The bar homology is the tests' oracle (oracle.py).
+
+This module holds what a value runs: the coefficients, the cohomology
+groups and their cache, cohomology() and the free resolutions.  The bar
+complex and its classes, inflation and restriction, the comparison maps,
+the Bocksteins and the extension classes live in cohomology_maps.  This
+module serves their names on first use (PEP 562 __getattr__), and also
+the names of abelian_maps that its callers read here, such as
+homology_at and induced_map, so every import of them from here still
+works and a process that only computes values never compiles them.  The
+package binds this module's name to the function cohomology, so other
+modules reach the module itself through importlib.import_module.
 """
 from __future__ import annotations
 
 import threading
 from functools import cached_property
+from importlib import import_module
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 from . import abelian, groups
 from .abelian import (
-    AbGroupMap,
     ColumnEchelon,
     FinAbGroup,
     IntegerMatrix,
     IntegerSpan,
     Subquotient,
-    capped_power,
     check_cap,
     finite_homology_at,
-    homology_at,
-    induced_map,
-    is_surjective,
-    kernel_basis,
 )
 from .errors import (
     InvariantViolationError,
     TamenessError,
     ValidationError,
 )
-from .groups import Cocycle2, FiniteGroup, GroupHom, section
+from .groups import FiniteGroup
 from .records import Record
 
 __all__ = [
@@ -79,6 +86,25 @@ __all__ = [
     "inflation_kernel_trivial", "bockstein", "bockstein_r",
     "enumerate_extension_classes", "clear_cache",
 ]
+
+# The names served on first use: every function cohomology_maps defines,
+# and the names of abelian_maps that this module's callers read here.
+_MAPS = dict.fromkeys((
+    "_bockstein_order", "_generate", "_pushforward_onto", "bar_classes",
+    "bar_differential", "bockstein", "bockstein_r", "comparison_chains",
+    "comparison_classes", "enumerate_extension_classes", "inflation_kernel_trivial",
+    "inflation_map", "pullback_matrix", "restriction_map",
+), "cohomology_maps") | dict.fromkeys((
+    "AbGroupMap", "homology_at", "induced_map", "is_surjective", "kernel_basis",
+), "abelian")
+
+
+def __getattr__(name):
+    module = _MAPS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
+    return value
 
 
 class Coefficients(Record):
@@ -113,66 +139,28 @@ def mod_coefficients(m: int) -> Coefficients:
     return Coefficients("Zm", m)
 
 
-def validate_tameness(G: FiniteGroup, characteristic: int) -> None:
-    if characteristic == 0:
+def validate_characteristic(p: int) -> None:
+    """Refuse (ValidationError) a characteristic that is neither 0 nor a prime.
+
+    Exact trial division by 2 and the odd numbers up to sqrt(p); their
+    count is charged to the resource cap (ResourceCapError) before the
+    first one.  cohomology() and curves.CurveSpec both check with it.
+    """
+    if p == 0:
         return
-    if characteristic < 2:
-        raise ValidationError("characteristic must be 0 or a prime")
-    if G.order % characteristic == 0:
+    if p >= 2:
+        root = isqrt(p)
+        check_cap(root // 2 + 1, "characteristic trial divisions")
+        if p == 2 or p % 2 and all(p % d for d in range(3, root + 1, 2)):
+            return
+    raise ValidationError("characteristic must be 0 or a prime")
+
+
+def validate_tameness(G: FiniteGroup, characteristic: int) -> None:
+    """Refuse (TamenessError) a prime characteristic that divides |G|."""
+    if characteristic and G.order % characteristic == 0:
         raise TamenessError(
             f"characteristic {characteristic} divides the group order {G.order}")
-
-
-# ---------------------------------------------------------------------------
-# Normalized bar complex
-
-
-def bar_differential(G: FiniteGroup, n: int) -> IntegerMatrix:
-    """The normalized bar differential d: C^n -> C^{n+1} (trivial action).
-
-    Rows are (n+1)-tuples and columns are n-tuples of non-identity
-    elements, indexed lexicographically.  Faces containing the identity
-    are dropped.  The matrix is the same integer matrix for every trivial
-    coefficient module (Z/m coefficients reduce it modulo m later), and
-    its entries stay in {-1, 0, +1} before coincidence-summing, which
-    keeps the eliminations well-conditioned.  Refused (ResourceCapError)
-    before it is built when its rows, (|G|-1)^(n+1), are over the cap; for
-    |G| <= 2, where they do not grow with n, when the n + 2 faces of up to
-    n + 1 entries of one row are.
-    """
-    if n < 0:
-        raise ValidationError("degree must be nonnegative")
-    k = G.order - 1
-    rows_n = capped_power(k, n + 1, f"bar differential rows (|G|-1)^{n + 1}")
-    if k < 2:
-        check_cap((n + 1) * (n + 2), "bar differential faces of one row")
-    nonid = G.nonidentity()
-    pos = {g: i for i, g in enumerate(nonid)}
-    e = G.identity
-    mul = G.mul
-    entries = {}
-    for row_idx, tup in enumerate(product(nonid, repeat=n + 1)):
-        # face 0 drops the first entry, face n+1 the last, face i multiplies
-        faces = []
-        faces.append((tup[1:], 1))
-        sign = -1
-        for i in range(n):
-            gh = mul(tup[i], tup[i + 1])
-            if gh != e:
-                faces.append((tup[:i] + (gh,) + tup[i + 2:], sign))
-            sign = -sign
-        faces.append((tup[:n], sign))
-        for face, s in faces:
-            col = 0
-            for g in face:
-                col = col * k + pos[g]
-            key = (row_idx, col)
-            nv = entries.get(key, 0) + s
-            if nv:
-                entries[key] = nv
-            elif key in entries:
-                del entries[key]
-    return IntegerMatrix(rows_n, k ** n, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +277,14 @@ def cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS,
     The value is read off G's free resolution (_universal_coefficients),
     and refused (ResourceCapError) only where that resolution's caps refuse
     it (FreeResolution).  The classes are built off the bar complex on
-    first use (_bar_classes), refused where bar_differential is.
+    first use (_bar_classes), refused where bar_differential is.  A
+    characteristic that is neither 0 nor a prime is refused
+    (ValidationError), and with units coefficients one dividing |G|
+    (TamenessError).
     """
     if n < 0:
         raise ValidationError("degree must be nonnegative")
+    validate_characteristic(characteristic)
     if coefficients.kind == "units":
         validate_tameness(G, characteristic)
     degree, modulus = _integral_degree(n, coefficients)
@@ -326,25 +318,11 @@ def _universal_coefficients(G: FiniteGroup, d: int, modulus: int) -> FinAbGroup:
 
 
 def _bar_classes(G: FiniteGroup, degree: int, modulus: int, value: FinAbGroup):
-    """The deferred build of the classes of H^degree(G, Z or Z/modulus) off the bar complex.
-
-    With Z coefficients in positive degree the group is finite, and
-    finite_homology_at reads it off d_in alone; otherwise homology_at
-    eliminates d_out (augmented by modulus * I) for a cycle basis.  The
-    quotient must equal value, or InvariantViolationError.
-    """
+    """The deferred build of the classes of H^degree(G, Z or Z/modulus):
+    cohomology_maps.bar_classes, imported when it first runs."""
     def build():
-        d_out = bar_differential(G, degree)
-        d_in = bar_differential(G, degree - 1) if degree else IntegerMatrix(1, 0)
-        if degree and not modulus:
-            full = finite_homology_at(d_out, d_in)
-        else:
-            full = homology_at(d_out, d_in, modulus)
-        if full.quotient != value:
-            raise InvariantViolationError(
-                f"the bar complex gives {full.quotient} in degree {degree} "
-                f"(modulus {modulus}), the universal coefficient theorem {value}")
-        return full.classes()
+        return import_module(".cohomology_maps", __package__).bar_classes(
+            G, degree, modulus, value)
 
     return build
 
@@ -565,239 +543,3 @@ def resolution_homology_Z(X: FiniteGroup, n: int) -> Subquotient:
         with _CACHE_LOCK:
             cached = _CACHE.setdefault(key, cached)
     return cached
-
-
-# ---------------------------------------------------------------------------
-# Induced maps
-
-
-def pullback_matrix(phi: GroupHom, n: int) -> IntegerMatrix:
-    """The cochain map C^n(target) -> C^n(source) precomposing with phi.
-
-    Rows are source tuples; the row of a tuple whose image meets the
-    identity is zero (normalized complexes).
-    """
-    src, dst = phi.source, phi.target
-    nonid_src = src.nonidentity()
-    nonid_dst = dst.nonidentity()
-    ks, kd = len(nonid_src), len(nonid_dst)
-    rows_n = capped_power(ks, n, "pullback matrix rows")
-    if ks < 2:
-        # the row count does not grow with n, but each row is an n-tuple
-        check_cap(n, "pullback matrix tuple length")
-    pos_dst = {g: i for i, g in enumerate(nonid_dst)}
-    e = dst.identity
-    entries = {}
-    for row_idx, tup in enumerate(product(nonid_src, repeat=n)):
-        col = 0
-        dead = False
-        for g in tup:
-            img = phi(g)
-            if img == e:
-                dead = True
-                break
-            col = col * kd + pos_dst[img]
-        if not dead:
-            entries[(row_idx, col)] = 1
-    return IntegerMatrix(rows_n, kd ** n, entries)
-
-
-def inflation_map(q: GroupHom, n: int, coefficients: Coefficients = INTEGERS,
-                  characteristic: int = 0) -> AbGroupMap:
-    """Inflation H^n(G, A) -> H^n(E, A) along a surjection q: E -> G."""
-    if not q.is_surjective:
-        raise ValidationError("inflation needs a surjective homomorphism")
-    degree, _ = _integral_degree(n, coefficients)
-    src = cohomology(q.target, n, coefficients, characteristic)
-    dst = cohomology(q.source, n, coefficients, characteristic)
-    F = pullback_matrix(q, degree)
-    return induced_map(F, src.subquotient, dst.subquotient)
-
-
-def restriction_map(i: GroupHom, n: int, coefficients: Coefficients = INTEGERS,
-                    characteristic: int = 0) -> AbGroupMap:
-    """Restriction H^n(G, A) -> H^n(H, A) along an injection i: H -> G."""
-    if not i.is_injective:
-        raise ValidationError("restriction needs an injective homomorphism")
-    degree, _ = _integral_degree(n, coefficients)
-    src = cohomology(i.target, n, coefficients, characteristic)
-    dst = cohomology(i.source, n, coefficients, characteristic)
-    F = pullback_matrix(i, degree)
-    return induced_map(F, src.subquotient, dst.subquotient)
-
-
-def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
-    """Is inflation injective on H^degree(G, Z) along the surjection q: E -> G?
-
-    Builds no bar complex.  By the exact duality H^n(-, Z) =
-    Hom(H_{n-1}(-, Z), Q/Z) for n >= 2 (see the module docstring), and
-    H^1(G, Z) = 0, a trivial H_{n-1}(G, Z) certifies a trivial source, and
-    so does a section s of q (every split gerbe and every fiber with
-    gcd(r, |G|) = 1) in every degree, since s* after q* is (q s)* = id.
-    Otherwise q* is injective on H^n exactly when q_*: H_{n-1}(E, Z) ->
-    H_{n-1}(G, Z) is onto, read off the two groups' free resolutions
-    (_pushforward_onto).  Degree 0, where H^0(G, Z) = Z, is refused.
-    """
-    if not q.is_surjective:
-        raise ValidationError("inflation needs a surjective homomorphism")
-    n = integral_degree
-    if n < 1:
-        raise ValidationError("expected a finite cohomology group (degree >= 1)")
-    if n == 1 or resolution_homology_Z(q.target, n - 1).quotient.is_trivial:
-        return True
-    if section(q) is not None:
-        return True
-    return _pushforward_onto(q, n - 1)
-
-
-def comparison_chains(q: GroupHom, n: int) -> tuple:
-    """psi_n(e_i) in R^G_n for the generators e_i of R^E_n, for q: E -> G; cached.
-
-    psi: R^E -> R^G is the chain map over q between the groups'
-    free_resolutions of the comparison theorem (Brown, Cohomology of
-    Groups, I.7), E acting on R^G through q: psi_0(e_0) = (0, 1_G) and
-    psi_n(e_i) = R^G.lift(n, psi_{n-1}(d e_i)), where psi_{n-1}(d e_i) is
-    the sum of c * q(x) psi_{n-1}(e_j) over the terms c (j, x) of d_n(e_i).
-    """
-    if n < 0:
-        raise ValidationError("degree must be nonnegative")
-    if n == 0:
-        return ({q.target.identity: 1},)
-    key = ("comparison", q.source.table, q.target.table, q.image, n)
-    with _CACHE_LOCK:
-        cached = _CACHE.get(key)
-    if cached is None:
-        R, N = free_resolution(q.target), q.source.order
-        prev = comparison_chains(q, n - 1)
-        chains = []
-        for d in free_resolution(q.source).boundary(n):
-            y = {}
-            for idx, c in d.items():
-                for k, a in R.translate(q(idx % N), prev[idx // N]).items():
-                    y[k] = y.get(k, 0) + c * a
-            chains.append(R.lift(n, y))
-        with _CACHE_LOCK:
-            cached = _CACHE.setdefault(key, tuple(chains))
-    return cached
-
-
-def comparison_classes(q: GroupHom, m: int, cycles) -> list:
-    """The classes in H_m(G, Z) (resolution_homology_Z) of (psi_m (x) Z)(z)
-    for the m-cycles z of R^E (x)_E Z (comparison_chains), for q: E -> G."""
-    H = resolution_homology_Z(q.target, m)
-    psi = free_resolution(q.target).coinvariants(m, comparison_chains(q, m))
-    return [H.reduce(psi.apply(z)) for z in cycles]
-
-
-def _generate(images, H: FinAbGroup) -> bool:
-    """Do the classes images (coordinates in H) generate H?"""
-    images = sorted(set(images))
-    f = AbGroupMap(FinAbGroup.free(len(images)), H, IntegerMatrix.from_columns(
-        H.num_generators, (dict(enumerate(img)) for img in images)))
-    return is_surjective(f)
-
-
-def _pushforward_onto(q: GroupHom, m: int) -> bool:
-    """Is q_*: H_m(E, Z) -> H_m(G, Z) onto, m >= 1?
-
-    The m-cycles of R^E (x)_E Z are a kernel basis of d_m (x) Z,
-    k_{m-1} x k_m, for E's free_resolution R^E; comparison_classes carries
-    them into the cached H_m(G, Z) of resolution_homology_Z, and their
-    distinct classes generate the image.
-    """
-    cycles = kernel_basis(free_resolution(q.source).coinvariant_boundary(m))
-    return _generate(comparison_classes(q, m, cycles.col_view().values()),
-                     resolution_homology_Z(q.target, m).quotient)
-
-
-# ---------------------------------------------------------------------------
-# Bockstein
-
-
-def bockstein(G: FiniteGroup, cochain: dict, degree: int, r: int) -> CohomologyClass:
-    """Integral Bockstein of a normalized mod-r cocycle of the given degree.
-
-    Lifts the cochain to integers, applies the bar differential, divides
-    by r, and returns the class of the result in H^{degree+1}(G, Z).  The
-    bar differential is the boundary basis of the cached H^{degree+1}(G, Z).
-    """
-    if r < 1:
-        raise ValidationError("modulus must be >= 1")
-    target = cohomology_Z(G, degree + 1)
-    image = target.subquotient.boundary_basis.apply(cochain)
-    for v in image.values():
-        if v % r:
-            raise InvariantViolationError("input cochain is not a cocycle mod r")
-    divided = {k: v // r for k, v in image.items() if v // r}
-    return target.class_of(divided)
-
-
-def bockstein_r(G: FiniteGroup, c: Cocycle2) -> CohomologyClass:
-    """Bockstein of a 2-cocycle class: an element of H^2(G, kx) = H^3(G, Z).
-
-    Read off H_2(G, Z) of G's free resolution, with no bar complex (Brown,
-    Cohomology of Groups, III.1): the Bockstein of Z/r -> Z -> Z/r factors
-    as delta after Z/r -> Q/Z, 1 -> 1/r, and for finite G, delta:
-    H^2(G, Q/Z) -> H^3(G, Z) is an isomorphism and H^2(G, Q/Z) =
-    Hom(H_2(G, Z), Q/Z).  So the class is the character z -> c(z)/r on
-    H_2(G, Z) (_bockstein_order), whose order is the class's.  Where
-    |H^3(G, Z)| <= 2 that order forces the coordinates; otherwise they are
-    the bar Bockstein's (bockstein), whose order must agree with the
-    character's, or InvariantViolationError.
-    """
-    if c.base != G:
-        raise ValidationError("cocycle is not defined over the given group")
-    order = _bockstein_order(G, c)
-    target = cohomology_Z(G, 3)
-    size = target.value.order()
-    if size <= 2:
-        if size % order:
-            raise InvariantViolationError(
-                f"a Bockstein of order {order} in H^3(G, Z) of order {size}")
-        # () when H^3(G, Z) = 0; (0,) or (1,) when it is Z/2
-        return CohomologyClass(target, (order - 1,) * target.value.num_generators)
-    beta = bockstein(G, c.to_vector(), 2, c.modulus)
-    if beta.order() != order:
-        raise InvariantViolationError(
-            f"the bar Bockstein has order {beta.order()}, its character on "
-            f"H_2(G, Z) order {order}")
-    return beta
-
-
-def _bockstein_order(G: FiniteGroup, c: Cocycle2) -> int:
-    """The order of the character z -> c(z)/r on H_2(G, Z): the lcm of
-    r / gcd(c(z_j), r) over the lifts z_j of resolution_homology_Z(G, 2),
-    each evaluated as c on its image under the free resolution's bar_chains(2).
-    """
-    H2 = resolution_homology_Z(G, 2)
-    if H2.quotient.is_trivial:
-        return 1
-    r, values = c.modulus, c.values
-    on_gens = [sum(v * values[x][g] for (x, g), v in chain.items())
-               for chain in free_resolution(G).bar_chains(2)]
-    order = 1
-    for z in H2.lifts:
-        value = sum(v * on_gens[i] for i, v in z.items())
-        order = abelian.lcm(order, r // gcd(value, r))
-    return order
-
-
-# ---------------------------------------------------------------------------
-# Extension-class enumeration (lives here to keep groups.py free of cohomology)
-
-
-def enumerate_extension_classes(G: FiniteGroup, r: int):
-    """One normalized 2-cocycle per class of H^2(G, Z/r).
-
-    The list is ordered with the split class first, then all remaining
-    coordinate combinations of the canonical generators.
-    """
-    H2 = cohomology_Zm(G, 2, r)
-    if H2.value.free_rank:
-        raise InvariantViolationError("H^2 with finite coefficients must be finite")
-    out = []
-    for cls in H2.all_classes():
-        vec = H2.subquotient.lift_of(cls.coords)
-        vec = {k: v % r for k, v in vec.items() if v % r}
-        out.append(Cocycle2.from_vector(G, r, vec))
-    return out

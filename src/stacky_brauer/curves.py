@@ -22,7 +22,8 @@ from math import gcd
 
 from .abelian import (FinAbGroup, IntegerMatrix, cokernel, hom_to_cyclic,
                       invariant_factor_chain, lcm)
-from .cohomology import CohomologyClass, bockstein_r, cohomology_units, cohomology_Z
+from .cohomology import (CohomologyClass, bockstein_r, cohomology_units, cohomology_Z,
+                         validate_characteristic)
 from .errors import (
     InvariantViolationError,
     MissingDataError,
@@ -95,14 +96,12 @@ class CurveSpec(Record):
         names = [p.name for p in points]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate point names")
+        validate_characteristic(characteristic)
         if characteristic:
-            p = characteristic
-            if p < 2:
-                raise ValidationError("characteristic must be 0 or a prime")
             for pt in points:
-                if pt.group.order % p == 0:
+                if pt.group.order % characteristic == 0:
                     raise TamenessError(
-                        f"characteristic {p} divides |G| = {pt.group.order} "
+                        f"characteristic {characteristic} divides |G| = {pt.group.order} "
                         f"at point {pt.name!r}")
         if smooth:
             for pt in points:

@@ -600,6 +600,64 @@ class TestCurveSpecOnce:
             assert capsys.readouterr().err == f"error: {message}\n"
 
 
+class TestCharacteristicIsZeroOrPrime:
+    # wherever a characteristic is given, and for every coefficient kind;
+    # composites such as 9, 4 and 25 are refused like values below 2
+    NOT_PRIME = ["9", "4", "25", "-1", "1"]
+    REFUSED = ["status = error", "error-code = validation",
+               "error-message = characteristic must be 0 or a prime"]
+
+    @pytest.mark.parametrize("char", NOT_PRIME)
+    def test_brauer_refuses_it_from_the_flag_and_the_document(self, tmp_path, capsys, char):
+        inp, rpt = tmp_path / "doc.txt", tmp_path / "doc.rpt"
+        inp.write_text(SMOOTH_DOC)
+        assert main(["brauer", "--input", str(inp), "--char", char, "--report", str(rpt)]) == 1
+        assert rpt.read_text().splitlines()[-3:] == self.REFUSED
+        # a document's semantic errors are reported as parse errors
+        inp.write_text(SMOOTH_DOC.replace("characteristic = 0", f"characteristic = {char}"))
+        assert main(["brauer", "--input", str(inp), "--report", str(rpt)]) == 1
+        assert rpt.read_text().splitlines()[-3:] == \
+            ["status = error", "error-code = parse", self.REFUSED[-1]]
+        assert capsys.readouterr().err == "error: characteristic must be 0 or a prime\n" * 2
+
+    @pytest.mark.parametrize("coefficients", ["units", "Z", "Z/2"])
+    @pytest.mark.parametrize("char", NOT_PRIME)
+    def test_cohomology_refuses_it_for_every_coefficient_kind(self, tmp_path, capsys,
+                                                              char, coefficients):
+        rpt = tmp_path / "coh.rpt"
+        assert main(["cohomology", "cyclic:3", "2", coefficients, "--char", char,
+                     "--report", str(rpt)]) == 1
+        assert rpt.read_text().splitlines()[-3:] == self.REFUSED
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("char", ["0", "2", "5", "1000000007"])
+    def test_zero_and_primes_pass(self, tmp_path, capsys, char):
+        inp, rpt = tmp_path / "doc.txt", tmp_path / "doc.rpt"
+        inp.write_text(SMOOTH_DOC)
+        code = 1 if char == "2" else 0     # 2 divides the gerbe modulus
+        assert main(["brauer", "--input", str(inp), "--char", char, "--report", str(rpt)]) == code
+        assert (f"characteristic = {char}" in rpt.read_text().splitlines()) == (code == 0)
+        for coefficients, value in (("units", "Z/3"), ("Z", "0"), ("Z/2", "0")):
+            assert main(["cohomology", "cyclic:3", "1", coefficients, "--char", char]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == value
+
+    def test_tameness_still_binds_units_only(self, capsys):
+        assert main(["cohomology", "cyclic:3", "1", "units", "--char", "3"]) == 1
+        assert capsys.readouterr().err == "error: characteristic 3 divides the group order 3\n"
+        assert main(["cohomology", "cyclic:3", "1", "Z/3", "--char", "3"]) == 0
+        assert capsys.readouterr().out == "Z/3\n"
+
+    def test_trial_division_is_charged_to_the_resource_cap(self, tmp_path, capsys):
+        # 1000003 is prime: 500 odd trial divisors up to its square root
+        rpt = tmp_path / "coh.rpt"
+        argv = ["cohomology", "cyclic:3", "1", "units", "--char", "1000003",
+                "--report", str(rpt)]
+        assert main(argv + ["--max-entries", "100"]) == 1
+        assert "error-code = resource-cap" in rpt.read_text().splitlines()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "Z/3\n"
+
+
 NODE_Z2_DOC = textwrap.dedent("""\
     [curve]
     smooth = false

@@ -2,6 +2,8 @@
 name a module exports in __all__ exists."""
 
 import ast
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +13,12 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stacky_brauer"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+
+# (module, attribute) pairs the tests replace to count calls, beside the
+# benchmark tracer's PATCHES
+TEST_PATCHES = (("cohomology", "finite_homology_at"), ("abelian", "_replay_rows"),
+                ("curves", "split_extension"))
 
 
 def test_every_import_is_stdlib_or_the_package():
@@ -64,23 +72,99 @@ def test_every_exported_name_resolves():
 def test_engine_holds_no_bar_homology():
     # the bar homology is the tests' oracle and lives in oracle.py
     oracle = {"homology_Z", "_kernel_trivial_by_homology"}
-    path = PACKAGE / "cohomology.py"
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            name = node.name
-        elif isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.alias):
-            name = node.asname or node.name
-        elif isinstance(node, ast.Constant):
-            name = node.value
-        else:
+    for stem in ("cohomology", "cohomology_maps"):
+        path = PACKAGE / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if name in oracle:
+                found.append((stem, node.lineno, name))
+    assert not found, found
+
+
+def _patch_points() -> dict:
+    """attribute -> the modules on which the tracer or a test replaces it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    points = {}
+    for module, attr in [(m, a) for m, a, _ in tracer.PATCHES] + list(TEST_PATCHES):
+        points.setdefault(attr, set()).add(module)
+    return points
+
+
+def _module_aliases(tree) -> dict:
+    """Local names bound to a module of the package: `from . import X [as Y]`
+    and `Y = import_module(".X", __package__)` (or "stacky_brauer.X")."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = alias.name
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Name)
+              and node.value.func.id == "import_module"
+              and isinstance(node.value.args[0], ast.Constant)):
+            module = node.value.args[0].value.rpartition(".")[2]
+            for target in node.targets:
+                aliases[target.id] = module
+    return aliases
+
+
+def _calls_around_patches(stem: str, source: str, points: dict) -> list:
+    """Calls to a patched name that the patch does not see: a bare call
+    outside a module patched for it, or a call on another module object."""
+    tree = ast.parse(source)
+    aliases = _module_aliases(tree)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
             continue
-        if name in oracle:
-            found.append((node.lineno, name))
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in points:
+            name, where = func.id, stem
+        elif (isinstance(func, ast.Attribute) and func.attr in points
+              and isinstance(func.value, ast.Name) and func.value.id in aliases):
+            name, where = func.attr, aliases[func.value.id]
+        else:
+            continue          # a method of some object, not a module's function
+        if where not in points[name]:
+            found.append((stem, node.lineno, ast.unparse(func)))
+    return found
+
+
+def test_patched_calls_go_through_the_patched_namespace():
+    # the tracer and the tests replace these names on a module object; a
+    # call that reads the name from anywhere else would bypass them
+    points = _patch_points()
+    probe = textwrap.dedent("""\
+        from importlib import import_module
+        from . import abelian
+        _coh = import_module(".cohomology", __package__)
+        bar_differential(G, 1)
+        abelian.homology_at(d_out, d_in)
+        _coh.bar_differential(G, 1)
+        _coh.finite_homology_at(d_out, d_in)
+        abelian._replay_rows(ops)
+        solver.cokernel()
+        """)
+    assert [line for _, line, _ in _calls_around_patches("cohomology_maps", probe, points)] \
+        == [4, 5]
+    found = []
+    for path in MODULES:
+        if path.stem != "oracle":     # the oracle's routes are not traced
+            found += _calls_around_patches(path.stem, path.read_text(), points)
     assert not found, found
 
 
@@ -123,25 +207,97 @@ def test_free_resolution_eliminates_with_its_own_echelon():
     assert not found, found
 
 
-def test_cohomology_command_loads_only_what_it_runs():
-    # every cohomology-only process would otherwise compile the report path,
-    # or the standard modules that dataclasses loads; -S keeps site's hooks
-    # from loading modules the command does not
-    probe = ("import sys; from stacky_brauer.cli import main; main(sys.argv[1:]); "
-             "print(*sorted(m for m in sys.modules if m.startswith('stacky_brauer.')"
-             " or m in ('dataclasses', 'inspect')))")
-    lazy = {"stacky_brauer.curves", "stacky_brauer.fibers", "stacky_brauer.oracle",
-            "dataclasses", "inspect"}
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _package_env() -> dict:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
-    for flags, expected in (((), set()), (("--verify",), {"stacky_brauer.oracle"})):
+
+
+def test_cohomology_command_loads_only_what_it_runs():
+    # a cold process compiles every module it loads: without --verify the
+    # value path alone, not the report path, the class and map side, or the
+    # standard modules that dataclasses loads; -S keeps site's hooks from
+    # loading modules the command does not
+    probe = ("import sys; from stacky_brauer.cli import main; main(sys.argv[1:]); "
+             "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'stacky_brauer'"
+             " or m in ('dataclasses', 'inspect')))")
+    values = {"stacky_brauer"} | {f"stacky_brauer.{stem}" for stem in (
+        "abelian", "cli", "cohomology", "errors", "groups", "records")}
+    verify = {f"stacky_brauer.{stem}" for stem in ("oracle", "abelian_maps", "cohomology_maps")}
+    for flags, expected in (((), values), (("--verify",), values | verify)):
         proc = subprocess.run(
             [sys.executable, "-S", "-c", probe, "cohomology", "cyclic:4", "2", "Z", *flags],
-            capture_output=True, text=True, timeout=60, env=env)
+            capture_output=True, text=True, timeout=60, env=_package_env())
         assert proc.returncode == 0, proc.stderr
         value, loaded = proc.stdout.splitlines()
         assert value == "Z/4"
-        assert lazy & set(loaded.split()) == expected, flags
+        assert set(loaded.split()) == expected, flags
+
+
+def test_package_namespace_in_a_fresh_process():
+    # stacky_brauer.cohomology names the function before the class side
+    # loads, after curves loads it through fibers, and after a star import
+    names = textwrap.dedent("""\
+        import json, sys, types
+        import stacky_brauer
+        fn, out = stacky_brauer.cohomology, {}
+        out["function"] = isinstance(fn, types.FunctionType) and fn.__name__ == "cohomology"
+        out["cold"] = sorted(m for m in sys.modules if m.endswith("_maps"))
+        import stacky_brauer.curves
+        out["after curves"] = stacky_brauer.cohomology is fn
+        out["loaded"] = sorted(m for m in sys.modules if m.endswith("_maps"))
+        exec("from stacky_brauer import *", ns := {})
+        out["after star"] = ns["cohomology"] is fn and stacky_brauer.cohomology is fn
+        print(json.dumps(out))
+        """)
+    # abelian and cohomology serve every function and class their maps
+    # modules define, and each lazily served name is one object wherever it
+    # is read (the tracer keys its wrappers by id()), first read through the
+    # package or the module that serves it
+    identity = textwrap.dedent("""\
+        import json, types
+        from importlib import import_module
+        import stacky_brauer
+        abelian = import_module("stacky_brauer.abelian")
+        coh = import_module("stacky_brauer.cohomology")
+        checked, differ = [], []
+        def compare(name, value, *readers):
+            checked.append(name)
+            if any(value is not getattr(reader, name) for reader in readers):
+                differ.append(name)
+        for name, module in sorted(stacky_brauer._LAZY.items()):
+            if module.endswith("_maps"):
+                compare(name, getattr(stacky_brauer, name),
+                        import_module(f"stacky_brauer.{module}"))
+        maps = {"abelian": import_module("stacky_brauer.abelian_maps")}
+        for name in sorted(abelian._MAPS):
+            compare(name, getattr(abelian, name), maps["abelian"])
+        maps["cohomology_maps"] = import_module("stacky_brauer.cohomology_maps")
+        for name, module in sorted(coh._MAPS.items()):
+            readers = [maps[module], abelian] if module == "abelian" else [maps[module]]
+            if name in stacky_brauer._LAZY:
+                readers.append(stacky_brauer)
+            compare(name, getattr(coh, name), *readers)
+        def defined(module):
+            return {name for name, value in vars(module).items()
+                    if isinstance(value, (types.FunctionType, type))
+                    and value.__module__ == module.__name__}
+        served = {name for name, module in coh._MAPS.items() if module == "cohomology_maps"}
+        unserved = ((set(abelian._MAPS) ^ defined(maps["abelian"]))
+                    | (served ^ defined(maps["cohomology_maps"])))
+        print(json.dumps({"checked": len(set(checked)), "differ": differ,
+                          "unserved": sorted(unserved)}))
+        """)
+    outs = []
+    for probe in (names, identity):
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                              text=True, timeout=60, env=_package_env())
+        assert proc.returncode == 0, proc.stderr
+        outs.append(json.loads(proc.stdout))
+    assert outs[0] == {"function": True, "cold": [], "after curves": True,
+                       "loaded": ["stacky_brauer.abelian_maps", "stacky_brauer.cohomology_maps"],
+                       "after star": True}
+    assert outs[1].pop("checked") > 20
+    assert outs[1] == {"differ": [], "unserved": []}
 
 
 def test_readme_library_tour_runs_as_written():
