@@ -1,10 +1,10 @@
 """Exact integer linear algebra over Z: the part a cohomology value runs.
 
-Sparse integer matrices, their diagonal and column echelon forms with
-transform tracking, finitely generated abelian groups in canonical
-invariant-factor form, integer spans, subquotients ker/im of Z^n, and
-the finite homology of a complex read off its incoming boundary alone
-(finite_homology_at).
+Sparse integer matrices, their diagonal forms (whose transforms are
+replayed from a log of the operations) and column echelon forms,
+finitely generated abelian groups in canonical invariant-factor form,
+integer spans, subquotients ker/im of Z^n, and the finite homology of a
+complex read off its incoming boundary alone (finite_homology_at).
 
 The rest (cokernels, kernel lattices, homology_at with a free part or a
 modulus, maps of abelian groups and the maps induced on subquotients)
@@ -397,14 +397,14 @@ class FinAbGroup(Record):
 # ---------------------------------------------------------------------------
 # The elimination engine
 #
-# Diagonalizes a sparse integer matrix by unimodular row and column
-# operations, optionally tracking V and V^-1 and logging the row operations,
-# from which _replay_rows rebuilds U and U^-1 when they are asked for.
+# Diagonalizes a sparse integer matrix U @ M @ V = diag by unimodular row
+# and column operations, optionally logging them; _replay_rows rebuilds U
+# and U^-1 from the row log, and V and V^-1 from the column log, when they
+# are asked for.
 
 
 class _Elim:
-    def __init__(self, M: IntegerMatrix, *, track_v=False, track_vinv=False,
-                 log_rows=False):
+    def __init__(self, M: IntegerMatrix, *, log=False):
         check_cap(M.nnz, "matrix nonzeros")
         self.m = M.rows
         self.n = M.cols
@@ -413,11 +413,11 @@ class _Elim:
         for (r, c), v in M.entries.items():
             self.rows.setdefault(r, {})[c] = v
             self.col_index.setdefault(c, set()).add(r)
-        self.vcols = {} if track_v else None          # col-major, lazy identity
-        self.vinv_rows = {} if track_vinv else None   # row-major, lazy identity
         # (dst, src, q) for row[dst] += q * row[src], (r,) for a negation,
         # (r1, r2, x, y, p, q) for the 2-row transform of _rows_gcd
-        self.row_ops = [] if log_rows else None
+        self.row_ops = [] if log else None
+        # (dst, src, q) for col[dst] += q * col[src]
+        self.col_ops = [] if log else None
         self.pivots = []      # list of (row, col); value lives in self.rows
         self._pivot_rows = set()
         self._pivot_cols = set()
@@ -440,11 +440,6 @@ class _Elim:
                 dst[k] = nv
             elif k in dst:
                 del dst[k]
-
-    def _ident_acc(self, store, dst_key, src_key, q):
-        src = self._ident_get(store, src_key)
-        dst = self._ident_get(store, dst_key)
-        self._vec_acc(dst, src, q)
 
     # -- elementary row operations (matrix <- E @ matrix)
 
@@ -539,11 +534,8 @@ class _Elim:
                     if dst in row:
                         del row[dst]
                         index[dst].discard(r)
-        if self.vcols is not None:
-            self._ident_acc(self.vcols, dst, src, q)
-        if self.vinv_rows is not None:
-            # Vinv <- E^{-1} @ Vinv: row[src] -= q * row[dst]
-            self._ident_acc(self.vinv_rows, src, dst, -q)
+        if self.col_ops is not None:
+            self.col_ops.append((dst, src, q))
 
     # -- pivoting
 
@@ -731,19 +723,16 @@ class _Elim:
         """Indices of non-pivot columns (they are zero after diagonalization)."""
         return [c for c in range(self.n) if c not in self._pivot_cols]
 
-    def v_column(self, c: int) -> dict:
-        if self.vcols is None:
-            raise ValidationError("V was not tracked")
-        return _identity_vector(self.vcols, c)
-
 
 def _replay_rows(ops):
-    """U and U^-1 of a logged elimination U @ M @ V = diag, from its row operations.
+    """The transforms of a logged elimination U @ M @ V = diag, from either log.
 
-    Each operation E is applied in order to lazy identities, U <- E @ U
-    (row-major) and U^-1 <- U^-1 @ E^-1 (column-major), exactly as tracking
-    them during the elimination would.  Returns (rows of U, columns of
-    U^-1), keyed by row; a key that is missing is the identity vector.
+    Each row operation E is applied in order to lazy identities, U <- E @ U
+    (row-major) and U^-1 <- U^-1 @ E^-1 (column-major), giving (rows of U,
+    columns of U^-1) keyed by row.  A column add col[dst] += q * col[src]
+    acts on V <- V @ E (column-major) and V^-1 <- E^-1 @ V^-1 (row-major) by
+    the same two updates, so the column log gives (columns of V, rows of
+    V^-1) keyed by column.  A key that is missing is the identity vector.
     """
     urows, uinv_cols = {}, {}
     get, acc, combine = _Elim._ident_get, _Elim._vec_acc, _Elim._combine
@@ -1048,12 +1037,7 @@ class Subquotient:
         out = {}
         for coeff, lift in zip(coords, self.lifts):
             if coeff:
-                for r, v in lift.items():
-                    nv = out.get(r, 0) + coeff * v
-                    if nv:
-                        out[r] = nv
-                    elif r in out:
-                        del out[r]
+                _Elim._vec_acc(out, lift, coeff)
         return out
 
 
@@ -1106,8 +1090,8 @@ def finite_homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix) -> Subquotient
     already a cycle.  The homology is then the torsion of coker(d_in), read
     off one elimination U @ d_in @ V = diag of d_in alone: the invariant
     factors are the canonicalized pivots other than 1, known at once.  The
-    elimination only logs its row operations; the classes are deferred to
-    one replay of that log (_replay_rows) on first use: a cycle's
+    elimination only logs its operations; the classes are deferred to one
+    replay of its row log (_replay_rows) on first use: a cycle's
     coordinates are its U rows at the torsion pivots, and the U^-1 columns
     at the pivot rows span the cycles.  d_out is only checked
     (d_out @ d_in == 0, its entry count against the resource cap), never
@@ -1116,7 +1100,7 @@ def finite_homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix) -> Subquotient
     """
     _check_chain(d_out, d_in, 0)
     check_cap(d_out.nnz, "matrix nonzeros")
-    elim = _Elim(d_in, log_rows=True).diagonalize()
+    elim = _Elim(d_in, log=True).diagonalize()
     torsion = elim.canonicalize()
     ops = elim.row_ops
     pivot_rows = [r for r, _ in elim.pivots]

@@ -9,7 +9,8 @@ modulus (homology_at), and the maps induced on subquotients
 so `from stacky_brauer.abelian import homology_at` works as before, and a
 process that only computes values never compiles this module.
 
-_replay_rows is called through the abelian module, where the tests
+_replay_rows, which rebuilds the transforms of an elimination from its row
+or column log, is called through the abelian module, where the tests
 replace it to count the replays.
 """
 
@@ -82,7 +83,7 @@ class _CycleSolver:
 
     moduli[r] is the relation order of row r (0 for a Z row).  One
     elimination of M augmented by moduli[r] * e_r for each nonzero modulus,
-    tracking V and V^-1, gives a basis of the lattice
+    replaying its column log into V and V^-1, gives a basis of the lattice
     {x : M @ x = 0 in Z^rows / diag(moduli)} (cycle_basis), coordinates in
     that basis (coords: sparse matrix-vector work), and, from the same
     pivots, the cokernel Z^rows / (im M + diag(moduli)).  This is the cycle
@@ -99,22 +100,22 @@ class _CycleSolver:
         if extra:
             aug = M.hstack(IntegerMatrix(
                 M.rows, len(extra), {(r, j): moduli[r] for j, r in enumerate(extra)}))
-        elim = _Elim(aug, track_v=True, track_vinv=True).diagonalize()
+        elim = _Elim(aug, log=True).diagonalize()
         self._rank = len(elim.pivots)
         self._torsion = [elim.rows[r][c] for r, c in elim.pivots if abs(elim.rows[r][c]) != 1]
         kernel_cols = elim.kernel_columns()
-        cols = []
-        for c in kernel_cols:
-            full = elim.v_column(c)
-            cols.append({r: v for r, v in full.items() if r < self.ambient})
-        self.cycle_basis = IntegerMatrix.from_columns(self.ambient, cols)
+        col_ops = elim.col_ops
+        # free the rows (they keep their fill-in's capacity) and row log first
+        del elim
+        vcols, vinv = abelian._replay_rows(col_ops)
+        self.cycle_basis = IntegerMatrix.from_columns(self.ambient, (
+            {r: v for r, v in vcols.get(c, {c: 1}).items() if r < self.ambient}
+            for c in kernel_cols))
         # column-major extractor: coord_cols[k][i] = Vinv[kernel_cols[i]][k],
         # so coords(v) = sum_k v[k] * coord_cols[k] runs in sparse time
         coord_cols = {}
-        vinv = elim.vinv_rows
         for i, c in enumerate(kernel_cols):
-            row = vinv.get(c, {c: 1})
-            for k, coeff in row.items():
+            for k, coeff in vinv.get(c, {c: 1}).items():
                 coord_cols.setdefault(k, {})[i] = coeff
         self._coord_cols = coord_cols
 
@@ -140,15 +141,7 @@ class _CycleSolver:
         out = {}
         coord_cols = self._coord_cols
         for k, fv in full.items():
-            col = coord_cols.get(k)
-            if not col:
-                continue
-            for i, coeff in col.items():
-                nv = out.get(i, 0) + coeff * fv
-                if nv:
-                    out[i] = nv
-                elif i in out:
-                    del out[i]
+            _Elim._vec_acc(out, coord_cols.get(k, {}), fv)
         return out
 
 
@@ -181,7 +174,7 @@ def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> 
     k = K.cols
     X = IntegerMatrix.from_columns(k, xcols)
 
-    elim = _Elim(X, log_rows=True).diagonalize()
+    elim = _Elim(X, log=True).diagonalize()
     torsion = elim.canonicalize()
     free_rows = sorted(set(range(k)) - {r for r, _ in elim.pivots})
     quotient = FinAbGroup(len(free_rows), tuple(d for _, d in torsion))
@@ -194,12 +187,7 @@ def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> 
         reduce_rows.append(_identity_vector(urows, r))
         lift = {}
         for c, coeff in _identity_vector(uinv_cols, r).items():
-            for rr, v in kview.get(c, {}).items():
-                nv = lift.get(rr, 0) + coeff * v
-                if nv:
-                    lift[rr] = nv
-                elif rr in lift:
-                    del lift[rr]
+            _Elim._vec_acc(lift, kview.get(c, {}), coeff)
         lifts.append(lift)
 
     return Subquotient(ambient, quotient, _Classes(

@@ -200,7 +200,7 @@ def load_group_table(path: str) -> FiniteGroup:
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read group table {path!r}: {exc}")
     if not lines or not lines[0].startswith("order"):
         raise InputFormatError(f"group table {path!r} must start with 'order n'")
@@ -228,7 +228,7 @@ def load_cocycle(path: str, G: FiniteGroup, r: int) -> Cocycle2:
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read cocycle {path!r}: {exc}")
     if not lines or not lines[0].startswith("modulus"):
         raise InputFormatError(f"cocycle {path!r} must start with 'modulus r'")
@@ -263,7 +263,8 @@ def parse_group_spec(spec: str, line: int = None) -> FiniteGroup:
         if len(parts) != 2:
             raise InputFormatError(f"bad semidirect spec {spec!r}", line)
         try:
-            return semidirect_cyclic_by_z2(int(parts[0]), int(parts[1]))
+            return semidirect_cyclic_by_z2(_parse_int(parts[0], line, "semidirect order"),
+                                           _parse_int(parts[1], line, "semidirect action"))
         except ValidationError as exc:
             raise InputFormatError(str(exc), line)
     if spec.startswith("table:"):

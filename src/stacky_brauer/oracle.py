@@ -426,9 +426,10 @@ def smith_normal_form(M: IntegerMatrix):
     S is diagonal with d1 | d2 | ... and all d_i >= 0 (nonzero entries
     first).  Raises ResourceCapError when M exceeds the entry budget.
     """
-    elim = abelian._Elim(M, track_v=True, log_rows=True).diagonalize()
+    elim = abelian._Elim(M, log=True).diagonalize()
     elim.canonicalize()
     urows, _ = abelian._replay_rows(elim.row_ops)
+    vcols, _ = abelian._replay_rows(elim.col_ops)
 
     k = len(elim.pivots)
     # permutations completing pivot order to full row/col orderings
@@ -445,7 +446,7 @@ def smith_normal_form(M: IntegerMatrix):
 
     v_entries = {}
     for j, c in enumerate(col_order):
-        for r, v in elim.v_column(c).items():
+        for r, v in abelian._identity_vector(vcols, c).items():
             v_entries[(r, j)] = v
     V = IntegerMatrix(M.cols, M.cols, v_entries)
     return S, U, V

@@ -10,6 +10,7 @@ from stacky_brauer.abelian import (
     FinAbGroup,
     IntegerMatrix,
     IntegerSpan,
+    _CycleSolver,
     capped_power,
     cokernel,
     cokernel_of_map,
@@ -608,5 +609,43 @@ class TestSmithNormalFormProperties:
             assert diagonal == nonzero + [0] * (len(diagonal) - len(nonzero))
             assert all(d > 0 for d in nonzero)
             assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+        check()
+
+
+class TestCycleSolverProperties:
+    """Hypothesis properties of _CycleSolver, whose V and V^-1 come from one
+    replay of its elimination's column log: the lattice of x with M x = 0
+    modulo the row moduli (0 for a Z row).  Derandomized, so every run
+    draws the same examples."""
+
+    @staticmethod
+    def _in_lattice(img: dict, moduli) -> bool:
+        return all((v % moduli[r] if moduli[r] else v) == 0 for r, v in img.items())
+
+    def test_properties(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @given(TestSmithNormalFormProperties.matrices(), st.data())
+        def check(M, data):
+            moduli = tuple(data.draw(st.lists(st.sampled_from((0, 0, 2, 3, 4, 6)),
+                                              min_size=M.rows, max_size=M.rows)))
+            solver = _CycleSolver(M, moduli)
+            K = solver.cycle_basis
+            assert K.rows == M.cols
+            kview = K.col_view()
+            for j in range(K.cols):
+                assert self._in_lattice(M.apply(kview.get(j, {})), moduli)
+            c = data.draw(st.lists(st.integers(-5, 5), min_size=K.cols, max_size=K.cols))
+            c = {i: v for i, v in enumerate(c) if v}
+            assert solver.contains(K.apply(c))
+            assert solver.coords(K.apply(c)) == c
+            for _ in range(3):
+                probe = data.draw(st.lists(st.integers(-4, 4), min_size=M.cols,
+                                           max_size=M.cols))
+                probe = {i: v for i, v in enumerate(probe) if v}
+                assert solver.contains(probe) == self._in_lattice(M.apply(probe), moduli)
 
         check()

@@ -506,6 +506,44 @@ class TestUnreadableOrUnwritableFiles:
         assert "Traceback" not in proc.stderr
         assert "error: cannot read input:" in proc.stderr
 
+    @pytest.mark.parametrize("kind", ["table", "cocycle"])
+    def test_undecodable_group_or_cocycle_file_is_a_parse_error(self, tmp_path, capsys,
+                                                                kind):
+        grp = tmp_path / "z2.grp"
+        grp.write_text("order 2\n0 1\n1 0\n")
+        coc = tmp_path / "c.coc"
+        coc.write_text("modulus 2\n0 0\n0 1\n")
+        (grp if kind == "table" else coc).write_bytes(b"\xff\xfe")
+        inp = tmp_path / "doc.txt"
+        inp.write_text(f"[curve]\nsmooth = false\nproper = true\nh1_stack = 0\n"
+                       f"[gerbe]\nr = 2\n[point.p]\ngroup = table:{grp}\n"
+                       f"singular = true\nextension = cocycle:{coc}\n")
+        rpt = tmp_path / "x.rpt"
+        assert main(["brauer", "--input", str(inp), "--report", str(rpt)]) == 1
+        assert f"error: cannot read {'group table' if kind == 'table' else kind}" \
+            in capsys.readouterr().err
+        assert "error-code = parse" in rpt.read_text().splitlines()
+
+
+class TestMalformedSemidirectSpec:
+    """A semidirect_z2 spec whose parts are not integers is a parse error
+    with a report, from the command line and from a document alike."""
+
+    def test_cohomology_command(self, tmp_path, capsys):
+        rpt = tmp_path / "x.rpt"
+        assert main(["cohomology", "semidirect_z2:4:x", "2", "Z",
+                     "--report", str(rpt)]) == 1
+        assert "expects an integer, got 'x'" in capsys.readouterr().err
+        assert "error-code = parse" in rpt.read_text().splitlines()
+
+    def test_document(self, tmp_path, capsys):
+        inp = tmp_path / "doc.txt"
+        inp.write_text(NODE_DOC.replace("semidirect_z2:4:3", "semidirect_z2:4:x"))
+        rpt = tmp_path / "x.rpt"
+        assert main(["brauer", "--input", str(inp), "--report", str(rpt)]) == 1
+        assert "expects an integer, got 'x'" in capsys.readouterr().err
+        assert "error-code = parse" in rpt.read_text().splitlines()
+
 
 class TestRepeatedCalls:
     """main is called many times in one process: one parser, no state
