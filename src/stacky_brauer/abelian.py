@@ -65,6 +65,32 @@ def check_cap(needed: int, what: str = "") -> None:
         raise ResourceCapError(needed, cap, what)
 
 
+# The one store of the values built once per process (cohomology groups,
+# resolutions, central extensions, ...); a key starts with a table or a tag.
+_CACHE: dict = {}
+_CACHE_LOCK = threading.Lock()
+
+
+def memo(key, build):
+    """The value stored under key; on a miss, build()'s, stored.
+
+    build runs outside the lock and must not return None; concurrent first
+    callers may each build, and all get the first value stored.
+    """
+    with _CACHE_LOCK:
+        value = _CACHE.get(key)
+    if value is None:
+        value = build()
+        with _CACHE_LOCK:
+            value = _CACHE.setdefault(key, value)
+    return value
+
+
+def clear_memo() -> None:
+    with _CACHE_LOCK:
+        _CACHE.clear()
+
+
 # Powers up to this many bits are formed exactly before the cap comparison,
 # so the error names the exact size wherever forming it is cheap.
 _POWER_BITS = 4096
@@ -112,24 +138,23 @@ def invariant_factor_chain(values) -> tuple:
 
     Input entries are nonzero integers (signs ignored).  Output is the
     ascending chain d1 | d2 | ... with factors equal to 1 dropped.
-    Uses gcd/lcm exchanges, so no factorization is needed.
+    Uses gcd/lcm exchanges, so no factorization is needed; a list that is
+    a chain once sorted, as (Z/r)^2g + Z/d with d | r, costs one pass.
+    Otherwise one pass over the pairs i < j, replacing (fs[i], fs[j]) by
+    their gcd and lcm, leaves fs[i] | fs[j] for every i < j.
     """
-    fs = [abs(v) for v in values if abs(v) != 1]
-    if any(v == 0 for v in fs):
+    fs = sorted(abs(v) for v in values if abs(v) != 1)
+    if fs and fs[0] == 0:
         raise ValidationError("invariant factors must be nonzero")
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                a, b = fs[i], fs[j]
-                if b % a != 0:
-                    g = gcd(a, b)
-                    fs[i], fs[j] = g, a * b // g
-                    changed = True
-        fs = [f for f in fs if f != 1]
-    fs.sort()
-    return tuple(fs)
+    if all(b % a == 0 for a, b in zip(fs, fs[1:])):
+        return tuple(fs)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            a, b = fs[i], fs[j]
+            if b % a:
+                g = gcd(a, b)
+                fs[i], fs[j] = g, a * b // g
+    return tuple(f for f in fs if f != 1)
 
 
 # ---------------------------------------------------------------------------

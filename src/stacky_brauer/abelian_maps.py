@@ -28,6 +28,7 @@ from .abelian import (
     _Elim,
     _check_chain,
     _identity_vector,
+    check_cap,
 )
 from .errors import (
     ChainCompositionError,
@@ -50,6 +51,7 @@ def hom_to_cyclic(A: FinAbGroup, r: int) -> FinAbGroup:
     """Hom(A, Z/r) in canonical form: (Z/r)^free_rank + sum of Z/gcd(d_i, r)."""
     if r < 1:
         raise ValidationError("modulus must be >= 1")
+    check_cap(A.free_rank, "Hom(A, Z/r): one factor per free generator")
     factors = [gcd(d, r) for d in A.invariant_factors] + [r] * A.free_rank
     return FinAbGroup.from_factors(factors)
 
@@ -100,12 +102,14 @@ class _CycleSolver:
         if extra:
             aug = M.hstack(IntegerMatrix(
                 M.rows, len(extra), {(r, j): moduli[r] for j, r in enumerate(extra)}))
-        elim = _Elim(aug, log=True).diagonalize()
+        elim = _Elim(aug, log=True)
+        elim.row_ops = None   # only the column log is replayed
+        elim.diagonalize()
         self._rank = len(elim.pivots)
         self._torsion = [elim.rows[r][c] for r, c in elim.pivots if abs(elim.rows[r][c]) != 1]
         kernel_cols = elim.kernel_columns()
         col_ops = elim.col_ops
-        # free the rows (they keep their fill-in's capacity) and row log first
+        # free the rows first: they keep their fill-in's capacity
         del elim
         vcols, vinv = abelian._replay_rows(col_ops)
         self.cycle_basis = IntegerMatrix.from_columns(self.ambient, (

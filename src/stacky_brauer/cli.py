@@ -70,12 +70,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-_CURVE_KEYS = {"smooth", "proper", "connected", "genus", "characteristic",
-               "h1_stack", "h1_coarse"}
-_GERBE_KEYS = {"r", "coarse_class"}
-_POINT_KEYS = {"group", "singular", "extension"}
-
-
 class PointSection(MutableRecord):
     _fields = ("name", "group_spec", "group", "singular", "extension_spec", "cocycle")
 
@@ -165,7 +159,7 @@ def _factors_text(group: FinAbGroup) -> str:
     return ",".join(str(d) for d in group.invariant_factors)
 
 
-def _parse_factors(text: str, line: int) -> FinAbGroup:
+def _parse_factors(text: str, line: int, key: str) -> FinAbGroup:
     text = text.strip()
     if text in ("0", "trivial"):
         return FinAbGroup.trivial()
@@ -284,16 +278,41 @@ def parse_group_spec(spec: str, line: int = None) -> FiniteGroup:
     raise InputFormatError(f"unknown group spec {spec!r}", line)
 
 
+def _parse_modulus(text: str, line: int, key: str) -> int:
+    r = _parse_int(text, line, key)
+    if r < 1:
+        raise InputFormatError("gerbe modulus must be >= 1", line)
+    return r
+
+
+def _parse_extension(text: str, line: int, key: str) -> str:
+    if text != "split" and not text.startswith("cocycle:"):
+        raise InputFormatError(f"unknown extension spec {text!r}", line)
+    return text
+
+
+# section -> key -> (attribute of the InputDocument, or of the PointSection
+# of a [point.<name>] section, and its parser(value, line, key))
+_KEYS = {
+    "curve": {
+        "smooth": ("smooth", _parse_bool), "proper": ("proper", _parse_bool),
+        "connected": ("connected", _parse_bool), "genus": ("genus", _parse_int),
+        "characteristic": ("characteristic", _parse_int),
+        "h1_stack": ("h1_stack", _parse_factors), "h1_coarse": ("h1_coarse", _parse_factors),
+    },
+    "gerbe": {"r": ("r", _parse_modulus),
+              "coarse_class": ("coarse_class", lambda text, line, key: text)},
+    "point.": {"group": ("group", lambda text, line, key: parse_group_spec(text, line)),
+               "singular": ("singular", _parse_bool),
+               "extension": ("extension_spec", _parse_extension)},
+}
+
+
 def parse_input(text: str) -> InputDocument:
     """Parse and validate an input document; errors carry line positions."""
     doc = InputDocument(smooth=False, proper=False)
-    seen_curve = seen_gerbe = False
-    smooth = proper = None
-    section = None
-    current_point = None
-    point_names = []
-    keys_seen = set()        # the keys of the current section
-    deferred_cocycles = []   # (PointSection, path, line)
+    sections = {}     # section name -> the keys it set
+    keys = None       # the current section's
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -303,100 +322,49 @@ def parse_input(text: str) -> InputDocument:
             if not stripped.endswith("]"):
                 raise InputFormatError("unterminated section header", lineno)
             name = stripped[1:-1].strip()
-            keys_seen = set()
-            if name == "curve":
-                if seen_curve:
-                    raise InputFormatError("duplicate [curve] section", lineno)
-                seen_curve = True
-                section = "curve"
-            elif name == "gerbe":
-                if seen_gerbe:
-                    raise InputFormatError("duplicate [gerbe] section", lineno)
-                seen_gerbe = True
-                section = "gerbe"
-            elif name.startswith("point."):
+            target, fields = doc, _KEYS.get(name)
+            if name.startswith("point."):
                 pname = name[len("point."):]
                 if not pname:
                     raise InputFormatError("empty point name", lineno)
-                if pname in point_names:
+                if name in sections:
                     raise InputFormatError(f"duplicate point {pname!r}", lineno)
-                point_names.append(pname)
-                current_point = PointSection(pname, "", None)
-                doc.points.append(current_point)
-                section = "point"
-            else:
+                target, fields = PointSection(pname, "", None), _KEYS["point."]
+                doc.points.append(target)
+            elif fields is None:
                 raise InputFormatError(f"unknown section [{name}]", lineno)
+            elif name in sections:
+                raise InputFormatError(f"duplicate [{name}] section", lineno)
+            keys = sections[name] = set()
             continue
         if "=" not in stripped:
             raise InputFormatError("expected key = value", lineno)
         key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if section is None:
+        key, value = key.strip(), value.strip()
+        if keys is None:
             raise InputFormatError("key outside any section", lineno)
-        if key in keys_seen:
-            where = f"point.{current_point.name}" if section == "point" else section
-            raise InputFormatError(f"duplicate key {key!r} in [{where}]", lineno)
-        keys_seen.add(key)
-        if section == "curve":
-            if key not in _CURVE_KEYS:
-                raise InputFormatError(f"unknown key {key!r} in [curve]", lineno)
-            if key == "smooth":
-                smooth = _parse_bool(value, lineno, key)
-            elif key == "proper":
-                proper = _parse_bool(value, lineno, key)
-            elif key == "connected":
-                doc.connected = _parse_bool(value, lineno, key)
-            elif key == "genus":
-                doc.genus = _parse_int(value, lineno, key)
-            elif key == "characteristic":
-                doc.characteristic = _parse_int(value, lineno, key)
-            elif key == "h1_stack":
-                doc.h1_stack = _parse_factors(value, lineno)
-            elif key == "h1_coarse":
-                doc.h1_coarse = _parse_factors(value, lineno)
-        elif section == "gerbe":
-            if key not in _GERBE_KEYS:
-                raise InputFormatError(f"unknown key {key!r} in [gerbe]", lineno)
-            if key == "r":
-                doc.r = _parse_int(value, lineno, key)
-                if doc.r < 1:
-                    raise InputFormatError("gerbe modulus must be >= 1", lineno)
-            else:
-                doc.coarse_class = value
-        else:
-            if key not in _POINT_KEYS:
-                raise InputFormatError(
-                    f"unknown key {key!r} in [point.{current_point.name}]", lineno)
-            if key == "group":
-                current_point.group_spec = value
-                current_point.group = parse_group_spec(value, lineno)
-            elif key == "singular":
-                current_point.singular = _parse_bool(value, lineno, key)
-            else:
-                current_point.extension_spec = value
-                if value == "split":
-                    pass
-                elif value.startswith("cocycle:"):
-                    deferred_cocycles.append(
-                        (current_point, value[len("cocycle:"):], lineno))
-                else:
-                    raise InputFormatError(f"unknown extension spec {value!r}", lineno)
+        if key in keys:
+            raise InputFormatError(f"duplicate key {key!r} in [{name}]", lineno)
+        keys.add(key)
+        if key not in fields:
+            raise InputFormatError(f"unknown key {key!r} in [{name}]", lineno)
+        attribute, parse = fields[key]
+        if key == "group":
+            target.group_spec = value
+        setattr(target, attribute, parse(value, lineno, key))
 
-    if not seen_curve:
-        raise InputFormatError("missing [curve] section")
-    if not seen_gerbe:
-        raise InputFormatError("missing [gerbe] section")
-    if smooth is None or proper is None:
+    for name in ("curve", "gerbe"):
+        if name not in sections:
+            raise InputFormatError(f"missing [{name}] section")
+    if not {"smooth", "proper"} <= sections["curve"]:
         raise InputFormatError("[curve] must set smooth and proper")
-    doc.smooth = smooth
-    doc.proper = proper
 
     for sec in doc.points:
         if sec.group is None:
             raise InputFormatError(f"point {sec.name!r} has no group")
-    for sec, path, lineno in deferred_cocycles:
-        sec.cocycle = load_cocycle(path, sec.group, doc.r)
+    for sec in doc.points:
+        if sec.extension_spec.startswith("cocycle:"):
+            sec.cocycle = load_cocycle(sec.extension_spec[len("cocycle:"):], sec.group, doc.r)
 
     # semantic validation through the real constructors, mapped back to
     # document-level errors

@@ -40,7 +40,7 @@ otherwise abelian.homology_at eliminates d_out, augmented by m*I for Z/m,
 for a cycle basis.  The bar homology is the tests' oracle (oracle.py).
 
 This module holds what a value runs: the coefficients, the cohomology
-groups and their cache, cohomology() and the free resolutions.  The bar
+groups, cohomology() and the free resolutions, kept by abelian.memo.  The bar
 complex and its classes, inflation and restriction, the comparison maps,
 the Bocksteins and the extension classes live in cohomology_maps.  This
 module serves their names on first use (PEP 562 __getattr__), and also
@@ -67,6 +67,7 @@ from .abelian import (
     Subquotient,
     check_cap,
     finite_homology_at,
+    memo,
 )
 from .errors import (
     InvariantViolationError,
@@ -245,17 +246,16 @@ class CohomologyClass(Record):
         return "(" + ", ".join(str(v) for v in self.coords) + ")"
 
 
-_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
+# abelian.memo's store, where every value built once lives (perfbench's
+# tracer counts cache misses by its length)
+_CACHE = abelian._CACHE
 
 
 def clear_cache() -> None:
-    """Drop every cached value: cohomology groups, free resolutions, the
-    central extensions of groups.central_extension and the cyclic groups of
-    groups.cyclic."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
-    groups._EXTENSIONS.clear()
+    """Drop every cached value: abelian.memo's (cohomology groups, free
+    resolutions, comparison chains, central extensions) and the cyclic
+    groups of groups.cyclic."""
+    abelian.clear_memo()
     groups._cyclic.cache_clear()
 
 
@@ -288,15 +288,13 @@ def cohomology(G: FiniteGroup, n: int, coefficients: Coefficients = INTEGERS,
     if coefficients.kind == "units":
         validate_tameness(G, characteristic)
     degree, modulus = _integral_degree(n, coefficients)
-    key = (G.table, degree, modulus)
-    with _CACHE_LOCK:
-        cached = _CACHE.get(key)
-    if cached is None:
+
+    def build():
         value = _universal_coefficients(G, degree, modulus)
-        cached = Subquotient((G.order - 1) ** degree, value,
-                             _bar_classes(G, degree, modulus, value))
-        with _CACHE_LOCK:
-            cached = _CACHE.setdefault(key, cached)
+        return Subquotient((G.order - 1) ** degree, value,
+                           _bar_classes(G, degree, modulus, value))
+
+    cached = memo((G.table, degree, modulus), build)
     return CohomologyGroup(G, n, coefficients, cached.quotient, cached)
 
 
@@ -510,12 +508,7 @@ class FreeResolution:
 
 def free_resolution(E: FiniteGroup) -> FreeResolution:
     """E's FreeResolution, cached beside the cohomology groups (clear_cache drops it)."""
-    key = ("resolution", E.table)
-    with _CACHE_LOCK:
-        R = _CACHE.get(key)
-        if R is None:
-            R = _CACHE[key] = FreeResolution(E)
-    return R
+    return memo(("resolution", E.table), lambda: FreeResolution(E))
 
 
 def resolution_homology_Z(X: FiniteGroup, n: int) -> Subquotient:
@@ -533,13 +526,10 @@ def resolution_homology_Z(X: FiniteGroup, n: int) -> Subquotient:
     """
     if n < 1:
         raise ValidationError("integral homology is computed here for degree >= 1")
-    key = ("resolution homology", X.table, n)
-    with _CACHE_LOCK:
-        cached = _CACHE.get(key)
-    if cached is None:
+
+    def build():
         R = free_resolution(X)
-        cached = finite_homology_at(R.coinvariant_boundary(n),
-                                    R.coinvariants(n, R.echelon(n).kernel()))
-        with _CACHE_LOCK:
-            cached = _CACHE.setdefault(key, cached)
-    return cached
+        return finite_homology_at(R.coinvariant_boundary(n),
+                                  R.coinvariants(n, R.echelon(n).kernel()))
+
+    return memo(("resolution homology", X.table, n), build)

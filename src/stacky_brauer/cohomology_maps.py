@@ -29,11 +29,10 @@ from .abelian import (
     IntegerMatrix,
     capped_power,
     check_cap,
+    memo,
 )
 from .abelian_maps import AbGroupMap, is_surjective, kernel_basis
 from .cohomology import (
-    _CACHE,
-    _CACHE_LOCK,
     INTEGERS,
     CohomologyClass,
     Coefficients,
@@ -227,10 +226,8 @@ def comparison_chains(q: GroupHom, n: int) -> tuple:
         raise ValidationError("degree must be nonnegative")
     if n == 0:
         return ({q.target.identity: 1},)
-    key = ("comparison", q.source.table, q.target.table, q.image, n)
-    with _CACHE_LOCK:
-        cached = _CACHE.get(key)
-    if cached is None:
+
+    def build():
         R, N = free_resolution(q.target), q.source.order
         prev = comparison_chains(q, n - 1)
         chains = []
@@ -240,9 +237,9 @@ def comparison_chains(q: GroupHom, n: int) -> tuple:
                 for k, a in R.translate(q(idx % N), prev[idx // N]).items():
                     y[k] = y.get(k, 0) + c * a
             chains.append(R.lift(n, y))
-        with _CACHE_LOCK:
-            cached = _CACHE.setdefault(key, tuple(chains))
-    return cached
+        return tuple(chains)
+
+    return memo(("comparison", q.source.table, q.target.table, q.image, n), build)
 
 
 def comparison_classes(q: GroupHom, m: int, cycles) -> list:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .abelian import (FinAbGroup, IntegerMatrix, cokernel, hom_to_cyclic,
+from .abelian import (FinAbGroup, IntegerMatrix, check_cap, cokernel, hom_to_cyclic,
                       invariant_factor_chain, lcm)
 from .cohomology import (CohomologyClass, bockstein_r, cohomology_units, cohomology_Z,
                          validate_characteristic)
@@ -184,6 +184,7 @@ def h1_coarse_zr(curve: CurveSpec, r: int) -> FinAbGroup:
     if curve.h1_coarse_override is not None:
         return curve.h1_coarse_override
     if curve.smooth and curve.proper:
+        check_cap(2 * curve.coarse_genus, "H^1(C, Z/r): 2g factors")
         return FinAbGroup.from_factors([r] * (2 * curve.coarse_genus))
     raise MissingDataError(
         "missing-h1",
@@ -289,24 +290,10 @@ class BrauerReport(Record):
 
 def _quotient_by_cyclic_subgroup(total_gens, tuple_coords) -> FinAbGroup:
     """(+)_i H^3(G_i, Z) modulo the subgroup generated by one coordinate tuple."""
-    orders = []
-    for g in total_gens:
-        orders.extend(g.relation_orders())
-    coords = []
-    for t in tuple_coords:
-        coords.extend(t)
-    n = len(orders)
-    entries = {}
-    col = 0
-    for i, d in enumerate(orders):
-        if d:
-            entries[(i, col)] = d
-            col += 1
-    for i, v in enumerate(coords):
-        if v:
-            entries[(i, col)] = v
-    rel = IntegerMatrix(n, col + 1, entries)
-    return cokernel(rel)
+    orders = [d for g in total_gens for d in g.relation_orders()]
+    coords = [v for t in tuple_coords for v in t]
+    relations = [{i: d} for i, d in enumerate(orders) if d] + [dict(enumerate(coords))]
+    return cokernel(IntegerMatrix.from_columns(len(orders), relations))
 
 
 def brauer_report(curve: CurveSpec, r: int, *, verify: bool = False,

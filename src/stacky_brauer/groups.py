@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .abelian import capped_power
+from .abelian import capped_power, memo
 from .errors import ValidationError
 from .records import Record
 
@@ -340,30 +340,21 @@ class CentralExtension(Record):
         return self.cocycle.modulus
 
 
-# (G, G.labels, r, cocycle values) -> CentralExtension; cohomology.clear_cache
-# empties it.
-_EXTENSIONS: dict = {}
-
-
 def _extension_key(G: FiniteGroup, r: int, values: tuple) -> tuple:
     # E's labels come from G's, so they are part of the key
-    return (G, G.labels, r, values)
+    return ("extension", G.table, G.labels, r, values)
 
 
 def central_extension(G: FiniteGroup, r: int, c: Cocycle2) -> CentralExtension:
     """The extension of G by Z/r with cocycle c, built and validated once.
 
     Later calls with an equal table, labels, r and cocycle return the same
-    object: a CentralExtension and its groups are never mutated, and
-    setdefault makes concurrent first callers share one.
+    object, kept by abelian.memo: a CentralExtension and its groups are
+    never mutated, and concurrent first callers share one.
     """
     if c.base != G or c.modulus != r:
         raise ValidationError("cocycle does not match the requested extension data")
-    key = _extension_key(G, r, c.values)
-    ext = _EXTENSIONS.get(key)
-    if ext is None:
-        ext = _EXTENSIONS.setdefault(key, _build_extension(G, r, c))
-    return ext
+    return memo(_extension_key(G, r, c.values), lambda: _build_extension(G, r, c))
 
 
 def _build_extension(G: FiniteGroup, r: int, c: Cocycle2) -> CentralExtension:
@@ -390,10 +381,10 @@ def _build_extension(G: FiniteGroup, r: int, c: Cocycle2) -> CentralExtension:
 
 
 def split_extension(G: FiniteGroup, r: int) -> CentralExtension:
-    """G x Z/r.  A built one is found before the zero cocycle is made, as
-    the cocycle check costs O(|G|^3) on every call."""
-    ext = _EXTENSIONS.get(_extension_key(G, r, Cocycle2._zero_values(G.order)))
-    return ext if ext is not None else central_extension(G, r, Cocycle2.zero(G, r))
+    """G x Z/r.  The zero cocycle, whose check costs O(|G|^3), is made only
+    when no extension is stored under its values."""
+    return memo(_extension_key(G, r, Cocycle2._zero_values(G.order)),
+                lambda: central_extension(G, r, Cocycle2.zero(G, r)))
 
 
 # ---------------------------------------------------------------------------

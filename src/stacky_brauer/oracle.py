@@ -24,6 +24,7 @@ from .abelian import (
     cokernel,
     finite_homology_at,
     kernel_basis,
+    memo,
 )
 from .cohomology import Coefficients, CohomologyGroup, INTEGERS
 from .errors import ResourceCapError, ValidationError
@@ -137,16 +138,13 @@ def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
     """
     if n < 1:
         raise ValidationError("integral homology is computed here for degree >= 1")
-    key = ("homology", X.table, n)   # the engine's keys start with a table or a tag
-    with _engine._CACHE_LOCK:
-        cached = _engine._CACHE.get(key)
-    if cached is None:
+
+    def build():
         capped_power(X.order - 1, n + 2, f"H_{n} as H^{n + 1}: d_out rows (|G|-1)^{n + 2}")
-        cached = finite_homology_at(_engine.bar_differential(X, n - 1).transpose(),
-                                    _engine.bar_differential(X, n).transpose())
-        with _engine._CACHE_LOCK:
-            cached = _engine._CACHE.setdefault(key, cached)
-    return cached
+        return finite_homology_at(_engine.bar_differential(X, n - 1).transpose(),
+                                  _engine.bar_differential(X, n).transpose())
+
+    return memo(("homology", X.table, n), build)
 
 
 def resolution_boundary(R: _engine.FreeResolution, n: int) -> IntegerMatrix:

@@ -1,4 +1,5 @@
 import random
+from importlib import import_module
 from itertools import product
 from math import gcd
 
@@ -611,6 +612,26 @@ class TestSmithNormalFormProperties:
             assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
 
         check()
+
+
+class TestCycleSolverLog:
+    def test_only_the_column_log_is_kept(self, monkeypatch):
+        # V and V^-1 are replayed from the column log; U is never asked for,
+        # so the elimination logs no row operation
+        maps = import_module("stacky_brauer.abelian_maps")
+        made = []
+
+        class Recording(maps._Elim):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(maps, "_Elim", Recording)
+        M = bar_differential(cyclic(4), 2)
+        _CycleSolver(M, (2,) * M.rows)
+        assert len(made) == 1
+        assert made[0].row_ops is None
+        assert made[0].col_ops
 
 
 class TestCycleSolverProperties:

@@ -68,12 +68,19 @@ class TestParsing:
             assert again == doc
             assert again.to_text() == doc.to_text()
 
-    def test_unknown_key_positioned(self):
+    @pytest.mark.parametrize("text, line, where", [
+        ("[curve]\nsmooth = true\nproper = true\ngenus = 1\n"
+         "color = blue\n[gerbe]\nr = 2\n", 5, "[curve]"),
+        ("[curve]\nsmooth = true\nproper = true\ngenus = 1\n"
+         "[gerbe]\nr = 2\ncolor = blue\n", 7, "[gerbe]"),
+        ("[curve]\nsmooth = true\nproper = true\ngenus = 1\n[gerbe]\nr = 2\n"
+         "[point.p]\ngroup = cyclic:2\ncolor = blue\n", 9, "[point.p]"),
+    ], ids=["curve", "gerbe", "point"])
+    def test_unknown_key_positioned(self, text, line, where):
         with pytest.raises(InputFormatError) as err:
-            parse_input("[curve]\nsmooth = true\nproper = true\ngenus = 1\n"
-                        "color = blue\n[gerbe]\nr = 2\n")
-        assert err.value.line == 5
-        assert "color" in str(err.value)
+            parse_input(text)
+        assert err.value.line == line
+        assert f"unknown key 'color' in {where}" in str(err.value)
 
     @pytest.mark.parametrize("text, line, where", [
         ("[curve]\nsmooth = true\nproper = true\ngenus = 1\ngenus = 2\n"
@@ -275,6 +282,31 @@ class TestEndToEnd:
              "99999999999", "Z", "--report", str(rpt)],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1, proc.stderr
+        assert "error-code = resource-cap" in rpt.read_text().splitlines()
+
+    def test_large_genus_is_answered_at_once(self, tmp_path):
+        # H^1 = (Z/2)^40000: its factors already form a chain, so putting them
+        # in canonical form takes one pass, not a gcd exchange test per pair
+        # (3.3 s at genus 4000, growing with the square of the genus)
+        inp, rpt = tmp_path / "g.txt", tmp_path / "g.rpt"
+        inp.write_text(SMOOTH_DOC.replace("genus = 2", "genus = 20000"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stacky_brauer", "brauer", "--input", str(inp),
+             "--report", str(rpt)], capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        result = next(line for line in rpt.read_text().splitlines()
+                      if line.startswith("result = "))
+        assert result == "result = " + " + ".join(["Z/2"] * 40000)
+
+    def test_huge_genus_is_refused_before_its_factors(self, tmp_path):
+        # 2 * 10^7 factors of H^1 are charged to the cap before they are listed
+        inp, rpt = tmp_path / "g.txt", tmp_path / "g.rpt"
+        inp.write_text(SMOOTH_DOC.replace("genus = 2", "genus = 10000000"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stacky_brauer", "brauer", "--input", str(inp),
+             "--report", str(rpt)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
         assert "error-code = resource-cap" in rpt.read_text().splitlines()
 
     def test_huge_group_order_is_refused_before_the_table(self, tmp_path):

@@ -19,6 +19,7 @@ from stacky_brauer.curves import (
 )
 from stacky_brauer.errors import (
     MissingDataError,
+    ResourceCapError,
     TamenessError,
     ValidationError,
 )
@@ -151,6 +152,13 @@ class TestH1:
                           h1_coarse_override=FinAbGroup.trivial())
         assert h1_stack_zr(curve, 2) == FinAbGroup.cyclic(2)
         assert h1_coarse_zr(curve, 2).is_trivial
+
+    def test_huge_genus_is_refused_before_its_factors(self):
+        # both list 2g factors; the cap is charged first
+        curve = smooth_curve(10 ** 7, [3])
+        for h1 in (h1_stack_zr, h1_coarse_zr):
+            with pytest.raises(ResourceCapError, match="20000000"):
+                h1(curve, 2)
 
 
 class TestLeftKernel:

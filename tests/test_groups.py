@@ -6,7 +6,12 @@ from importlib import import_module
 import pytest
 
 from stacky_brauer.abelian import set_resource_cap
-from stacky_brauer.cohomology import clear_cache, enumerate_extension_classes
+from stacky_brauer.cohomology import (
+    clear_cache,
+    comparison_chains,
+    enumerate_extension_classes,
+    free_resolution,
+)
 from stacky_brauer.errors import ResourceCapError, ValidationError
 from stacky_brauer.groups import (
     Cocycle2,
@@ -113,12 +118,19 @@ class TestExtensionMemo:
         assert central_extension(G, 2, coboundary) is not ext
 
     def test_clear_cache_drops_the_memo(self):
+        # extensions, resolutions and comparison chains share one store
         ext = split_extension(cyclic(3), 2)
+        R, psi = free_resolution(ext.total), comparison_chains(ext.projection, 2)
         assert split_extension(cyclic(3), 2) is ext
+        assert free_resolution(ext.total) is R
+        assert comparison_chains(ext.projection, 2) is psi
         clear_cache()
         again = split_extension(cyclic(3), 2)
         assert again is not ext
         assert again.total == ext.total
+        assert free_resolution(again.total) is not R
+        assert comparison_chains(again.projection, 2) is not psi
+        assert comparison_chains(again.projection, 2) == psi
 
     def test_concurrent_callers_share_one_extension(self):
         # more threads than cores, switching often: every first caller

@@ -3,6 +3,7 @@ name a module exports in __all__ exists."""
 
 import ast
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -67,6 +68,35 @@ def test_every_exported_name_resolves():
             if not hasattr(module, name):
                 missing.append((path.stem, name))
     assert not missing, missing
+
+
+def _names_in(tree):
+    """Every name, attribute, imported name and string constant of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_one_memo_holds_every_cached_value():
+    # abelian.memo's store and lock are named only where they live, and in
+    # cohomology, whose _CACHE perfbench's tracer and the tests read
+    allowed = {"_CACHE_LOCK": {"abelian.py"}, "_CACHE": {"abelian.py", "cohomology.py"},
+               "_EXTENSIONS": set()}
+    found = {name: set() for name in allowed}
+    for path in MODULES:
+        for name in _names_in(ast.parse(path.read_text(), str(path))):
+            if name in found:
+                found[name].add(path.name)
+    assert all(found[name] <= allowed[name] for name in allowed), found
+    abelian = import_module("stacky_brauer.abelian")
+    assert import_module("stacky_brauer.cohomology")._CACHE is abelian._CACHE
+    assert list(inspect.signature(abelian.memo).parameters) == ["key", "build"]
 
 
 def test_engine_holds_no_bar_homology():
