@@ -7,7 +7,8 @@ resolutions, in exact sparse integer linear algebra:
 * abelian:    echelon and diagonal forms, abelian groups, subquotients of Z^n
 * abelian_maps: cokernels, homology with a free part or a modulus, maps of
               abelian groups and the maps induced on subquotients
-* groups:     multiplication tables, 2-cocycles, central extensions
+* groups:     multiplication tables and homomorphisms
+* extensions: 2-cocycles, central extensions, sections of surjections
 * cohomology: H^n(G, Z), H^n(G, Z/m), H^n(G, kx) and integral homology
               off small free resolutions
 * cohomology_maps: bar-complex classes, inflation/restriction, comparison
@@ -15,6 +16,7 @@ resolutions, in exact sparse integer linear algebra:
 * fibers:     per-stabilizer root-gerbe and exactness diagnostics
 * curves:     the stacky-curve data model and the Brauer report
 * oracle:     independent recomputation paths used by the test suite
+* documents:  the brauer command's input documents and machine report
 * cli:        the stacky-brauer command
 """
 
@@ -52,15 +54,11 @@ from .errors import (
     ValidationError,
 )
 from .groups import (
-    CentralExtension,
-    Cocycle2,
     FiniteGroup,
     GroupHom,
-    central_extension,
     cyclic,
     direct_product,
     semidirect_cyclic_by_z2,
-    split_extension,
     trivial_group,
 )
 
@@ -86,6 +84,10 @@ _LAZY = {
     "enumerate_extension_classes": "cohomology_maps",
     "inflation_map": "cohomology_maps",
     "restriction_map": "cohomology_maps",
+    "CentralExtension": "extensions",
+    "Cocycle2": "extensions",
+    "central_extension": "extensions",
+    "split_extension": "extensions",
     "BrauerReport": "curves",
     "CurveSpec": "curves",
     "StabilizerPoint": "curves",

@@ -141,13 +141,15 @@ def invariant_factor_chain(values) -> tuple:
     Uses gcd/lcm exchanges, so no factorization is needed; a list that is
     a chain once sorted, as (Z/r)^2g + Z/d with d | r, costs one pass.
     Otherwise one pass over the pairs i < j, replacing (fs[i], fs[j]) by
-    their gcd and lcm, leaves fs[i] | fs[j] for every i < j.
+    their gcd and lcm, leaves fs[i] | fs[j] for every i < j; its
+    n(n-1)/2 pairs are charged to the resource cap first.
     """
     fs = sorted(abs(v) for v in values if abs(v) != 1)
     if fs and fs[0] == 0:
         raise ValidationError("invariant factors must be nonzero")
     if all(b % a == 0 for a, b in zip(fs, fs[1:])):
         return tuple(fs)
+    check_cap(len(fs) * (len(fs) - 1) // 2, "invariant factor pairs")
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             a, b = fs[i], fs[j]

@@ -43,7 +43,7 @@ from .cohomology import (
     resolution_homology_Z,
 )
 from .errors import InvariantViolationError, ValidationError
-from .groups import Cocycle2, FiniteGroup, GroupHom, section
+from .groups import FiniteGroup, GroupHom
 
 # the value side's module (the package's `cohomology` is the function)
 _coh = import_module(".cohomology", __package__)
@@ -208,6 +208,9 @@ def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
         raise ValidationError("expected a finite cohomology group (degree >= 1)")
     if n == 1 or resolution_homology_Z(q.target, n - 1).quotient.is_trivial:
         return True
+    # imported here: cohomology --verify loads this module, not extensions
+    from .extensions import section
+
     if section(q) is not None:
         return True
     return _pushforward_onto(q, n - 1)
@@ -344,7 +347,7 @@ def _bockstein_order(G: FiniteGroup, c: Cocycle2) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Extension-class enumeration (lives here to keep groups.py free of cohomology)
+# Extension-class enumeration (lives here to keep extensions.py free of cohomology)
 
 
 def enumerate_extension_classes(G: FiniteGroup, r: int):
@@ -353,6 +356,9 @@ def enumerate_extension_classes(G: FiniteGroup, r: int):
     The list is ordered with the split class first, then all remaining
     coordinate combinations of the canonical generators.
     """
+    # imported here: cohomology --verify loads this module, not extensions
+    from .extensions import Cocycle2
+
     H2 = cohomology_Zm(G, 2, r)
     if H2.value.free_rank:
         raise InvariantViolationError("H^2 with finite coefficients must be finite")

@@ -31,7 +31,8 @@ from .errors import (
     ValidationError,
 )
 from .fibers import FiberDiagnostics, analyze_fiber
-from .groups import CentralExtension, FiniteGroup, split_extension
+from .extensions import CentralExtension, split_extension
+from .groups import FiniteGroup
 from . import groups as _groups
 from .records import Record
 

@@ -35,7 +35,8 @@ from .cohomology import (
     resolution_homology_Z,
 )
 from .errors import InvariantViolationError, ResourceCapError
-from .groups import CentralExtension, GroupHom, section
+from .extensions import CentralExtension, section
+from .groups import GroupHom
 from .records import Record
 
 __all__ = [

@@ -14,7 +14,7 @@ from importlib import import_module
 from itertools import product
 from math import gcd
 
-from . import abelian, groups
+from . import abelian
 from .abelian import (
     AbGroupMap,
     FinAbGroup,
@@ -477,14 +477,17 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup, max_order: int = 16) -> bool:
         return False
     if G.is_abelian != H.is_abelian:
         return False
-    gens = groups._generating_sequence(G)
+    # imported here: cohomology --verify loads this module, not extensions
+    from .extensions import _extend_hom, _generating_sequence
+
+    gens = _generating_sequence(G)
     by_order = {}
     for h in range(H.order):
         by_order.setdefault(H.element_order(h), []).append(h)
 
     def backtrack(i, images):
         if i == len(gens):
-            phi = groups._extend_hom(G, H, gens, images)
+            phi = _extend_hom(G, H, gens, images)
             return phi is not None and len(set(phi.values())) == H.order
         need = G.element_order(gens[i])
         for h in by_order.get(need, ()):

@@ -574,6 +574,42 @@ class TestFinAbGroup:
         assert invariant_factor_chain([1, 1]) == ()
         assert invariant_factor_chain([2, 2, 3]) == (2, 6)
 
+    @staticmethod
+    def _exchange_chain(values):
+        """The uncapped gcd/lcm exchange pass, as invariant_factor_chain ran
+        it before the pass was charged to the resource cap."""
+        fs = sorted(abs(v) for v in values if abs(v) != 1)
+        if all(b % a == 0 for a, b in zip(fs, fs[1:])):
+            return tuple(fs)
+        for i in range(len(fs)):
+            for j in range(i + 1, len(fs)):
+                a, b = fs[i], fs[j]
+                if b % a:
+                    g = gcd(a, b)
+                    fs[i], fs[j] = g, a * b // g
+        return tuple(f for f in fs if f != 1)
+
+    def test_invariant_factor_chain_below_the_cap_is_unchanged(self):
+        rng = random.Random(24)
+        for _ in range(3000):
+            values = [rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 27, 30, 36, 60))
+                      * rng.choice((1, -1)) for _ in range(rng.randint(0, 12))]
+            assert invariant_factor_chain(values) == self._exchange_chain(values), values
+
+    def test_invariant_factor_chain_charges_only_the_exchange_pass(self):
+        set_resource_cap(10)
+        try:
+            # a chain once sorted costs one pass and is never refused
+            assert invariant_factor_chain([4, 2] * 50) == (2,) * 50 + (4,) * 50
+            # 5 factors that are no chain: 10 pairs, within the cap
+            assert invariant_factor_chain([2, 2, 2, 2, 3]) == (2, 2, 2, 6)
+            # 6 such factors: 15 pairs
+            with pytest.raises(ResourceCapError) as refused:
+                invariant_factor_chain([2, 2, 2, 2, 2, 3])
+            assert refused.value.needed == 15
+        finally:
+            set_resource_cap(5_000_000)
+
     def test_display(self):
         assert str(FinAbGroup.trivial()) == "0"
         assert str(FinAbGroup(1, (2, 4))) == "Z/2 + Z/4 + Z"

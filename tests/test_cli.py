@@ -309,6 +309,27 @@ class TestEndToEnd:
         assert "Traceback" not in proc.stderr
         assert "error-code = resource-cap" in rpt.read_text().splitlines()
 
+    @pytest.mark.parametrize("twos, code", [(4000, 1), (2000, 0)])
+    def test_an_override_that_is_no_chain_is_charged_to_the_cap(self, tmp_path, capsys,
+                                                                twos, code):
+        # [2] * n + [3] sorted is no chain: the gcd/lcm exchange over its
+        # n(n+1)/2 pairs is charged to the cap first (8,002,000 pairs at
+        # n = 4000, over the default 5,000,000; 2,001,000 at n = 2000)
+        factors = ",".join(["2"] * twos + ["3"])
+        inp, rpt = tmp_path / "h1.txt", tmp_path / "h1.rpt"
+        inp.write_text(SMOOTH_DOC.replace("characteristic = 0\n",
+                                          f"characteristic = 0\nh1_stack = {factors}\n"))
+        assert main(["brauer", "--input", str(inp), "--report", str(rpt)]) == code
+        lines = rpt.read_text().splitlines()
+        if code:
+            assert "error-code = resource-cap" in lines
+            assert "error: size 8002000 exceeds resource cap 5000000 " \
+                   "(invariant factor pairs)" in capsys.readouterr().err
+        else:
+            # the override in canonical form: (Z/2)^1999 + Z/6
+            assert "right-term-source = override-stack" in lines
+            assert "right-term = " + " + ".join(["Z/2"] * 1999 + ["Z/6"]) in lines
+
     def test_huge_group_order_is_refused_before_the_table(self, tmp_path):
         # cyclic:10000000 must not build a 10^7 x 10^7 table, nor a table
         # file announcing that order have its rows read

@@ -246,21 +246,50 @@ def test_cohomology_command_loads_only_what_it_runs():
     # a cold process compiles every module it loads: without --verify the
     # value path alone, not the report path, the class and map side, or the
     # standard modules that dataclasses loads; -S keeps site's hooks from
-    # loading modules the command does not
-    probe = ("import sys; from stacky_brauer.cli import main; main(sys.argv[1:]); "
-             "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'stacky_brauer'"
-             " or m in ('dataclasses', 'inspect')))")
+    # loading modules the command does not.  Nor does cli or groups bind
+    # the names they serve from documents and extensions.
     values = {"stacky_brauer"} | {f"stacky_brauer.{stem}" for stem in (
         "abelian", "cli", "cohomology", "errors", "groups", "records")}
     verify = {f"stacky_brauer.{stem}" for stem in ("oracle", "abelian_maps", "cohomology_maps")}
     for flags, expected in (((), values), (("--verify",), values | verify)):
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", probe, "cohomology", "cyclic:4", "2", "Z", *flags],
-            capture_output=True, text=True, timeout=60, env=_package_env())
-        assert proc.returncode == 0, proc.stderr
-        value, loaded = proc.stdout.splitlines()
-        assert value == "Z/4"
-        assert set(loaded.split()) == expected, flags
+        loaded, bound, out = _run_command(["cohomology", "cyclic:4", "2", "Z", *flags])
+        assert out == "Z/4"
+        assert loaded == expected, flags
+        assert bound == {"parse_input": False, "Cocycle2": False}, flags
+
+
+def test_brauer_command_loads_documents_and_extensions(tmp_path):
+    # the brauer side: the documents and the extensions they build, and the
+    # pipeline behind them, but not the tests' oracle; run_brauer reads
+    # parse_input off cli, which binds it there
+    inp = tmp_path / "node.txt"
+    inp.write_text("[curve]\nsmooth = false\nproper = true\nh1_stack = 0\n[gerbe]\nr = 2\n"
+                   "[point.node]\ngroup = semidirect_z2:4:3\nsingular = true\n")
+    loaded, bound, out = _run_command(["brauer", "--input", str(inp)])
+    assert "Brauer group: Z/2" in out
+    assert loaded == {"stacky_brauer"} | {f"stacky_brauer.{path.stem}" for path in MODULES
+                                          if path.stem not in ("__init__", "__main__", "oracle")}
+    assert bound["parse_input"]
+
+
+def _run_command(argv):
+    """Run one command in a fresh process: the package modules it loaded,
+    whether cli holds parse_input and groups Cocycle2 afterwards, and its
+    standard output before those two lines."""
+    probe = textwrap.dedent("""\
+        import json, sys
+        from stacky_brauer.cli import main
+        code = main(sys.argv[1:])
+        print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'stacky_brauer'
+                      or m in ('dataclasses', 'inspect')))
+        print(json.dumps({"parse_input": "parse_input" in vars(sys.modules["stacky_brauer.cli"]),
+                          "Cocycle2": "Cocycle2" in vars(sys.modules["stacky_brauer.groups"])}))
+        """)
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True,
+                          text=True, timeout=60, env=_package_env())
+    assert proc.returncode in (0, 2), proc.stderr
+    *out, loaded, bound = proc.stdout.splitlines()
+    return set(loaded.split()), json.loads(bound), "\n".join(out)
 
 
 def test_package_namespace_in_a_fresh_process():
@@ -317,9 +346,47 @@ def test_package_namespace_in_a_fresh_process():
         print(json.dumps({"checked": len(set(checked)), "differ": differ,
                           "unserved": sorted(unserved)}))
         """)
+    # cli and groups serve every name documents and extensions define (and
+    # cli two more): each is one object, whether first read through the
+    # package or through the module that serves it
+    served = textwrap.dedent("""\
+        import json, sys, types
+        from importlib import import_module
+        import stacky_brauer
+        cli = import_module("stacky_brauer.cli")
+        groups = import_module("stacky_brauer.groups")
+        servers = [(cli, name, module) for name, module in sorted(cli._SERVED.items())]
+        servers += [(groups, name, "extensions") for name in sorted(groups._SERVED)]
+        values = {}
+        def read(reader, server, name):
+            values.setdefault((server.__name__, name), []).append(getattr(reader, name))
+        for pass_ in ("first", "then"):
+            for server, name, module in servers:
+                package_now = (pass_ == "first") == (sys.argv[1] == "package")
+                if not package_now:
+                    read(server, server, name)
+                elif name in stacky_brauer._LAZY:
+                    read(stacky_brauer, server, name)
+        differ = []
+        for server, name, module in servers:
+            defining = getattr(import_module(f"stacky_brauer.{module}"), name)
+            if any(value is not defining for value in values[(server.__name__, name)]):
+                differ.append(f"{server.__name__}.{name}")
+        def defined(module):
+            return {name for name, value in vars(module).items()
+                    if isinstance(value, (types.FunctionType, type))
+                    and value.__module__ == module.__name__}
+        documents = {name for name, module in cli._SERVED.items() if module == "documents"}
+        unserved = ((documents ^ (defined(import_module("stacky_brauer.documents")) | {"_KEYS"}))
+                    | (groups._SERVED ^ defined(import_module("stacky_brauer.extensions"))))
+        through_package = sum(name in stacky_brauer._LAZY for _, name, _ in servers)
+        print(json.dumps({"checked": len(servers), "through package": through_package,
+                          "differ": differ, "unserved": sorted(unserved)}))
+        """)
     outs = []
-    for probe in (names, identity):
-        proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+    for probe, argv in ((names, ()), (identity, ()), (served, ("package",)),
+                        (served, ("module",))):
+        proc = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True,
                               text=True, timeout=60, env=_package_env())
         assert proc.returncode == 0, proc.stderr
         outs.append(json.loads(proc.stdout))
@@ -328,6 +395,9 @@ def test_package_namespace_in_a_fresh_process():
                        "after star": True}
     assert outs[1].pop("checked") > 20
     assert outs[1] == {"differ": [], "unserved": []}
+    # 15 names on cli, 9 on groups; 6 of those reads are also the package's
+    assert outs[2] == outs[3] == {"checked": 24, "through package": 6, "differ": [],
+                                  "unserved": []}
 
 
 def test_readme_library_tour_runs_as_written():
