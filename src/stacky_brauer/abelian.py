@@ -838,43 +838,66 @@ class ColumnEchelon:
         pivots = []          # (row, col, H column) in retirement order
         heap = [(len(cs), r) for r, cs in row_index.items()]
         heapq.heapify(heap)
+        push, pop = heapq.heappush, heapq.heappop
         while heap:
-            k, r = heapq.heappop(heap)
+            k, r = pop(heap)
             live = row_index[r]
             if len(live) != k:
                 if live:
-                    heapq.heappush(heap, (len(live), r))
+                    push(heap, (len(live), r))
                 continue
-            while True:
-                if len(live) == 1:
-                    c = next(iter(live))
-                    break
-                c = min(live, key=lambda cc: (abs(cols[cc][r]), len(cols[cc]), -cc))
-                pcol, v = cols[c], cols[c][r]
+            while len(live) > 1:
+                # the pivot rule: least |entry|, then fewest nonzeros, then
+                # highest column index
+                c = -1
+                for cc in live:
+                    col = cols[cc]
+                    a = col[r]
+                    if a < 0:
+                        a = -a
+                    if c < 0 or a < best or a == best and (
+                            len(col) < size or len(col) == size and cc > c):
+                        c, best, size = cc, a, len(col)
+                pcol = cols[c]
+                v = pcol[r]
                 pv = vcols.get(c) or {c: 1}
-                for c2 in sorted(live - {c}):
-                    q = cols[c2][r] // v
+                for c2 in sorted(live):
+                    if c2 == c:
+                        continue
                     col2 = cols[c2]
+                    q = -(col2[r] // v)   # nonzero: |col2[r]| >= |v|
                     for rr, w in pcol.items():
-                        nv = col2.get(rr, 0) - q * w
-                        if nv:
-                            if rr not in col2:
-                                cs = row_index[rr]
-                                if not cs:   # its heap entries may all be gone
-                                    heapq.heappush(heap, (1, rr))
-                                cs.add(c2)
-                            col2[rr] = nv
+                        old = col2.get(rr)
+                        if old is None:
+                            cs = row_index[rr]
+                            if not cs:   # its heap entries may all be gone
+                                push(heap, (1, rr))
+                            cs.add(c2)
+                            col2[rr] = q * w
                         else:
-                            del col2[rr]
-                            row_index[rr].discard(c2)
-                    _Elim._vec_acc(vcols.setdefault(c2, {c2: 1}), pv, -q)
+                            nv = old + q * w
+                            if nv:
+                                col2[rr] = nv
+                            else:
+                                del col2[rr]
+                                row_index[rr].discard(c2)
+                    v2 = vcols.get(c2)
+                    if v2 is None:
+                        v2 = vcols[c2] = {c2: 1}
+                    for i, w in pv.items():
+                        nv = v2.get(i, 0) + q * w
+                        if nv:
+                            v2[i] = nv
+                        elif i in v2:
+                            del v2[i]
+            c = next(iter(live))
             # retire c: every other live column is zero at r now
             col = cols.pop(c)
             for rr in col:
                 cs = row_index[rr]
                 cs.discard(c)
                 if cs:
-                    heapq.heappush(heap, (len(cs), rr))
+                    push(heap, (len(cs), rr))
             pivots.append((r, c, col))
         self.pivots = pivots
         self._vcols = vcols
@@ -929,6 +952,7 @@ class IntegerSpan:
     def __init__(self):
         self.basis = []
         self.bits = 0
+        self._non_units = 0      # basis vectors whose pivot entry is not +-1
 
     def _hold(self, added: dict, dropped: dict) -> None:
         grown = sum(map(int.bit_length, added.values())) - \
@@ -945,7 +969,7 @@ class IntegerSpan:
 
     def is_saturated(self) -> bool:
         """Whether every pivot is +-1, so that Z^n / span has no torsion."""
-        return all(u[p] in (1, -1) for p, u in self.basis)
+        return not self._non_units
 
     def _reduce(self, vec: dict, insert: bool) -> dict:
         """Reduce vec by the basis vectors in order and return what is left.
@@ -964,7 +988,13 @@ class IntegerSpan:
                 continue
             a = u[p]
             if b % a == 0:
-                _Elim._vec_acc(w, u, -(b // a))
+                q = -(b // a)
+                for k, x in u.items():
+                    nv = w.get(k, 0) + q * x
+                    if nv:
+                        w[k] = nv
+                    elif k in w:
+                        del w[k]
                 if not w:
                     return w
                 continue
@@ -974,10 +1004,18 @@ class IntegerSpan:
             merged = _Elim._combine(u, x, w, y)
             w = _Elim._combine(u, b // g, w, -(a // g))
             basis[j] = (p, merged)
+            self._non_units += (g != 1) - (a not in (1, -1))
             self._hold(merged, u)
         if w and insert:
-            p = min(w, key=lambda k: (abs(w[k]), k))
+            # the pivot: least |entry|, then least index
+            p = None
+            for k, x in w.items():
+                if x < 0:
+                    x = -x
+                if p is None or x < best or x == best and k < p:
+                    p, best = k, x
             basis.append((p, w))
+            self._non_units += best != 1
             self._hold(w, {})
         return w
 

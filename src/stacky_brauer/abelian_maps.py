@@ -178,11 +178,16 @@ def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> 
     k = K.cols
     X = IntegerMatrix.from_columns(k, xcols)
 
-    elim = _Elim(X, log=True).diagonalize()
+    elim = _Elim(X, log=True)
+    elim.col_ops = None   # only the row log is replayed
+    elim.diagonalize()
     torsion = elim.canonicalize()
     free_rows = sorted(set(range(k)) - {r for r, _ in elim.pivots})
+    row_ops = elim.row_ops
+    # free the rows first: they keep their fill-in's capacity
+    del elim
     quotient = FinAbGroup(len(free_rows), tuple(d for _, d in torsion))
-    urows, uinv_cols = abelian._replay_rows(elim.row_ops)
+    urows, uinv_cols = abelian._replay_rows(row_ops)
 
     reduce_rows = []
     lifts = []

@@ -387,6 +387,7 @@ class FreeResolution:
         self._echelons = {}       # n -> ColumnEchelon of d_n (n = 0: the augmentation)
         self._translates = {}     # n -> the columns of d_n the greedy formed, until used
         self._bar_chains = {}     # n -> bar_chains(n)
+        self._coinvariant_boundaries = {}   # n -> coinvariant_boundary(n)
         self._lock = threading.RLock()   # a kernel step reads the boundaries below it
 
     def rank(self, n: int) -> int:
@@ -419,17 +420,21 @@ class FreeResolution:
                 if n:
                     columns = self._translates.pop(n, None)
                     if columns is None:
-                        columns = [self.translate(g, d) for d in self.boundary(n)
-                                   for g in range(N)]
+                        columns = [t for d in self.boundary(n) for t in self._translates_of(d)]
                     ech = ColumnEchelon(N * self.rank(n - 1), columns)
                 else:
                     ech = ColumnEchelon(1, [{0: 1} for _ in range(N)])
                 self._echelons[n] = ech
         return ech
 
+    def _translates_of(self, vec: dict) -> list:
+        """[h * vec for h in E], in the order of E, as translate gives them."""
+        N = self.group.order
+        terms = [(i - i % N, i % N, v) for i, v in vec.items()]
+        return [{b + row[g]: v for b, g, v in terms} for row in self.group.table]
+
     def _kernel_generators(self) -> tuple:
         n = len(self._boundaries)
-        N = self.group.order
         kernel = self.echelon(n).kernel()
         span = IntegerSpan()
         gens, translates = [], []
@@ -438,8 +443,7 @@ class FreeResolution:
             if v in span:
                 continue
             gens.append(v)
-            for h in range(N):
-                t = self.translate(h, v)
+            for t in self._translates_of(v):
                 translates.append(t)
                 if not full:
                     span.add(t)
@@ -450,8 +454,12 @@ class FreeResolution:
         return tuple(gens)
 
     def coinvariant_boundary(self, n: int) -> IntegerMatrix:
-        """d_n (x)_E Z, k_{n-1} x k_n."""
-        return self.coinvariants(n - 1, self.boundary(n))
+        """d_n (x)_E Z, k_{n-1} x k_n; built once."""
+        with self._lock:
+            d = self._coinvariant_boundaries.get(n)
+            if d is None:
+                d = self._coinvariant_boundaries[n] = self.coinvariants(n - 1, self.boundary(n))
+        return d
 
     def coinvariants(self, n: int, chains) -> IntegerMatrix:
         """The columns chains, vectors in R_n, tensored down to R_n (x)_E Z:

@@ -1,4 +1,6 @@
+import heapq
 import random
+import weakref
 from importlib import import_module
 from itertools import product
 from math import gcd
@@ -13,6 +15,7 @@ from stacky_brauer.abelian import (
     IntegerSpan,
     _CycleSolver,
     capped_power,
+    check_cap,
     cokernel,
     cokernel_of_map,
     finite_homology_at,
@@ -25,6 +28,7 @@ from stacky_brauer.abelian import (
     is_surjective,
     kernel_basis,
     set_resource_cap,
+    xgcd,
 )
 from stacky_brauer.cohomology import bar_differential
 from stacky_brauer.errors import (
@@ -704,5 +708,241 @@ class TestCycleSolverProperties:
                                            max_size=M.cols))
                 probe = {i: v for i, v in enumerate(probe) if v}
                 assert solver.contains(probe) == self._in_lattice(M.apply(probe), moduli)
+
+        check()
+
+
+class TestHomologyAtReplay:
+    def test_the_elimination_is_dropped_before_the_replay(self, monkeypatch):
+        # U and U^-1 are replayed from the row log alone; the _Elim's row
+        # dicts keep the capacity of their peak fill-in, so each _Elim must
+        # be gone when its log is replayed (for _CycleSolver's column log
+        # and for homology_at's row log)
+        maps = import_module("stacky_brauer.abelian_maps")
+        abelian = import_module("stacky_brauer.abelian")
+        live, seen = weakref.WeakSet(), []
+        replay = abelian._replay_rows
+
+        class Tracked(maps._Elim):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                live.add(self)
+
+        def checking(ops):
+            seen.append(len(live))
+            return replay(ops)
+
+        monkeypatch.setattr(maps, "_Elim", Tracked)
+        monkeypatch.setattr(abelian, "_replay_rows", checking)
+        G = cyclic(4)
+        sq = homology_at(bar_differential(G, 2), bar_differential(G, 1), 2)
+        assert sq.quotient == FinAbGroup.cyclic(2)
+        assert seen == [0, 0]
+
+
+def _reference_vec_acc(dst: dict, src: dict, q: int):
+    for k, v in src.items():
+        nv = dst.get(k, 0) + q * v
+        if nv:
+            dst[k] = nv
+        elif k in dst:
+            del dst[k]
+
+
+def _reference_combine(v1: dict, a: int, v2: dict, b: int) -> dict:
+    out = {}
+    for k, v in v1.items():
+        nv = a * v
+        if nv:
+            out[k] = nv
+    for k, v in v2.items():
+        nv = out.get(k, 0) + b * v
+        if nv:
+            out[k] = nv
+        elif k in out:
+            del out[k]
+    return out
+
+
+def reference_echelon(rows: int, columns: list):
+    """ColumnEchelon's elimination as it was before its inner loops were
+    rewritten (a min over key tuples, one vector update call per column):
+    (pivots, V columns, kernel columns)."""
+    check_cap(sum(map(len, columns)), "matrix nonzeros")
+    cols, row_index = {}, {}
+    for c, col in enumerate(columns):
+        if col:
+            cols[c] = col
+            for r, v in col.items():
+                if not (v and 0 <= r < rows):
+                    raise ValidationError(f"entry ({r},{c}) = {v} is zero or out of "
+                                          f"bounds for {rows}x{len(columns)}")
+                row_index.setdefault(r, set()).add(c)
+    vcols = {}
+    pivots = []
+    heap = [(len(cs), r) for r, cs in row_index.items()]
+    heapq.heapify(heap)
+    while heap:
+        k, r = heapq.heappop(heap)
+        live = row_index[r]
+        if len(live) != k:
+            if live:
+                heapq.heappush(heap, (len(live), r))
+            continue
+        while True:
+            if len(live) == 1:
+                c = next(iter(live))
+                break
+            c = min(live, key=lambda cc: (abs(cols[cc][r]), len(cols[cc]), -cc))
+            pcol, v = cols[c], cols[c][r]
+            pv = vcols.get(c) or {c: 1}
+            for c2 in sorted(live - {c}):
+                q = cols[c2][r] // v
+                col2 = cols[c2]
+                for rr, w in pcol.items():
+                    nv = col2.get(rr, 0) - q * w
+                    if nv:
+                        if rr not in col2:
+                            cs = row_index[rr]
+                            if not cs:
+                                heapq.heappush(heap, (1, rr))
+                            cs.add(c2)
+                        col2[rr] = nv
+                    else:
+                        del col2[rr]
+                        row_index[rr].discard(c2)
+                _reference_vec_acc(vcols.setdefault(c2, {c2: 1}), pv, -q)
+        col = cols.pop(c)
+        for rr in col:
+            cs = row_index[rr]
+            cs.discard(c)
+            if cs:
+                heapq.heappush(heap, (len(cs), rr))
+        pivots.append((r, c, col))
+    retired = {c for _, c, _ in pivots}
+    return pivots, vcols, [c for c in range(len(columns)) if c not in retired]
+
+
+class ReferenceSpan:
+    """IntegerSpan's reduction as it was before its inner loop was inlined,
+    with is_saturated as a scan of the pivots."""
+
+    def __init__(self):
+        self.basis = []
+        self.bits = 0
+
+    def _hold(self, added: dict, dropped: dict) -> None:
+        grown = sum(map(int.bit_length, added.values())) - \
+            sum(map(int.bit_length, dropped.values()))
+        self.bits += grown
+        if grown > 0:
+            check_cap(self.bits, "integer span bits")
+
+    def is_saturated(self) -> bool:
+        return all(u[p] in (1, -1) for p, u in self.basis)
+
+    def _reduce(self, vec: dict, insert: bool) -> dict:
+        basis = self.basis
+        w = {k: v for k, v in vec.items() if v}
+        for j, (p, u) in enumerate(basis):
+            b = w.get(p)
+            if not b:
+                continue
+            a = u[p]
+            if b % a == 0:
+                _reference_vec_acc(w, u, -(b // a))
+                if not w:
+                    return w
+                continue
+            if not insert:
+                return w
+            x, y, g = xgcd(a, b)
+            merged = _reference_combine(u, x, w, y)
+            w = _reference_combine(u, b // g, w, -(a // g))
+            basis[j] = (p, merged)
+            self._hold(merged, u)
+        if w and insert:
+            p = min(w, key=lambda k: (abs(w[k]), k))
+            basis.append((p, w))
+            self._hold(w, {})
+        return w
+
+
+class TestInnerLoopsAgainstTheReference:
+    """ColumnEchelon and IntegerSpan against the references above, on
+    sparse columns with many ties in |entry| and in column length, so that
+    every tie-break of the pivot rule is exercised.  Outputs are compared
+    by repr, so the dicts' insertion order must agree too.  Derandomized:
+    every run draws the same examples."""
+
+    @staticmethod
+    def sparse_columns():
+        from hypothesis import strategies as st
+
+        def build(rows):
+            entry = st.sampled_from((1, -1, 1, -1, 2, -2, 3, -4))
+            column = st.dictionaries(st.integers(0, rows - 1), entry, max_size=3)
+            return st.tuples(st.just(rows), st.lists(column, max_size=10))
+
+        return st.integers(1, 7).flatmap(build)
+
+    def test_echelon_and_span(self):
+        from hypothesis import given, settings
+
+        @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @given(self.sparse_columns())
+        def check(case):
+            rows, columns = case
+            copies = [dict(col) for col in columns]
+            echelon = ColumnEchelon(rows, columns)
+            pivots, vcols, kernel_columns = reference_echelon(rows, copies)
+            assert repr(echelon.pivots) == repr(pivots)
+            assert repr(echelon._vcols) == repr(vcols)
+            assert echelon._kernel_columns == kernel_columns
+            # the H columns are the reduced columns as the reference leaves them
+            assert repr(columns) == repr(copies)
+            # the span of the kernel's translates by a shift, grown in the
+            # kernel's order, probed with every input column
+            span, reference = IntegerSpan(), ReferenceSpan()
+            vectors = echelon.kernel()
+            vectors += [{k + 1: v for k, v in vec.items()} for vec in vectors]
+            for vec in vectors + [dict(col) for col in columns]:
+                for insert in (False, True):
+                    left = span._reduce(vec, insert)
+                    assert repr(left) == repr(reference._reduce(vec, insert))
+                assert repr(span.basis) == repr(reference.basis)
+                assert span.bits == reference.bits
+                assert span.is_saturated() == reference.is_saturated()
+
+        check()
+
+    def test_bad_entries_are_refused_before_any_column_is_touched(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @given(self.sparse_columns(), st.data())
+        def check(case, data):
+            rows, columns = case
+            columns = columns or [{}]
+            j = data.draw(st.integers(0, len(columns) - 1))
+            bad = data.draw(st.sampled_from(("zero", "low", "high")))
+            if bad == "zero":
+                row, value = data.draw(st.integers(0, rows - 1)), 0
+            else:
+                row = -1 if bad == "low" else data.draw(st.integers(rows, rows + 3))
+                value = data.draw(st.sampled_from((1, -2)))
+            if row in columns[j]:
+                columns[j][row] = value      # a stored zero where an entry was
+            else:
+                # the bad entry goes first, last or in between
+                items = list(columns[j].items())
+                at = data.draw(st.integers(0, len(items)))
+                items[at:at] = [(row, value)]
+                columns[j] = dict(items)
+            before = repr(columns)
+            with pytest.raises(ValidationError):
+                ColumnEchelon(rows, columns)
+            assert repr(columns) == before
 
         check()

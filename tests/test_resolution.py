@@ -1,6 +1,7 @@
 """The free ZE-resolution route for the extension groups' questions,
 against the bar complex of E (the oracle) and closed forms."""
 
+import hashlib
 import sys
 import threading
 import time
@@ -245,6 +246,17 @@ class TestOneEliminationPerDegree:
                 assert all(v in other_span for v in K), (label, n)
                 assert all(v in span for v in other), (label, n)
 
+    def test_coinvariant_boundaries_are_built_once(self):
+        G = semidirect_cyclic_by_z2(4, 3)
+        clear_cache()
+        R = free_resolution(G)
+        d = [R.coinvariant_boundary(n) for n in (1, 2, 3)]
+        assert [R.coinvariant_boundary(n) for n in (1, 2, 3)] == d
+        assert all(R.coinvariant_boundary(n) is d[n - 1] for n in (1, 2, 3))
+        assert all(d[n - 1] == R.coinvariants(n - 1, R.boundary(n)) for n in (1, 2, 3))
+        clear_cache()
+        assert free_resolution(G) is not R
+
     def test_cold_homology_builds_only_its_own_degrees(self):
         for label, ext in extensions(16):
             for n in range(1, 5):
@@ -295,6 +307,40 @@ class TestTheGeneratorsAreThePlainGreedys:
             assert not R._translates, label
 
 
+class TestResolutionPins:
+    """The free resolutions bit for bit: each boundary and each echelon
+    form's pivots (row, column and H column), V columns and kernel columns,
+    with their dicts in insertion order, hashed over every class of
+    extensions(16) through degree 4 and over the dihedral group of order 24
+    and the dicyclic group of order 12 (the total of S3's nonsplit class
+    with r = 2) through degree 3.  The digest was recorded before the
+    kernel step's inner loops were rewritten; the plain greedy above
+    rebuilds with the same code it checks, so it cannot see a change that
+    both sides share."""
+
+    SHA256 = "221e2ecc091ab0c1f2f44d6a4a5437107726ccad3a5b481e8159c377331863b9"
+
+    @staticmethod
+    def cases():
+        for label, ext in extensions(16):
+            yield label, ext.total, 4
+        yield "semidirect_z2:12:11", semidirect_cyclic_by_z2(12, 11), 3
+        S3 = semidirect_cyclic_by_z2(3, 2)
+        nonsplit = enumerate_extension_classes(S3, 2)[1]
+        yield "Dic12", central_extension(S3, 2, nonsplit).total, 3
+
+    def test_boundaries_and_echelons(self):
+        digest = hashlib.sha256()
+        for label, E, top in self.cases():
+            R = FreeResolution(E)
+            for n in range(1, top + 1):
+                digest.update(repr((label, n, R.boundary(n))).encode())
+            for n in range(top + 1):
+                ech = R.echelon(n)
+                digest.update(repr((n, ech.pivots, ech._vcols, ech._kernel_columns)).encode())
+        assert digest.hexdigest() == self.SHA256
+
+
 class TestKernelStepWork:
     """What a cold pass of the class-sweep family (every extension class of
     Z/2, Z/3, Z/4, Z/5 and V4 with |G| * r <= 10, one brauer_report each)
@@ -302,7 +348,9 @@ class TestKernelStepWork:
     next echelon reuses its translates, so the span sees fewer adds and
     membership tests (985 and 455 before the early stop, 703 and 229 with
     it), while the echelons built and the ranks of R stay as they were.
-    The bounds were fixed before the early stop was written.  Each echelon
+    The bounds were fixed before the early stop was written; the exact
+    counts keep the greedy on IntegerSpan.add and __contains__, since a
+    greedy that went round them would count 0 and pass the bounds.  Each echelon
     eliminates in the columns the greedy formed, so no d_n is built as an
     IntegerMatrix on the way (one from_columns per echelon of degree >= 1
     before)."""
@@ -356,6 +404,7 @@ class TestKernelStepWork:
                               if key[0] == "resolution" for gens in R._boundaries)
         clear_cache()
         assert counts["add"] < 985 and counts["in"] < 455, counts
+        assert (counts["add"], counts["in"]) == (703, 229), counts
         assert (counts["echelons"], counts["ranks"]) == (96, 135), counts
         assert counts["from_columns"] == 0, counts
 
