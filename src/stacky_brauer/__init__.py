@@ -79,7 +79,6 @@ _LAZY = {
     "is_surjective": "abelian_maps",
     "kernel_basis": "abelian_maps",
     "bar_differential": "cohomology_maps",
-    "bockstein": "cohomology_maps",
     "bockstein_r": "cohomology_maps",
     "enumerate_extension_classes": "cohomology_maps",
     "inflation_map": "cohomology_maps",
@@ -94,9 +93,6 @@ _LAZY = {
     "brauer_report": "curves",
     "h1_coarse_zr": "curves",
     "h1_stack_zr": "curves",
-    "left_kernel": "curves",
-    "local_gerbe_classification": "curves",
-    "nonvanishing_h2_examples": "curves",
     "orbifold_abelianization": "curves",
     "stacky_units_cohomology": "curves",
     "FiberDiagnostics": "fibers",

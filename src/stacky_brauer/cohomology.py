@@ -2,7 +2,7 @@
 
 Computes H^n(G, Z), H^n(G, Z/m), and H^n(G, kx) for a finite group G
 acting trivially, together with inflation and restriction maps and the
-integral Bockstein of a mod-r cocycle.
+Bockstein of an extension class.
 
 Multiplicative-group coefficients are handled through the shift
 H^n(G, kx) = H^{n+1}(G, Z) for n >= 1, which is valid over an
@@ -28,21 +28,22 @@ injective on H^n exactly when q_* is onto H_{n-1}, and the Schur
 multiplier H_2(E, Z) has the value of H^2(E, kx) = H^3(E, Z).  The
 Bockstein of an extension class (bockstein_r) is a character on
 H_2(G, Z), through the chain map from R^G into the bar complex
-(FreeResolution.bar_chains).
+(FreeResolution.bar_chains), and its coordinates are those of the dual
+basis of H^3(G, Z) = Hom(H_2(G, Z), Q/Z): no bar differential is built.
 
 The normalized bar complex serves cocycle classes alone: a
-CohomologyGroup's representatives and class_of, the extension classes,
-and bockstein_r's coordinates where |H^3(G, Z)| > 2.  They are built on
-first use, checked against the value, and refused where bar_differential
-is over the cap.  With Z coefficients in positive degree they are the
-torsion of coker(d_in), d_in: C^{n-1} -> C^n (abelian.finite_homology_at);
-otherwise abelian.homology_at eliminates d_out, augmented by m*I for Z/m,
-for a cycle basis.  The bar homology is the tests' oracle (oracle.py).
+CohomologyGroup's representatives and class_of, and the extension
+classes.  They are built on first use, checked against the value, and
+refused where bar_differential is over the cap.  With Z coefficients in
+positive degree they are the torsion of coker(d_in), d_in: C^{n-1} ->
+C^n (abelian.finite_homology_at); otherwise abelian.homology_at
+eliminates d_out, augmented by m*I for Z/m, for a cycle basis.  The bar homology and the bar Bockstein are the
+tests' oracles (oracle.py).
 
 This module holds what a value runs: the coefficients, the cohomology
 groups, cohomology() and the free resolutions, kept by abelian.memo.  The bar
 complex and its classes, inflation and restriction, the comparison maps,
-the Bocksteins and the extension classes live in cohomology_maps.  This
+the Bockstein and the extension classes live in cohomology_maps.  This
 module serves their names on first use (PEP 562 __getattr__), and also
 the names of abelian_maps that its callers read here, such as
 homology_at and induced_map, so every import of them from here still
@@ -84,15 +85,15 @@ __all__ = [
     "FreeResolution", "free_resolution",
     "resolution_homology_Z", "comparison_chains", "comparison_classes",
     "pullback_matrix", "inflation_map", "restriction_map",
-    "inflation_kernel_trivial", "bockstein", "bockstein_r",
+    "inflation_kernel_trivial", "bockstein_r",
     "enumerate_extension_classes", "clear_cache",
 ]
 
 # The names served on first use: every function cohomology_maps defines,
 # and the names of abelian_maps that this module's callers read here.
 _MAPS = dict.fromkeys((
-    "_bockstein_order", "_generate", "_pushforward_onto", "bar_classes",
-    "bar_differential", "bockstein", "bockstein_r", "comparison_chains",
+    "_generate", "_pushforward_onto", "bar_classes",
+    "bar_differential", "bockstein_r", "comparison_chains",
     "comparison_classes", "enumerate_extension_classes", "inflation_kernel_trivial",
     "inflation_map", "pullback_matrix", "restriction_map",
 ), "cohomology_maps") | dict.fromkeys((

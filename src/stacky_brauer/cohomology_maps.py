@@ -4,9 +4,10 @@ The part of cohomology that a value never runs: the normalized bar
 complex (bar_differential) and the classes built off it (bar_classes),
 inflation and restriction, the chain map psi: R^E -> R^G between two free
 resolutions over q: E -> G (comparison_chains, comparison_classes) and
-the push-forward in homology read off it, the Bocksteins, and the
-extension classes of H^2(G, Z/r).  See cohomology's docstring for the
-mathematics.
+the push-forward in homology read off it, the Bockstein of an extension
+class (a character on H_2(G, Z), with no bar complex), and the extension
+classes of H^2(G, Z/r).  See cohomology's docstring for the mathematics;
+the bar Bockstein is the tests' oracle (oracle.bockstein).
 
 cohomology serves every name here on first use (PEP 562), so
 `from stacky_brauer.cohomology import bockstein_r` works as before, and
@@ -21,9 +22,7 @@ from __future__ import annotations
 
 from importlib import import_module
 from itertools import product
-from math import gcd
 
-from . import abelian
 from .abelian import (
     FinAbGroup,
     IntegerMatrix,
@@ -51,7 +50,7 @@ _coh = import_module(".cohomology", __package__)
 __all__ = [
     "bar_differential", "bar_classes", "pullback_matrix", "inflation_map",
     "restriction_map", "inflation_kernel_trivial", "comparison_chains",
-    "comparison_classes", "bockstein", "bockstein_r",
+    "comparison_classes", "bockstein_r",
     "enumerate_extension_classes",
 ]
 
@@ -278,24 +277,6 @@ def _pushforward_onto(q: GroupHom, m: int) -> bool:
 # Bockstein
 
 
-def bockstein(G: FiniteGroup, cochain: dict, degree: int, r: int) -> CohomologyClass:
-    """Integral Bockstein of a normalized mod-r cocycle of the given degree.
-
-    Lifts the cochain to integers, applies the bar differential, divides
-    by r, and returns the class of the result in H^{degree+1}(G, Z).  The
-    bar differential is the boundary basis of the cached H^{degree+1}(G, Z).
-    """
-    if r < 1:
-        raise ValidationError("modulus must be >= 1")
-    target = cohomology_Z(G, degree + 1)
-    image = target.subquotient.boundary_basis.apply(cochain)
-    for v in image.values():
-        if v % r:
-            raise InvariantViolationError("input cochain is not a cocycle mod r")
-    divided = {k: v // r for k, v in image.items() if v // r}
-    return target.class_of(divided)
-
-
 def bockstein_r(G: FiniteGroup, c: Cocycle2) -> CohomologyClass:
     """Bockstein of a 2-cocycle class: an element of H^2(G, kx) = H^3(G, Z).
 
@@ -304,46 +285,35 @@ def bockstein_r(G: FiniteGroup, c: Cocycle2) -> CohomologyClass:
     as delta after Z/r -> Q/Z, 1 -> 1/r, and for finite G, delta:
     H^2(G, Q/Z) -> H^3(G, Z) is an isomorphism and H^2(G, Q/Z) =
     Hom(H_2(G, Z), Q/Z).  So the class is the character z -> c(z)/r on
-    H_2(G, Z) (_bockstein_order), whose order is the class's.  Where
-    |H^3(G, Z)| <= 2 that order forces the coordinates; otherwise they are
-    the bar Bockstein's (bockstein), whose order must agree with the
-    character's, or InvariantViolationError.
+    H_2(G, Z), with c evaluated on the images of the lifts z_j of
+    resolution_homology_Z(G, 2) under the free resolution's bar_chains(2).
+
+    The coordinates are in the basis dual to those generators, e_j -> 1/d_j
+    for their relation orders d_j (as in fibers._pontryagin_dual):
+    coordinate j is c(z_j) d_j / r mod d_j.  d_j z_j is a boundary, on which
+    a mod-r cocycle vanishes mod r, so r divides c(z_j) d_j, or
+    InvariantViolationError.  H^3(G, Z) = Hom(H_2(G, Z), Q/Z) has the
+    invariant factors d_j, but this basis is not the one of
+    cohomology_Z(G, 3).class_of, whose generators come off the bar complex;
+    where H^3(G, Z) is 0 or Z/2 the two agree, elsewhere they differ by an
+    automorphism.
     """
     if c.base != G:
         raise ValidationError("cocycle is not defined over the given group")
-    order = _bockstein_order(G, c)
-    target = cohomology_Z(G, 3)
-    size = target.value.order()
-    if size <= 2:
-        if size % order:
-            raise InvariantViolationError(
-                f"a Bockstein of order {order} in H^3(G, Z) of order {size}")
-        # () when H^3(G, Z) = 0; (0,) or (1,) when it is Z/2
-        return CohomologyClass(target, (order - 1,) * target.value.num_generators)
-    beta = bockstein(G, c.to_vector(), 2, c.modulus)
-    if beta.order() != order:
-        raise InvariantViolationError(
-            f"the bar Bockstein has order {beta.order()}, its character on "
-            f"H_2(G, Z) order {order}")
-    return beta
-
-
-def _bockstein_order(G: FiniteGroup, c: Cocycle2) -> int:
-    """The order of the character z -> c(z)/r on H_2(G, Z): the lcm of
-    r / gcd(c(z_j), r) over the lifts z_j of resolution_homology_Z(G, 2),
-    each evaluated as c on its image under the free resolution's bar_chains(2).
-    """
     H2 = resolution_homology_Z(G, 2)
-    if H2.quotient.is_trivial:
-        return 1
-    r, values = c.modulus, c.values
-    on_gens = [sum(v * values[x][g] for (x, g), v in chain.items())
-               for chain in free_resolution(G).bar_chains(2)]
-    order = 1
-    for z in H2.lifts:
-        value = sum(v * on_gens[i] for i, v in z.items())
-        order = abelian.lcm(order, r // gcd(value, r))
-    return order
+    coords = []
+    if not H2.quotient.is_trivial:
+        r, values = c.modulus, c.values
+        on_gens = [sum(v * values[x][g] for (x, g), v in chain.items())
+                   for chain in free_resolution(G).bar_chains(2)]
+        for z, d in zip(H2.lifts, H2.quotient.relation_orders()):
+            value = sum(v * on_gens[i] for i, v in z.items()) * d
+            if value % r:
+                raise InvariantViolationError(
+                    f"c(z) d = {value} is not a multiple of r = {r} for a "
+                    f"generator z of order d = {d} of H_2(G, Z)")
+            coords.append(value // r % d)
+    return CohomologyClass(cohomology_Z(G, 3), tuple(coords))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from math import gcd
 
 from .abelian import (FinAbGroup, IntegerMatrix, check_cap, cokernel, hom_to_cyclic,
                       invariant_factor_chain, lcm)
+# bockstein_r is not called here (each fiber computes its class), but
+# perfbench's tracer patches it on this module, so the name stays bound
 from .cohomology import (CohomologyClass, bockstein_r, cohomology_units, cohomology_Z,
                          validate_characteristic)
 from .errors import (
@@ -33,14 +35,12 @@ from .errors import (
 from .fibers import FiberDiagnostics, analyze_fiber
 from .extensions import CentralExtension, split_extension
 from .groups import FiniteGroup
-from . import groups as _groups
 from .records import Record
 
 __all__ = [
     "StabilizerPoint", "CurveSpec", "ReportResult", "BrauerReport",
     "stacky_units_cohomology", "h1_stack_zr", "h1_coarse_zr",
-    "orbifold_abelianization", "local_gerbe_classification",
-    "left_kernel", "brauer_report", "nonvanishing_h2_examples",
+    "orbifold_abelianization", "brauer_report",
 ]
 
 
@@ -191,28 +191,6 @@ def h1_coarse_zr(curve: CurveSpec, r: int) -> FinAbGroup:
         "missing-h1",
         "H^1(coarse curve, Z/r) must be supplied via the h1_coarse override "
         "for singular or non-proper curves")
-
-
-def local_gerbe_classification(curve: CurveSpec, r: int) -> FinAbGroup:
-    """The local target (+) H^2(G_i, Z/r) that mu_r-gerbes surject onto.
-
-    The kernel of the classification map is a quotient of H^2(C, mu_r)
-    and is not computed here; the report only echoes coarse gerbe data.
-    """
-    from .cohomology import cohomology_Zm
-    curve.validate_modulus(r)
-    total = FinAbGroup.trivial()
-    for pt in curve.points:
-        total = total.direct_sum(cohomology_Zm(pt.group, 2, r).value)
-    return total
-
-
-def left_kernel(curve: CurveSpec, r: int) -> FinAbGroup:
-    """Kernel of the left map: the cyclic subgroup of (+) H^2(G_i, kx)
-    generated by the tuple of Bockstein classes of the extensions."""
-    curve.validate_modulus(r)
-    exts = [pt.materialize_extension(r) for pt in curve.points]
-    return _bockstein_span(bockstein_r(ext.base, ext.cocycle) for ext in exts)
 
 
 def _bockstein_span(classes) -> FinAbGroup:
@@ -369,21 +347,3 @@ def brauer_report(curve: CurveSpec, r: int, *, verify: bool = False,
         splitting=splitting,
         result=result,
     )
-
-
-def nonvanishing_h2_examples(max_n: int):
-    """Search the node family mu_n x| Z/2 for nonvanishing H^2(G, kx).
-
-    Returns (n, a, H^2(G, kx)) triples with nontrivial value, over all
-    valid involution parameters a (a^2 = 1 mod n).
-    """
-    out = []
-    for n in range(1, max_n + 1):
-        for a in range(1, n + 1):
-            if (a * a) % n != 1 % n:
-                continue
-            G = _groups.semidirect_cyclic_by_z2(n, a)
-            value = cohomology_units(G, 2).value
-            if not value.is_trivial:
-                out.append((n, a, value))
-    return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import cli
 from .abelian import FinAbGroup
 from .cli import FORMAT_VERSION, _parse_int, _sha256_text, parse_group_spec
-from .errors import InputFormatError, StackyBrauerError, ValidationError
+from .errors import InputFormatError, ValidationError
 from .extensions import Cocycle2
 from .groups import FiniteGroup
 from .records import MutableRecord
@@ -197,7 +197,12 @@ _KEYS = {
 
 
 def parse_input(text: str) -> InputDocument:
-    """Parse and validate an input document; errors carry line positions."""
+    """Parse and validate an input document.
+
+    Syntax errors raise InputFormatError with their line positions; the
+    semantic errors of curve_spec() (ValidationError, TamenessError) are
+    raised as they are.
+    """
     doc = InputDocument(smooth=False, proper=False)
     sections = {}     # section name -> the keys it set
     keys = None       # the current section's
@@ -254,12 +259,9 @@ def parse_input(text: str) -> InputDocument:
         if sec.extension_spec.startswith("cocycle:"):
             sec.cocycle = load_cocycle(sec.extension_spec[len("cocycle:"):], sec.group, doc.r)
 
-    # semantic validation through the real constructors, mapped back to
-    # document-level errors
-    try:
-        doc.spec = doc.curve_spec()
-    except (ValidationError, StackyBrauerError) as exc:
-        raise InputFormatError(str(exc))
+    # semantic validation through the real constructors, whose errors keep
+    # their kind: a document and a flag are refused alike
+    doc.spec = doc.curve_spec()
     return doc
 
 

@@ -20,8 +20,9 @@ multiplier H_2(E, Z), and inflation on it is the Pontryagin dual of q_*.
 Every homology group is read off the group's free resolution, and q_* off
 the chain map between the two resolutions over q: no bar complex of E is
 built.  The Bockstein detector reads the class off H_2(G, Z) too
-(cohomology.bockstein_r), and builds the bar complex of G only for
-coordinates where |H^3(G, Z)| > 2.
+(cohomology.bockstein_r), coordinates included, in the basis dual to
+H_2(G, Z)'s generators that _pontryagin_dual uses: no bar differential of
+G is built either.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 Routes that share only the integer linear algebra with the engine's
 values: the full (un-normalized) standard complex, closed forms for
-cyclic groups, exhaustive cocycle enumeration for tiny inputs, and
-integral homology off the normalized bar chain complex (homology_Z).  No
-reported value passes through them; `cohomology --verify` runs the first
-two.
+cyclic groups, exhaustive cocycle enumeration for tiny inputs,
+integral homology off the normalized bar chain complex (homology_Z), and
+the integral Bockstein off the bar complex (bockstein).  No reported value
+passes through them; `cohomology --verify` runs the first two.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .abelian import (
     kernel_basis,
     memo,
 )
-from .cohomology import Coefficients, CohomologyGroup, INTEGERS
-from .errors import ResourceCapError, ValidationError
+from .cohomology import Coefficients, CohomologyClass, CohomologyGroup, INTEGERS
+from .errors import InvariantViolationError, ResourceCapError, ValidationError
 from .groups import FiniteGroup, GroupHom
 from .records import Record
 
@@ -36,7 +36,7 @@ _engine = import_module(".cohomology", __package__)
 
 __all__ = [
     "OracleResult", "ORACLE_CAP", "ORACLE_ELIMINATION_BUDGET",
-    "full_bar_differential", "full_bar_cohomology", "homology_Z",
+    "full_bar_differential", "full_bar_cohomology", "homology_Z", "bockstein",
     "cyclic_closed_form", "brute_cocycles", "brute_hom_from_presentation",
     "determinant", "smith_normal_form", "image_group", "kernel_group",
     "are_isomorphic", "resolution_boundary",
@@ -145,6 +145,28 @@ def homology_Z(X: FiniteGroup, n: int) -> Subquotient:
                                   _engine.bar_differential(X, n).transpose())
 
     return memo(("homology", X.table, n), build)
+
+
+def bockstein(G: FiniteGroup, cochain: dict, degree: int, r: int) -> CohomologyClass:
+    """Integral Bockstein of a normalized mod-r cocycle of the given degree,
+    off the bar complex: the tests' oracle for cohomology.bockstein_r.
+
+    Lifts the cochain to integers, applies the bar differential, divides
+    by r, and returns the class of the result in H^{degree+1}(G, Z), in the
+    bar generators of that group's class_of.  The bar differential is the
+    boundary basis of its classes.  In degree 2 it has bockstein_r's
+    order, and where H^3(G, Z) is neither 0 nor Z/2 its coordinates may
+    differ from bockstein_r's by an automorphism.
+    """
+    if r < 1:
+        raise ValidationError("modulus must be >= 1")
+    target = _engine.cohomology_Z(G, degree + 1)
+    image = target.subquotient.boundary_basis.apply(cochain)
+    for v in image.values():
+        if v % r:
+            raise InvariantViolationError("input cochain is not a cocycle mod r")
+    divided = {k: v // r for k, v in image.items() if v // r}
+    return target.class_of(divided)
 
 
 def resolution_boundary(R: _engine.FreeResolution, n: int) -> IntegerMatrix:

@@ -17,7 +17,7 @@ from stacky_brauer.cli import (
     parse_input,
 )
 from stacky_brauer.cohomology import enumerate_extension_classes
-from stacky_brauer.errors import InputFormatError
+from stacky_brauer.errors import InputFormatError, TamenessError, ValidationError
 from stacky_brauer.groups import central_extension
 
 SMOOTH_DOC = textwrap.dedent("""\
@@ -114,9 +114,10 @@ class TestParsing:
             assert line in rpt.read_text().splitlines()
 
     def test_noncyclic_smooth_point_rejected(self):
+        # semantic errors keep their own kind, not InputFormatError
         text = ("[curve]\nsmooth = true\nproper = true\ngenus = 0\n"
                 "[gerbe]\nr = 2\n[point.p]\ngroup = product:cyclic:2*cyclic:2\n")
-        with pytest.raises(InputFormatError) as err:
+        with pytest.raises(ValidationError) as err:
             parse_input(text)
         assert "non-cyclic" in str(err.value)
 
@@ -124,7 +125,7 @@ class TestParsing:
         text = ("[curve]\nsmooth = true\nproper = true\ngenus = 0\n"
                 "characteristic = 2\n[gerbe]\nr = 3\n"
                 "[point.p]\ngroup = cyclic:4\n")
-        with pytest.raises(InputFormatError) as err:
+        with pytest.raises(TamenessError) as err:
             parse_input(text)
         assert "characteristic 2" in str(err.value)
 
@@ -704,11 +705,10 @@ class TestCharacteristicIsZeroOrPrime:
         inp.write_text(SMOOTH_DOC)
         assert main(["brauer", "--input", str(inp), "--char", char, "--report", str(rpt)]) == 1
         assert rpt.read_text().splitlines()[-3:] == self.REFUSED
-        # a document's semantic errors are reported as parse errors
+        # a document's semantic errors are validation errors too
         inp.write_text(SMOOTH_DOC.replace("characteristic = 0", f"characteristic = {char}"))
         assert main(["brauer", "--input", str(inp), "--report", str(rpt)]) == 1
-        assert rpt.read_text().splitlines()[-3:] == \
-            ["status = error", "error-code = parse", self.REFUSED[-1]]
+        assert rpt.read_text().splitlines()[-3:] == self.REFUSED
         assert capsys.readouterr().err == "error: characteristic must be 0 or a prime\n" * 2
 
     @pytest.mark.parametrize("coefficients", ["units", "Z", "Z/2"])

@@ -4,16 +4,13 @@ from itertools import combinations_with_replacement
 import pytest
 
 from stacky_brauer.abelian import FinAbGroup, IntegerMatrix, cokernel
-from stacky_brauer.cohomology import enumerate_extension_classes
+from stacky_brauer.cohomology import cohomology_units, cohomology_Zm, enumerate_extension_classes
 from stacky_brauer.curves import (
     CurveSpec,
     StabilizerPoint,
     brauer_report,
     h1_coarse_zr,
     h1_stack_zr,
-    left_kernel,
-    local_gerbe_classification,
-    nonvanishing_h2_examples,
     orbifold_abelianization,
     stacky_units_cohomology,
 )
@@ -164,23 +161,24 @@ class TestH1:
 class TestLeftKernel:
     def test_split_extensions_trivial(self):
         node = StabilizerPoint("n", semidirect_cyclic_by_z2(4, 3), singular=True)
-        curve = CurveSpec(smooth=False, proper=True, points=(node,))
-        assert left_kernel(curve, 2).is_trivial
+        curve = CurveSpec(smooth=False, proper=True, points=(node,),
+                          h1_stack_override=FinAbGroup.trivial())
+        assert brauer_report(curve, 2).left_kernel.is_trivial
 
     def test_quaternion_point(self):
         c = quaternion_cocycle()
         ext = central_extension(c.base, 2, c)
         pt = StabilizerPoint("q", c.base, singular=True, extension=ext)
-        curve = CurveSpec(smooth=False, proper=True, points=(pt,))
-        assert left_kernel(curve, 2) == FinAbGroup.cyclic(2)
+        curve = CurveSpec(smooth=False, proper=True, points=(pt,),
+                          h1_stack_override=FinAbGroup.trivial())
+        assert brauer_report(curve, 2).left_kernel == FinAbGroup.cyclic(2)
 
     def test_cyclic_stabilizers_trivial(self):
         curve = smooth_curve(0, [2, 4, 3])
-        assert left_kernel(curve, 2).is_trivial
+        assert brauer_report(curve, 2).left_kernel.is_trivial
 
     def test_report_builds_each_split_extension_once(self, monkeypatch):
-        # the report hands the extensions it holds to the left-kernel step;
-        # the public left_kernel still builds its own
+        # the report hands the extensions it holds to the left-kernel step
         curves_module = import_module("stacky_brauer.curves")
         real = curves_module.split_extension
         built = []
@@ -199,13 +197,11 @@ class TestLeftKernel:
                           h1_stack_override=FinAbGroup.trivial())
         rep = brauer_report(curve, 2)
         assert built == [(2, 2), (8, 2)]
-        assert rep.left_kernel == left_kernel(curve, 2) == FinAbGroup.cyclic(2)
-        assert built == [(2, 2), (8, 2)] * 2
+        assert rep.left_kernel == FinAbGroup.cyclic(2)
 
     def test_report_computes_each_fibers_bockstein_once(self, monkeypatch):
-        # the left kernel is read off the fibers' own classes; on Z/3 x Z/3
-        # (H^3 = Z/3) the classes come off the bar complex, on D4 (H^3 = Z/2)
-        # off the resolution alone
+        # the left kernel is read off the fibers' own classes, on D4
+        # (H^3 = Z/2) and on Z/3 x Z/3 (H^3 = Z/3) alike
         real = import_module("stacky_brauer.cohomology").bockstein_r
         calls = []
 
@@ -213,8 +209,7 @@ class TestLeftKernel:
             calls.append(G.order)
             return real(G, c)
 
-        for name in ("curves", "fibers"):
-            monkeypatch.setattr(import_module(f"stacky_brauer.{name}"), "bockstein_r", counting)
+        monkeypatch.setattr(import_module("stacky_brauer.fibers"), "bockstein_r", counting)
         for G, r, kernel in ((semidirect_cyclic_by_z2(4, 3), 2, 2),
                              (direct_product(cyclic(3), cyclic(3)), 3, 3)):
             classes = enumerate_extension_classes(G, r)
@@ -226,24 +221,20 @@ class TestLeftKernel:
             calls.clear()
             rep = brauer_report(curve, r)
             assert calls == [G.order] * 2
-            assert rep.left_kernel == left_kernel(curve, r) == FinAbGroup.cyclic(kernel)
+            assert rep.left_kernel == FinAbGroup.cyclic(kernel)
 
 
 class TestLocalClassification:
-    def test_cyclic_points(self):
-        curve = smooth_curve(0, [2, 4])
-        # H^2(Z/n, Z/r) = Z/gcd(n, r)
-        assert local_gerbe_classification(curve, 2) == FinAbGroup(0, (2, 2))
+    """The local targets H^2(G_i, Z/r) of mu_r-gerbes at their points."""
 
-    def test_no_points(self):
-        curve = CurveSpec(smooth=True, proper=True, coarse_genus=1)
-        assert local_gerbe_classification(curve, 4).is_trivial
+    def test_cyclic_points(self):
+        # H^2(Z/n, Z/r) = Z/gcd(n, r)
+        for n in (2, 4):
+            assert cohomology_Zm(cyclic(n), 2, 2).value == FinAbGroup.cyclic(2), n
 
     def test_klein_four_point(self):
-        pt = StabilizerPoint("p", direct_product(cyclic(2), cyclic(2)),
-                             singular=True)
-        curve = CurveSpec(smooth=False, proper=True, points=(pt,))
-        assert local_gerbe_classification(curve, 2) == FinAbGroup(0, (2, 2, 2))
+        V = direct_product(cyclic(2), cyclic(2))
+        assert cohomology_Zm(V, 2, 2).value == FinAbGroup(0, (2, 2, 2))
 
 
 class TestBrauerReport:
@@ -391,9 +382,10 @@ class TestBrauerReport:
 
 
 class TestNodeSearch:
-    def test_search_finds_klein_four_and_dihedral(self):
-        hits = nonvanishing_h2_examples(4)
-        assert (2, 1, FinAbGroup.cyclic(2)) in hits
-        assert (4, 3, FinAbGroup.cyclic(2)) in hits
-        # S3 = semidirect(3, 2) has trivial multiplier, so no (3, 2) entry
-        assert all(not (n == 3 and a == 2) for n, a, _ in hits)
+    def test_klein_four_and_dihedral_nodes_have_nonvanishing_h2(self):
+        # the node family mu_n x| Z/2 with a^2 = 1 mod n
+        for n, a in ((2, 1), (4, 3)):
+            G = semidirect_cyclic_by_z2(n, a)
+            assert cohomology_units(G, 2).value == FinAbGroup.cyclic(2), (n, a)
+        # S3 = semidirect(3, 2) has trivial multiplier
+        assert cohomology_units(semidirect_cyclic_by_z2(3, 2), 2).value.is_trivial

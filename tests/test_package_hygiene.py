@@ -100,8 +100,9 @@ def test_one_memo_holds_every_cached_value():
 
 
 def test_engine_holds_no_bar_homology():
-    # the bar homology is the tests' oracle and lives in oracle.py
-    oracle = {"homology_Z", "_kernel_trivial_by_homology"}
+    # the bar homology and the bar Bockstein are the tests' oracle and live
+    # in oracle.py
+    oracle = {"homology_Z", "_kernel_trivial_by_homology", "bockstein"}
     found = []
     for stem in ("cohomology", "cohomology_maps"):
         path = PACKAGE / f"{stem}.py"
@@ -199,8 +200,9 @@ def test_patched_calls_go_through_the_patched_namespace():
 
 
 def test_report_path_stays_off_the_bar_homology():
-    # homology_Z and _kernel_trivial_by_homology are the tests' bar oracle
-    oracle = {"homology_Z", "_kernel_trivial_by_homology"}
+    # homology_Z, _kernel_trivial_by_homology and bockstein are the tests'
+    # bar oracle
+    oracle = {"homology_Z", "_kernel_trivial_by_homology", "bockstein"}
     found = []
     for stem in ("curves", "fibers", "cli"):
         path = PACKAGE / f"{stem}.py"
