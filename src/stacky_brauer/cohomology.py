@@ -219,7 +219,12 @@ class CohomologyGroup(Record):
 
 
 class CohomologyClass(Record):
-    """An element of a computed cohomology group, in generator coordinates."""
+    """An element of a computed cohomology group, in generator coordinates.
+
+    The coordinates are in the basis of whatever built the class: class_of's
+    for the parent's own classes, the one dual to H_2(G, Z)'s generators for
+    bockstein_r's.  Classes from the two are not to be added or compared.
+    """
 
     _fields = ("parent", "coords")
 

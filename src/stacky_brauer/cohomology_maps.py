@@ -296,11 +296,17 @@ def bockstein_r(G: FiniteGroup, c: Cocycle2) -> CohomologyClass:
     invariant factors d_j, but this basis is not the one of
     cohomology_Z(G, 3).class_of, whose generators come off the bar complex;
     where H^3(G, Z) is 0 or Z/2 the two agree, elsewhere they differ by an
-    automorphism.
+    automorphism, so these classes are not to be added to or compared with
+    class_of's.  The two groups must share their invariant factors, or
+    InvariantViolationError.
     """
     if c.base != G:
         raise ValidationError("cocycle is not defined over the given group")
     H2 = resolution_homology_Z(G, 2)
+    target = cohomology_Z(G, 3)
+    if H2.quotient.relation_orders() != target.value.relation_orders():
+        raise InvariantViolationError(
+            f"H_2(G, Z) = {H2.quotient} is not dual to H^3(G, Z) = {target.value}")
     coords = []
     if not H2.quotient.is_trivial:
         r, values = c.modulus, c.values
@@ -313,7 +319,7 @@ def bockstein_r(G: FiniteGroup, c: Cocycle2) -> CohomologyClass:
                     f"c(z) d = {value} is not a multiple of r = {r} for a "
                     f"generator z of order d = {d} of H_2(G, Z)")
             coords.append(value // r % d)
-    return CohomologyClass(cohomology_Z(G, 3), tuple(coords))
+    return CohomologyClass(target, tuple(coords))
 
 
 # ---------------------------------------------------------------------------

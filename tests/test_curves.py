@@ -209,7 +209,8 @@ class TestLeftKernel:
             calls.append(G.order)
             return real(G, c)
 
-        monkeypatch.setattr(import_module("stacky_brauer.fibers"), "bockstein_r", counting)
+        for name in ("curves", "fibers"):
+            monkeypatch.setattr(import_module(f"stacky_brauer.{name}"), "bockstein_r", counting)
         for G, r, kernel in ((semidirect_cyclic_by_z2(4, 3), 2, 2),
                              (direct_product(cyclic(3), cyclic(3)), 3, 3)):
             classes = enumerate_extension_classes(G, r)

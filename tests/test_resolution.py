@@ -678,6 +678,15 @@ class TestBocksteinOffTheResolution:
         monkeypatch.undo()
         clear_cache()
 
+    def test_a_target_not_dual_to_h2_is_caught(self, monkeypatch):
+        G = direct_product(cyclic(3), cyclic(3))
+        c = enumerate_extension_classes(G, 3)[-1]
+        maps = import_module("stacky_brauer.cohomology_maps")
+        wrong = cohomology_Z(cyclic(9), 2)      # Z/9, where H^3(G, Z) = Z/3
+        monkeypatch.setattr(maps, "cohomology_Z", lambda G, n: wrong)
+        with pytest.raises(InvariantViolationError, match="is not dual to"):
+            bockstein_r(G, c)
+
     def test_bar_chains_are_dropped_with_the_resolution(self):
         G = semidirect_cyclic_by_z2(4, 3)
         clear_cache()
