@@ -36,10 +36,10 @@ from .records import Record
 
 # Every name abelian_maps defines, served from here on first use.
 _MAPS = frozenset({
-    "AbGroupMap", "_CycleSolver", "_kills_only_relations", "_map_solver",
-    "_pivot_values", "cokernel", "cokernel_of_map", "hom_to_cyclic",
-    "homology_at", "induced_map", "is_injective", "is_split_injection",
-    "is_surjective", "kernel_basis",
+    "AbGroupMap", "_CycleSolver", "_cokernel", "_kills_only_relations",
+    "_map_solver", "_with_relations", "cokernel", "cokernel_of_map",
+    "hom_to_cyclic", "homology_at", "induced_map", "is_injective",
+    "is_split_injection", "is_surjective", "kernel_basis",
 })
 
 
@@ -818,9 +818,9 @@ class ColumnEchelon:
     is triangular in retirement order (pivots: row, column and H column)
     and has full column rank.  Since V is unimodular, the V columns of the
     columns left zero are a basis of the integer kernel lattice of M
-    (kernel; an empty column c gives e_c), and H answers M x = y by
-    forward substitution (solve).  A row with one live column left retires
-    it at once, with no pivot rule to apply.
+    (kernel as copies, kernel_view in place; an empty column c gives e_c),
+    and H answers M x = y by forward substitution (solve).  A row with one
+    live column left retires it at once, with no pivot rule to apply.
     """
 
     def __init__(self, rows: int, columns: list):
@@ -905,8 +905,15 @@ class ColumnEchelon:
         self._kernel_columns = [c for c in range(len(columns)) if c not in retired]
 
     def kernel(self) -> list:
-        """A basis of the integer kernel lattice of M, as sparse vectors."""
-        return [_identity_vector(self._vcols, c) for c in self._kernel_columns]
+        """A basis of the integer kernel lattice of M, as sparse vectors the
+        caller owns: copies of kernel_view's."""
+        return [dict(v) for v in self.kernel_view()]
+
+    def kernel_view(self) -> list:
+        """kernel()'s basis read in place: the V columns themselves (a fresh
+        e_c for an empty column), which the caller must not change."""
+        vcols = self._vcols
+        return [vcols.get(c) or {c: 1} for c in self._kernel_columns]
 
     def solve(self, y: dict):
         """An x with M @ x = y, or None when y is not in the column span of M."""

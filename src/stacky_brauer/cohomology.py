@@ -441,14 +441,14 @@ class FreeResolution:
 
     def _kernel_generators(self) -> tuple:
         n = len(self._boundaries)
-        kernel = self.echelon(n).kernel()
+        kernel = self.echelon(n).kernel_view()
         span = IntegerSpan()
         gens, translates = [], []
         full = False     # the span is ker d_n: saturated, of rank its nullity
         for v in sorted(kernel, key=len):
             if v in span:
                 continue
-            gens.append(v)
+            gens.append(dict(v))   # a generator is kept: the echelon holds v
             for t in self._translates_of(v):
                 translates.append(t)
                 if not full:
@@ -544,6 +544,6 @@ def resolution_homology_Z(X: FiniteGroup, n: int) -> Subquotient:
     def build():
         R = free_resolution(X)
         return finite_homology_at(R.coinvariant_boundary(n),
-                                  R.coinvariants(n, R.echelon(n).kernel()))
+                                  R.coinvariants(n, R.echelon(n).kernel_view()))
 
     return memo(("resolution homology", X.table, n), build)

@@ -208,9 +208,9 @@ def inflation_kernel_trivial(q: GroupHom, integral_degree: int) -> bool:
     if n == 1 or resolution_homology_Z(q.target, n - 1).quotient.is_trivial:
         return True
     # imported here: cohomology --verify loads this module, not extensions
-    from .extensions import section
+    from .extensions import _has_section
 
-    if section(q) is not None:
+    if _has_section(q):
         return True
     return _pushforward_onto(q, n - 1)
 
@@ -223,6 +223,9 @@ def comparison_chains(q: GroupHom, n: int) -> tuple:
     Groups, I.7), E acting on R^G through q: psi_0(e_0) = (0, 1_G) and
     psi_n(e_i) = R^G.lift(n, psi_{n-1}(d e_i)), where psi_{n-1}(d e_i) is
     the sum of c * q(x) psi_{n-1}(e_j) over the terms c (j, x) of d_n(e_i).
+    q(x) acts on psi_{n-1}(e_j) through G's table row of q(x), read in place
+    (as FreeResolution._translates_of does), term by term in the order
+    R.translate would give them.
     """
     if n < 0:
         raise ValidationError("degree must be nonnegative")
@@ -230,13 +233,19 @@ def comparison_chains(q: GroupHom, n: int) -> tuple:
         return ({q.target.identity: 1},)
 
     def build():
-        R, N = free_resolution(q.target), q.source.order
-        prev = comparison_chains(q, n - 1)
+        R, N, M = free_resolution(q.target), q.source.order, q.target.order
+        table, image = q.target.table, q.image
+        # psi_{n-1}(e_j) as (block, element, value) triples
+        prev = [[(k - k % M, k % M, a) for k, a in chain.items()]
+                for chain in comparison_chains(q, n - 1)]
         chains = []
         for d in free_resolution(q.source).boundary(n):
             y = {}
             for idx, c in d.items():
-                for k, a in R.translate(q(idx % N), prev[idx // N]).items():
+                j, x = divmod(idx, N)
+                row = table[image[x]]
+                for b, g, a in prev[j]:
+                    k = b + row[g]
                     y[k] = y.get(k, 0) + c * a
             chains.append(R.lift(n, y))
         return tuple(chains)

@@ -3,9 +3,10 @@
 Covers the 2-cocycles with values in Z/r, the central extensions
 0 -> Z/r -> E -> G -> 0 they define (built and validated once, kept by
 abelian.memo), the split extension G x Z/r, and a search for sections of
-a surjection.  Computing a cohomology value needs none of this, so
-groups serves these names on first use (PEP 562 __getattr__) and a
-process that only computes values never compiles them.
+a surjection (whose yes or no abelian.memo keeps per projection).
+Computing a cohomology value needs none of this, so groups serves these
+names on first use (PEP 562 __getattr__) and a process that only computes
+values never compiles them.
 
 central_extension is read off groups wherever it is called from here, so
 a replacement of groups.central_extension (perfbench's tracer, the
@@ -151,23 +152,28 @@ def central_extension(G: FiniteGroup, r: int, c: Cocycle2) -> CentralExtension:
 
 def _build_extension(G: FiniteGroup, r: int, c: Cocycle2) -> CentralExtension:
     n = G.order
-    idx = lambda g, t: g * r + t
-    table = [[0] * (n * r) for _ in range(n * r)]
-    for g, s in product(range(n), range(r)):
-        row = table[idx(g, s)]
-        for h, t in product(range(n), range(r)):
-            row[idx(h, t)] = idx(G.mul(g, h), (s + t + c.values[g][h]) % r)
+    # (g, s)(h, t) = (gh, s + t + c(g, h)) at index gh * r + (s + t + c(g, h)) % r
+    table = []
+    for g_row, c_row in zip(G.table, c.values):
+        for s in range(r):
+            row = []
+            for gh, cgh in zip(g_row, c_row):
+                base, shift = gh * r, s + cgh
+                row.extend(base + (shift + t) % r for t in range(r))
+            table.append(row)
     labels = [f"({G.label(g)};{t})" for g in range(n) for t in range(r)]
     E = FiniteGroup(table, labels=labels)
     proj = GroupHom(E, G, tuple(g for g in range(n) for _ in range(r)))
-    embed = GroupHom(_cyclic(r), E, tuple(idx(G.identity, t) for t in range(r)))
+    embed = GroupHom(_cyclic(r), E, tuple(G.identity * r + t for t in range(r)))
     # kernel of the projection must be exactly the embedded Z/r, and central
-    kernel = {x for x in range(E.order) if proj(x) == G.identity}
+    kernel = {x for x, g in enumerate(proj.image) if g == G.identity}
     if kernel != set(embed.image):
         raise ValidationError("projection kernel is not the embedded Z/r")
+    rows = E.table
     for z in kernel:
+        row = rows[z]
         for x in range(E.order):
-            if E.mul(z, x) != E.mul(x, z):
+            if row[x] != rows[x][z]:
                 raise ValidationError("extension is not central")
     return CentralExtension(c, E, proj, embed)
 
@@ -185,46 +191,49 @@ def split_extension(G: FiniteGroup, r: int) -> CentralExtension:
 
 
 def _generating_sequence(G: FiniteGroup):
+    """Generators of G: each the least element outside the subgroup the
+    earlier ones generate.  That subgroup is the closure of {e} under right
+    multiplication by them (G is finite), each product formed once."""
+    table, e = G.table, G.identity
     gens = []
-    closure = {G.identity}
+    closure = {e}
     while len(closure) < G.order:
-        g = min(x for x in range(G.order) if x not in closure)
-        gens.append(g)
-        frontier = set(closure) | {g}
-        new = set(closure)
+        gens.append(min(x for x in range(G.order) if x not in closure))
+        closure, frontier = {e}, [e]
         while frontier:
-            x = frontier.pop()
-            for y in list(new) + [g]:
-                for z in (G.mul(x, y), G.mul(y, x)):
-                    if z not in new:
-                        new.add(z)
-                        frontier.add(z)
-            new.add(x)
-        closure = new
+            row = table[frontier.pop()]
+            for g in gens:
+                z = row[g]
+                if z not in closure:
+                    closure.add(z)
+                    frontier.append(z)
     return gens
 
 
 def _extend_hom(G: FiniteGroup, H: FiniteGroup, gens, images):
-    """Try to extend gen |-> image to a full map by closing under products."""
+    """The homomorphism G -> H with gens -> images as a dict, or None.
+
+    Walks the Cayley graph of gens from e, setting phi(x g) = phi(x) phi(g)
+    along each edge once.  A map that satisfies this on every edge is a
+    homomorphism (by induction on the length of a word in gens), so the
+    walk fails exactly when no homomorphism extends gens -> images, and
+    None is returned as well when gens do not generate G.
+    """
+    g_rows, h_rows = G.table, H.table
+    pairs = tuple(zip(gens, images))
     phi = {G.identity: H.identity}
-    for g, h in zip(gens, images):
-        if g in phi and phi[g] != h:
-            return None
-        phi[g] = h
-    changed = True
-    while changed:
-        changed = False
-        items = list(phi.items())
-        for (a, fa) in items:
-            for (b, fb) in items:
-                ab = G.mul(a, b)
-                fab = H.mul(fa, fb)
-                if ab in phi:
-                    if phi[ab] != fab:
-                        return None
-                else:
-                    phi[ab] = fab
-                    changed = True
+    frontier = [G.identity]
+    while frontier:
+        x = frontier.pop()
+        g_row, h_row = g_rows[x], h_rows[phi[x]]
+        for g, h in pairs:
+            z, fz = g_row[g], h_row[h]
+            old = phi.get(z)
+            if old is None:
+                phi[z] = fz
+                frontier.append(z)
+            elif old != fz:
+                return None
     if len(phi) != G.order:
         return None
     return phi
@@ -239,19 +248,30 @@ def section(q: GroupHom):
     the generator's element order (q(s(g)) = g has the order of g, and
     s(g)'s order divides it), and closes each choice with _extend_hom.
     The search never looks at how E was built, so a split extension given
-    by a nonzero coboundary cocycle is found as well.
+    by a nonzero coboundary cocycle is found as well.  The fiber battery
+    asks only whether a section exists, through _has_section, which runs
+    this search once per projection.
     """
-    E, G = q.source, q.target
+    E, G, image = q.source, q.target, q.image
     gens = _generating_sequence(G)
-    candidates = [
-        [x for x in range(E.order)
-         if q(x) == g and E.element_order(x) == G.element_order(g)]
-        for g in gens]
+    candidates = []
+    for g in gens:
+        order = G.element_order(g)
+        candidates.append([x for x, qx in enumerate(image)
+                           if qx == g and E.element_order(x) == order])
     for images in product(*candidates):
         phi = _extend_hom(G, E, gens, images)
         if phi is None:
             continue
         s = GroupHom(G, E, tuple(phi[g] for g in range(G.order)))
-        if all(q(s(g)) == g for g in range(G.order)):
+        if all(image[x] == g for g, x in enumerate(s.image)):
             return s
     return None
+
+
+def _has_section(q: GroupHom) -> bool:
+    """Whether q: E -> G has a section, decided by one section(q) per
+    projection: abelian.memo keeps the answer under the two tables and
+    q.image."""
+    return memo(("section", q.source.table, q.target.table, q.image),
+                lambda: section(q) is not None)

@@ -36,7 +36,7 @@ from .cohomology import (
     resolution_homology_Z,
 )
 from .errors import InvariantViolationError, ResourceCapError
-from .extensions import CentralExtension, section
+from .extensions import CentralExtension, _has_section
 from .groups import GroupHom
 from .records import Record
 
@@ -81,7 +81,7 @@ def h2_section_exists(ext: CentralExtension) -> bool:
     """
     if cohomology_units(ext.base, 2).value.is_trivial:
         return True
-    if section(ext.projection) is not None:
+    if _has_section(ext.projection):
         return True
     return is_split_injection(_pontryagin_dual(_h2_pushforward(ext.projection)))
 

@@ -27,8 +27,8 @@ __all__ = [
 # Every name extensions defines, served from here on first use.
 _SERVED = frozenset({
     "CentralExtension", "Cocycle2", "_build_extension", "_extend_hom",
-    "_extension_key", "_generating_sequence", "central_extension", "section",
-    "split_extension",
+    "_extension_key", "_generating_sequence", "_has_section", "central_extension",
+    "section", "split_extension",
 })
 
 
@@ -221,9 +221,11 @@ class GroupHom(Record):
         for v in image:
             if not (0 <= v < target.order):
                 raise ValidationError("image index out of range")
-        for a in range(source.order):
-            for b in range(source.order):
-                if image[source.mul(a, b)] != target.mul(image[a], image[b]):
+        target_rows = target.table
+        for a, row in enumerate(source.table):
+            image_row = target_rows[image[a]]
+            for b, ab in enumerate(row):
+                if image[ab] != image_row[image[b]]:
                     raise ValidationError("not a homomorphism")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)

@@ -712,6 +712,66 @@ class TestCycleSolverProperties:
         check()
 
 
+class TestUntrackedCokernelProperties:
+    """is_surjective and cokernel_of_map read the cokernel off one untracked
+    diagonalization; the reference is _CycleSolver's cokernel, off the
+    logged elimination they ran before.  Maps between groups with mixed
+    invariant factors and Z summands; derandomized, so every run draws the
+    same examples."""
+
+    @staticmethod
+    def maps():
+        from hypothesis import strategies as st
+
+        groups = st.tuples(st.integers(0, 2), st.lists(
+            st.sampled_from((2, 3, 4, 6, 8, 9, 12)), max_size=3)).map(
+            lambda g: FinAbGroup.from_factors(g[1], free_rank=g[0]))
+
+        def build(pair):
+            A, B = pair
+            # entry (i, j) must send d_j e_j into the relations of B:
+            # e_i * d_j * m = 0, so m is a multiple of e_i / gcd(d_j, e_i)
+            # (any integer for a Z source generator, 0 into a Z target one)
+            steps = [[0 if d and not e else e // gcd(d, e) if d else 1
+                      for d in A.relation_orders()] for e in B.relation_orders()]
+            cells = [st.integers(-6, 6).map(lambda k, s=s: k * s)
+                     for row in steps for s in row]
+            cols = A.num_generators
+            return st.tuples(*cells).map(lambda flat: AbGroupMap(A, B, IntegerMatrix(
+                B.num_generators, cols,
+                {(k // cols, k % cols): v for k, v in enumerate(flat) if v})))
+
+        return st.tuples(groups, groups).flatmap(build)
+
+    def test_the_untracked_route_agrees_with_the_cycle_solver(self, monkeypatch):
+        from hypothesis import given, settings
+
+        maps = import_module("stacky_brauer.abelian_maps")
+        solvers = []
+
+        class Counted(_CycleSolver):
+            def __init__(self, *args):
+                solvers.append(args)
+                super().__init__(*args)
+
+        seen = {"onto": 0, "not onto": 0, "infinite": 0}
+
+        @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @given(self.maps())
+        def check(f):
+            expected = _CycleSolver(f.matrix, f.target.relation_orders()).cokernel()
+            with monkeypatch.context() as patch:
+                patch.setattr(maps, "_CycleSolver", Counted)
+                assert cokernel_of_map(f) == expected, f
+                assert is_surjective(f) == expected.is_trivial, f
+            assert not solvers
+            seen["onto" if expected.is_trivial else "not onto"] += 1
+            seen["infinite"] += bool(expected.free_rank)
+
+        check()
+        assert min(seen.values()) > 20, seen
+
+
 class TestHomologyAtReplay:
     def test_the_elimination_is_dropped_before_the_replay(self, monkeypatch):
         # U and U^-1 are replayed from the row log alone; the _Elim's row

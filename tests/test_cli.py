@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import stat
@@ -264,6 +265,29 @@ class TestEndToEnd:
                        "--max-entries", "100")
         assert proc.returncode == 1
         assert "cap" in proc.stderr.lower()
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_a_cap_below_one_writes_an_error_report(self, tmp_path, cap):
+        # the refusal is a validation error of the command, reported with the
+        # input-sha256 its other errors carry: the document's text for brauer,
+        # the three arguments, space-joined, for cohomology
+        inp = tmp_path / "node.txt"
+        inp.write_text(NODE_DOC)
+        runs = ((["brauer", "--input", str(inp)], NODE_DOC),
+                (["cohomology", "cyclic:4", "2", "Z"], "cyclic:4 2 Z"))
+        for argv, hashed in runs:
+            rpt = tmp_path / f"{argv[0]}.rpt"
+            proc = run_cli(*argv, "--max-entries", cap, "--report", str(rpt))
+            assert proc.returncode == 1, (argv, proc.stdout + proc.stderr)
+            assert proc.stderr.splitlines() == ["error: resource cap must be positive"]
+            assert "Traceback" not in proc.stderr
+            assert rpt.read_text().splitlines() == [
+                "format-version = 1",
+                f"input-sha256 = {hashlib.sha256(hashed.encode()).hexdigest()}",
+                "status = error",
+                "error-code = validation",
+                "error-message = resource cap must be positive",
+            ]
 
     def test_report_past_the_bar_caps(self, tmp_path):
         # H^3(Z/50, Z)'s bar d_out has 49^4 rows, over the default cap; the

@@ -2,6 +2,7 @@ import sys
 import threading
 from collections import Counter
 from importlib import import_module
+from itertools import product
 
 import pytest
 
@@ -254,6 +255,62 @@ class TestGroupHom:
         assert comp.image == tuple(x % 2 for x in range(8))
 
 
+class TestRefusalsKeepTheirMessages:
+    """GroupHom and central_extension index the tables in place; every check
+    runs in its old order with its old message."""
+
+    def test_group_hom_refusals(self):
+        V = direct_product(cyclic(2), cyclic(2))
+        # the last map keeps every square, (0, 1) + (1, 0) = (1, 1) breaks it
+        for source, image, message in (
+                (cyclic(4), (0, 1, 0), "image list length mismatch"),
+                (cyclic(4), (0, 1, 0, 2), "image index out of range"),
+                (cyclic(4), (0, 0, 1, 1), "not a homomorphism"),
+                (V, (0, 1, 1, 1), "not a homomorphism")):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                GroupHom(source, cyclic(2), image)
+
+    def test_mismatched_cocycle_is_refused(self):
+        c = Cocycle2.zero(cyclic(2), 2)
+        for G, r in ((cyclic(2), 3), (cyclic(3), 2)):
+            with pytest.raises(ValidationError, match="^cocycle does not match the "
+                                                      "requested extension data$"):
+                central_extension(G, r, c)
+
+    def test_a_total_group_whose_kernel_is_not_central_is_refused(self, monkeypatch):
+        # no cocycle gives one (c(e, h) = c(h, e) for every 2-cocycle), so the
+        # built table is replaced by S3 with its rotations at 0, 1, 2: the
+        # projection (sign) and the embedding of Z/3 are homomorphisms, and
+        # the embedded Z/3 is the projection's kernel but not central
+        def s3(x, y):
+            a, b = x % 3, y % 3
+            if x < 3:
+                return (a + b) % 3 if y < 3 else 3 + (b - a) % 3
+            return 3 + (a + b) % 3 if y < 3 else (b - a) % 3
+
+        extensions = import_module("stacky_brauer.extensions")
+        table = [[s3(x, y) for y in range(6)] for x in range(6)]
+        monkeypatch.setattr(extensions, "FiniteGroup",
+                            lambda rows, labels: FiniteGroup(table, labels=labels))
+        clear_cache()
+        with pytest.raises(ValidationError, match="^extension is not central$"):
+            central_extension(cyclic(2), 3, Cocycle2.zero(cyclic(2), 3))
+        clear_cache()
+
+    def test_tables_are_the_cocycle_formula(self, family):
+        # (g, s)(h, t) = (gh, s + t + c(g, h)) at index g * r + t
+        for name, G in family:
+            for r in (2, 3):
+                if G.order * r > 16:
+                    continue
+                for c in enumerate_extension_classes(G, r):
+                    E = central_extension(G, r, c).total
+                    assert E.table == tuple(
+                        tuple(G.mul(g, h) * r + (s + t + c.values[g][h]) % r
+                              for h in range(G.order) for t in range(r))
+                        for g in range(G.order) for s in range(r)), (name, r)
+
+
 class TestSection:
     def test_exactly_the_split_class_has_a_section(self):
         V = direct_product(cyclic(2), cyclic(2))
@@ -269,6 +326,49 @@ class TestSection:
                 if s is not None:
                     assert s.source == G and s.target == q.source
                     assert q.compose(s) == GroupHom.identity(G)
+
+    @staticmethod
+    def generated(G, elements):
+        """The subgroup generated by elements, closed under all products."""
+        closure = {G.identity, *elements}
+        while True:
+            grown = closure | {G.mul(a, b) for a in closure for b in closure}
+            if grown == closure:
+                return closure
+            closure = grown
+
+    def test_generating_sequence_is_greedy(self, family):
+        extensions = import_module("stacky_brauer.extensions")
+        groups = [G for _, G in family] + [
+            central_extension(G, r, c).total for _, G in family if G.order <= 4
+            for r in (2, 3) for c in enumerate_extension_classes(G, r)]
+        for G in groups:
+            gens = extensions._generating_sequence(G)
+            for i, g in enumerate(gens):
+                earlier = self.generated(G, gens[:i])
+                assert g == min(set(range(G.order)) - earlier), (G, gens)
+            assert self.generated(G, gens) == set(range(G.order)), (G, gens)
+
+    def test_extend_hom_finds_exactly_the_homomorphisms(self, family):
+        # every map G -> H is tried where there are at most 4096; the
+        # homomorphisms among them are exactly what _extend_hom returns
+        extensions = import_module("stacky_brauer.extensions")
+        tried = 0
+        for _, G in family:
+            for _, H in family:
+                if H.order ** G.order > 4096:
+                    continue
+                gens = extensions._generating_sequence(G)
+                homs = {}
+                for f in product(range(H.order), repeat=G.order):
+                    if all(f[G.mul(a, b)] == H.mul(f[a], f[b])
+                           for a in range(G.order) for b in range(G.order)):
+                        homs[tuple(f[g] for g in gens)] = dict(enumerate(f))
+                for images in product(range(H.order), repeat=len(gens)):
+                    assert extensions._extend_hom(G, H, gens, images) == \
+                        homs.get(images), (G, H, images)
+                    tried += 1
+        assert tried > 500, tried
 
     def test_nonsplit_class_over_s3_is_dicyclic(self):
         S3 = semidirect_cyclic_by_z2(3, 2)

@@ -397,8 +397,8 @@ def test_package_namespace_in_a_fresh_process():
                        "after star": True}
     assert outs[1].pop("checked") > 20
     assert outs[1] == {"differ": [], "unserved": []}
-    # 15 names on cli, 9 on groups; 6 of those reads are also the package's
-    assert outs[2] == outs[3] == {"checked": 24, "through package": 6, "differ": [],
+    # 15 names on cli, 10 on groups; 6 of those reads are also the package's
+    assert outs[2] == outs[3] == {"checked": 25, "through package": 6, "differ": [],
                                   "unserved": []}
 
 

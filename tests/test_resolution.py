@@ -54,6 +54,7 @@ from conftest import small_family
 
 # the module, which the package's `cohomology` function shadows
 cohomology_module = import_module("stacky_brauer.cohomology")
+abelian_maps = import_module("stacky_brauer.abelian_maps")
 
 
 def extensions(max_total):
@@ -342,6 +343,22 @@ class TestResolutionPins:
         assert digest.hexdigest() == self.SHA256
 
 
+class TestComparisonChainPins:
+    """The chain maps psi over every class projection of extensions(16),
+    degrees 1 to 3, bit for bit: repr of comparison_chains, whose dicts
+    carry their insertion order, hashed.  The digest was recorded before
+    comparison_chains stopped forming a translate per term."""
+
+    SHA256 = "83f5e20d79594cd10d242efff9f827a1520e831173916bf8d2e93f497a4414d6"
+
+    def test_comparison_chains(self):
+        digest = hashlib.sha256()
+        for label, ext in extensions(16):
+            for n in (1, 2, 3):
+                digest.update(repr((label, n, comparison_chains(ext.projection, n))).encode())
+        assert digest.hexdigest() == self.SHA256
+
+
 class TestKernelStepWork:
     """What a cold pass of the class-sweep family (every extension class of
     Z/2, Z/3, Z/4, Z/5 and V4 with |G| * r <= 10, one brauer_report each)
@@ -354,7 +371,10 @@ class TestKernelStepWork:
     greedy that went round them would count 0 and pass the bounds.  Each echelon
     eliminates in the columns the greedy formed, so no d_n is built as an
     IntegerMatrix on the way (one from_columns per echelon of degree >= 1
-    before)."""
+    before).  Around the kernel step the fiber battery repeats nothing:
+    one section search per projection, a _CycleSolver only where a kernel
+    lattice is read, and no copy of a kernel vector the greedy does not
+    keep."""
 
     BASES = ((cyclic(2), (2, 3, 4)), (cyclic(3), (2, 3)), (cyclic(4), (2,)),
              (cyclic(5), (2,)), (direct_product(cyclic(2), cyclic(2)), (2,)))
@@ -363,11 +383,28 @@ class TestKernelStepWork:
         nodes = [(r, central_extension(G, r, c)) for G, moduli in self.BASES
                  for r in moduli for c in enumerate_extension_classes(G, r)]
         assert len(nodes) == 20
-        counts = dict.fromkeys(("add", "in", "echelons", "from_columns"), 0)
+        counts = dict.fromkeys(("add", "in", "echelons", "from_columns", "sections",
+                                "solvers", "kernel_copies"), 0)
         add, contains = IntegerSpan.add, IntegerSpan.__contains__
         build, echelon = ColumnEchelon.__init__, FreeResolution.echelon
         from_columns = IntegerMatrix.from_columns.__func__
+        kernel, solver = ColumnEchelon.kernel, abelian_maps._CycleSolver
         depth = [0]               # calls of FreeResolution.echelon under way
+        searches = {}             # module -> its section, where it holds one
+
+        def counting_section(q):
+            counts["sections"] += 1
+            return searches["stacky_brauer.extensions"](q)
+
+        class CountingSolver(solver):
+            def __init__(self, M, moduli):
+                counts["solvers"] += 1
+                super().__init__(M, moduli)
+
+        def counting_kernel(ech):
+            vectors = kernel(ech)
+            counts["kernel_copies"] += len(vectors)
+            return vectors
 
         def counting_add(span, vec):
             counts["add"] += 1
@@ -397,17 +434,38 @@ class TestKernelStepWork:
         monkeypatch.setattr(ColumnEchelon, "__init__", counting_build)
         monkeypatch.setattr(FreeResolution, "echelon", tracked_echelon)
         monkeypatch.setattr(IntegerMatrix, "from_columns", classmethod(counting_from_columns))
+        monkeypatch.setattr(ColumnEchelon, "kernel", counting_kernel)
+        monkeypatch.setattr(abelian_maps, "_CycleSolver", CountingSolver)
+        for name in ("stacky_brauer.extensions", "stacky_brauer.fibers",
+                     "stacky_brauer.cohomology_maps"):
+            module = import_module(name)
+            if "section" in vars(module):
+                searches[name] = module.section
+                monkeypatch.setattr(module, "section", counting_section)
         clear_cache()
         for r, ext in nodes:
             brauer_report(node_curve(ext), r, verify=True)
         monkeypatch.undo()
-        counts["ranks"] = sum(len(gens) for key, R in cohomology_module._CACHE.items()
-                              if key[0] == "resolution" for gens in R._boundaries)
+        resolutions = [R for key, R in cohomology_module._CACHE.items()
+                       if key[0] == "resolution"]
+        counts["ranks"] = sum(len(gens) for R in resolutions for gens in R._boundaries)
+        # a kept generator is a copy, not the V column the echelon holds
+        held = {id(v) for R in resolutions for ech in R._echelons.values()
+                for v in ech._vcols.values()}
+        assert not any(id(g) in held for R in resolutions
+                       for gens in R._boundaries for g in gens)
         clear_cache()
         assert counts["add"] < 985 and counts["in"] < 455, counts
         assert (counts["add"], counts["in"]) == (703, 229), counts
         assert (counts["echelons"], counts["ranks"]) == (96, 135), counts
         assert counts["from_columns"] == 0, counts
+        # one section search per projection (36 without the memo)
+        assert counts["sections"] == 20, counts
+        # is_surjective and cokernel_of_map replay nothing (26 when they did)
+        assert counts["solvers"] == 7, counts
+        # the kernel is read in place: the only copies are the 135 kept
+        # generators (kernel() copied 760 vectors when the greedy used it)
+        assert counts["kernel_copies"] == 0, counts
 
 
 class TestDihedral24WithR2:
