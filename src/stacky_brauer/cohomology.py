@@ -374,14 +374,21 @@ class FreeResolution:
     columns of d_{n+1}, in order, and echelon(n + 1) eliminates in them:
     it takes them from the resolution and hands them to its ColumnEchelon,
     which keeps them as its H columns.  d_n is never formed as a matrix.
+    Degree 0 is read off a generating sequence, with no span and no
+    echelon(0): the kernel basis that echelon gives is e_c - e_l for
+    c < l = |E| - 1, a kept one's translates are the edges x -> x l^-1 c
+    of a Cayley graph, spanning the vectors that sum to 0 on each left
+    coset of <kept l^-1 c>, so c is kept exactly when l^-1 c is outside it.
 
     Three resource caps bound it (ResourceCapError): the column count
     |E| * k_n of the kernel step of degree n, the bits the span of
     translates holds (IntegerSpan), and, before a walk to degree n starts
-    (after the kernel step of degree 0), (n + 1) * 5 * |E| for its n + 1
-    degrees.  5 * |E| entries a degree is a lower bound: the step forms
-    d_n, whose |E| * k_n >= |E| columns have 2 or more entries each (no
-    generator's boundary is one term), and the cyclic groups, whose rank-1
+    (after the charge |E| * k_0 = |E|), (n + 1) * 5 * |E| for its n + 1
+    degrees.  Degree 0 needs no span cap: a span of its e_a - e_b holds
+    2 * (|E| - 1) bits at most, under the walk charge, 10 * |E| or more.
+    5 * |E| entries a degree is a lower bound: the step forms d_n, whose
+    |E| * k_n >= |E| columns have 2 or more entries each (no generator's
+    boundary is one term), and the cyclic groups, whose rank-1
     resolutions are the smallest, keep 3 * |E| (Z/2) to 3.5 * |E| (Z/50)
     more.  The trivial group keeps none but costs 370 bytes and 8 us a
     degree, and is charged 5.
@@ -404,7 +411,8 @@ class FreeResolution:
             raise ValidationError("the resolution's boundaries start in degree 1")
         with self._lock:
             if len(self._boundaries) < n:
-                self.echelon(0)
+                if not self._boundaries:
+                    check_cap(self.group.order, "resolution kernel step |E| * k_0")
                 check_cap((n + 1) * 5 * self.group.order,
                           f"resolution walk to degree {n}, 5 * |E| per degree")
             while len(self._boundaries) < n:
@@ -441,6 +449,12 @@ class FreeResolution:
 
     def _kernel_generators(self) -> tuple:
         n = len(self._boundaries)
+        if not n:     # off a generating sequence: see the class docstring
+            E, l = self.group, self.group.order - 1
+            gens = [{E.table[l][t]: 1, l: -1}
+                    for t in groups._greedy_generators(E, E.table[E.inverse[l]][:l])]
+            self._translates[1] = [t for v in gens for t in self._translates_of(v)]
+            return tuple(gens)
         kernel = self.echelon(n).kernel_view()
         span = IntegerSpan()
         gens, translates = [], []

@@ -20,7 +20,7 @@ from itertools import product
 from . import groups
 from .abelian import memo
 from .errors import ValidationError
-from .groups import FiniteGroup, GroupHom, _cyclic
+from .groups import FiniteGroup, GroupHom, _cyclic, _greedy_generators
 from .records import Record
 
 __all__ = [
@@ -192,22 +192,8 @@ def split_extension(G: FiniteGroup, r: int) -> CentralExtension:
 
 def _generating_sequence(G: FiniteGroup):
     """Generators of G: each the least element outside the subgroup the
-    earlier ones generate.  That subgroup is the closure of {e} under right
-    multiplication by them (G is finite), each product formed once."""
-    table, e = G.table, G.identity
-    gens = []
-    closure = {e}
-    while len(closure) < G.order:
-        gens.append(min(x for x in range(G.order) if x not in closure))
-        closure, frontier = {e}, [e]
-        while frontier:
-            row = table[frontier.pop()]
-            for g in gens:
-                z = row[g]
-                if z not in closure:
-                    closure.add(z)
-                    frontier.append(z)
-    return gens
+    earlier ones generate (groups._greedy_generators)."""
+    return _greedy_generators(G, range(G.order))
 
 
 def _extend_hom(G: FiniteGroup, H: FiniteGroup, gens, images):

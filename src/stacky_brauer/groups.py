@@ -252,3 +252,22 @@ class GroupHom(Record):
     @property
     def is_injective(self) -> bool:
         return len(set(self.image)) == self.source.order
+
+
+def _greedy_generators(G: FiniteGroup, candidates) -> list:
+    """The candidates, in order, each outside the subgroup those kept before
+    it generate: the closure of {e} under right multiplication by them."""
+    table, e = G.table, G.identity
+    gens, closure = [], {e}
+    for g in candidates:
+        if g not in closure:
+            gens.append(g)
+            closure, frontier = {e}, [e]
+            while frontier:
+                row = table[frontier.pop()]
+                for h in gens:
+                    z = row[h]
+                    if z not in closure:
+                        closure.add(z)
+                        frontier.append(z)
+    return gens

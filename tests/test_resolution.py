@@ -266,7 +266,7 @@ class TestOneEliminationPerDegree:
                 resolution_homology_Z(ext.total, n)
                 R = free_resolution(ext.total)
                 assert len(R._boundaries) == n, (label, n)
-                assert sorted(R._echelons) == list(range(n + 1)), (label, n)
+                assert sorted(R._echelons) == list(range(1, n + 1)), (label, n)
         clear_cache()
 
 
@@ -293,12 +293,33 @@ def plain_greedy(E, top):
     return out
 
 
+def relabeled(G):
+    """G's table with its identity at index 1 and a non-central element at
+    the last index, |G| - 1."""
+    z = next(g for g in range(G.order)
+             if any(G.mul(g, h) != G.mul(h, g) for h in range(G.order)))
+    rest = [g for g in range(G.order) if g not in (G.identity, z)]
+    old = rest[:1] + [G.identity] + rest[1:] + [z]     # new index -> old element
+    new = {g: i for i, g in enumerate(old)}
+    return FiniteGroup([[new[G.mul(a, b)] for b in old] for a in old])
+
+
 class TestTheGeneratorsAreThePlainGreedys:
+    # degree 0 is read off a generating sequence, not the span the plain
+    # greedy runs; these tables put the identity, and a last index that is
+    # not central, where no extension total of the test family has them
+    TABLES = (("trivial", FiniteGroup([[0]])), ("Z/2", cyclic(2)),
+              ("D12", semidirect_cyclic_by_z2(12, 11)),
+              ("S3 relabeled", relabeled(semidirect_cyclic_by_z2(3, 2))),
+              ("D4 relabeled", relabeled(semidirect_cyclic_by_z2(4, 3))),
+              ("Q8 relabeled", relabeled(dicyclic(2))))
+
     def test_every_class_up_to_order_16_through_degree_3(self):
         for label, ext in extensions(16):
             E = ext.total
             R = FreeResolution(E)
-            assert [R.boundary(n) for n in range(1, 4)] == plain_greedy(E, 3), label
+            assert repr([R.boundary(n) for n in range(1, 4)]) == \
+                repr(plain_greedy(E, 3)), label
             for n in range(1, 4):
                 kept = R.echelon(n)       # built from the greedy's translates
                 d = resolution_boundary(R, n)
@@ -307,6 +328,43 @@ class TestTheGeneratorsAreThePlainGreedys:
                 assert kept._vcols == rebuilt._vcols, (label, n)
                 assert kept._kernel_columns == rebuilt._kernel_columns, (label, n)
             assert not R._translates, label
+
+    def test_degree_1_of_tables_with_the_identity_anywhere(self):
+        for label, E in self.TABLES:
+            if label.endswith("relabeled"):
+                last = E.order - 1
+                assert E.identity == 1, label
+                assert any(E.mul(last, h) != E.mul(h, last) for h in range(E.order)), label
+            R = FreeResolution(E)
+            assert repr(R.boundary(1)) == repr(plain_greedy(E, 1)[0]), label
+            kept = R.echelon(1)
+            d = resolution_boundary(R, 1)
+            rebuilt = ColumnEchelon(d.rows, [d.column(c) for c in range(d.cols)])
+            assert repr((kept.pivots, kept._vcols, kept._kernel_columns)) == \
+                repr((rebuilt.pivots, rebuilt._vcols, rebuilt._kernel_columns)), label
+
+    def test_degree_1_runs_no_span_and_no_elimination(self, monkeypatch):
+        groups = [(label, ext.total) for label, ext in extensions(16)] + list(self.TABLES)
+        calls = []
+        span_init, echelon_init = IntegerSpan.__init__, ColumnEchelon.__init__
+
+        def counting_span(span):
+            calls.append("IntegerSpan")
+            span_init(span)
+
+        def counting_echelon(ech, rows, columns):
+            calls.append("ColumnEchelon")
+            echelon_init(ech, rows, columns)
+
+        monkeypatch.setattr(IntegerSpan, "__init__", counting_span)
+        monkeypatch.setattr(ColumnEchelon, "__init__", counting_echelon)
+        for label, E in groups:
+            R = FreeResolution(E)
+            R.boundary(1)
+            assert not calls and not R._echelons, label
+        # the second degree's kernel step eliminates d_1 and runs the span
+        R.boundary(2)
+        assert calls == ["ColumnEchelon", "IntegerSpan"], calls
 
 
 class TestResolutionPins:
@@ -365,7 +423,9 @@ class TestKernelStepWork:
     asks of the kernel step.  The greedy stops at a saturated span and the
     next echelon reuses its translates, so the span sees fewer adds and
     membership tests (985 and 455 before the early stop, 703 and 229 with
-    it), while the echelons built and the ranks of R stay as they were.
+    it), while the ranks of R stay as they were.  Degree 0 is read off a
+    generating sequence, with no span and no echelon of the augmentation
+    (503 and 185, and 72 echelons where there were 96).
     The bounds were fixed before the early stop was written; the exact
     counts keep the greedy on IntegerSpan.add and __contains__, since a
     greedy that went round them would count 0 and pass the bounds.  Each echelon
@@ -456,8 +516,8 @@ class TestKernelStepWork:
                        for gens in R._boundaries for g in gens)
         clear_cache()
         assert counts["add"] < 985 and counts["in"] < 455, counts
-        assert (counts["add"], counts["in"]) == (703, 229), counts
-        assert (counts["echelons"], counts["ranks"]) == (96, 135), counts
+        assert (counts["add"], counts["in"]) == (503, 185), counts
+        assert (counts["echelons"], counts["ranks"]) == (72, 135), counts
         assert counts["from_columns"] == 0, counts
         # one section search per projection (36 without the memo)
         assert counts["sections"] == 20, counts
