@@ -28,6 +28,7 @@ import argparse
 import contextlib
 import contextvars
 import functools
+import io
 import os
 import sys
 from importlib import import_module
@@ -151,10 +152,11 @@ def parse_group_spec(spec: str, line: int = None) -> FiniteGroup:
 # Reports
 
 
-def _sha256_text(text: str) -> str:
+def _sha256_text(text) -> str:
+    """The sha256 of text's UTF-8 encoding, or of raw bytes as they are."""
     import hashlib     # only a report needs it
 
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
 
 
 def build_error_lines(input_text: str, code: str, message: str):
@@ -231,11 +233,15 @@ def run_brauer(args) -> int:
     cli = sys.modules[__name__]     # where the tracer patches the document names
 
     try:
-        with open(args.input) as fh:
-            input_text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(args.input, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 1
+    try:
+        input_text = io.TextIOWrapper(io.BytesIO(raw)).read()   # as open() reads it
+    except UnicodeDecodeError as exc:
+        return _fail(args.report, raw, InputFormatError(f"cannot read input: {exc}"))
     try:
         _set_cap(args)
         doc = cli.parse_input(input_text)

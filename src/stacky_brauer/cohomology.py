@@ -378,7 +378,12 @@ class FreeResolution:
     echelon(0): the kernel basis that echelon gives is e_c - e_l for
     c < l = |E| - 1, a kept one's translates are the edges x -> x l^-1 c
     of a Cayley graph, spanning the vectors that sum to 0 on each left
-    coset of <kept l^-1 c>, so c is kept exactly when l^-1 c is outside it.
+    coset of <kept l^-1 c>, so any l^-1 c that generate E give an exact
+    R_1 -> R_0 -> Z.  The greedy keeps c when l^-1 c is outside the
+    subgroup the earlier kept ones generate; then each kept one that the
+    others generate is dropped, from the last back to the first, so the
+    kept l^-1 c are irredundant (minimal for a p-group: Burnside's basis
+    theorem) and every later degree pays for fewer generators.
 
     Three resource caps bound it (ResourceCapError): the column count
     |E| * k_n of the kernel step of degree n, the bits the span of
@@ -449,10 +454,13 @@ class FreeResolution:
 
     def _kernel_generators(self) -> tuple:
         n = len(self._boundaries)
-        if not n:     # off a generating sequence: see the class docstring
+        if not n:     # off an irredundant generating sequence: see the class docstring
             E, l = self.group, self.group.order - 1
-            gens = [{E.table[l][t]: 1, l: -1}
-                    for t in groups._greedy_generators(E, E.table[E.inverse[l]][:l])]
+            kept = groups._greedy_generators(E, E.table[E.inverse[l]][:l])
+            for i in reversed(range(len(kept))):
+                if kept[i] in groups._generated(E, kept[:i] + kept[i + 1:]):
+                    del kept[i]
+            gens = [{E.table[l][t]: 1, l: -1} for t in kept]
             self._translates[1] = [t for v in gens for t in self._translates_of(v)]
             return tuple(gens)
         kernel = self.echelon(n).kernel_view()

@@ -254,20 +254,27 @@ class GroupHom(Record):
         return len(set(self.image)) == self.source.order
 
 
+def _generated(G: FiniteGroup, gens) -> set:
+    """The subgroup gens generate: the closure of {e} under right
+    multiplication by them."""
+    table, e = G.table, G.identity
+    closure, frontier = {e}, [e]
+    while frontier:
+        row = table[frontier.pop()]
+        for h in gens:
+            z = row[h]
+            if z not in closure:
+                closure.add(z)
+                frontier.append(z)
+    return closure
+
+
 def _greedy_generators(G: FiniteGroup, candidates) -> list:
     """The candidates, in order, each outside the subgroup those kept before
-    it generate: the closure of {e} under right multiplication by them."""
-    table, e = G.table, G.identity
-    gens, closure = [], {e}
+    it generate (_generated)."""
+    gens, closure = [], {G.identity}
     for g in candidates:
         if g not in closure:
             gens.append(g)
-            closure, frontier = {e}, [e]
-            while frontier:
-                row = table[frontier.pop()]
-                for h in gens:
-                    z = row[h]
-                    if z not in closure:
-                        closure.add(z)
-                        frontier.append(z)
+            closure = _generated(G, gens)
     return gens

@@ -584,6 +584,26 @@ class TestUnreadableOrUnwritableFiles:
         assert "Traceback" not in proc.stderr
         assert "error: cannot read input:" in proc.stderr
 
+    def test_undecodable_input_writes_a_parse_report(self, tmp_path, capsys):
+        raw = b"[curve]\nsmooth = true\xff\xfe\n"
+        inp = tmp_path / "binary.txt"
+        inp.write_bytes(raw)
+        rpt = tmp_path / "x.rpt"
+        assert main(["brauer", "--input", str(inp), "--report", str(rpt)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read input: "), err
+        lines = rpt.read_text().splitlines()
+        assert f"input-sha256 = {hashlib.sha256(raw).hexdigest()}" in lines
+        assert "status = error" in lines and "error-code = parse" in lines
+        assert f"error-message = {err[0][len('error: '):]}" in lines
+
+    def test_unopenable_input_writes_no_report(self, tmp_path, capsys):
+        rpt = tmp_path / "x.rpt"
+        assert main(["brauer", "--input", str(tmp_path / "missing.txt"),
+                     "--report", str(rpt)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read input: ")
+        assert not rpt.exists()
+
     @pytest.mark.parametrize("kind", ["table", "cocycle"])
     def test_undecodable_group_or_cocycle_file_is_a_parse_error(self, tmp_path, capsys,
                                                                 kind):

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from importlib import import_module
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -37,6 +38,7 @@ from stacky_brauer.errors import InvariantViolationError, ResourceCapError
 from stacky_brauer.fibers import analyze_fiber
 from stacky_brauer.groups import (
     FiniteGroup,
+    _greedy_generators,
     central_extension,
     cyclic,
     direct_product,
@@ -273,21 +275,34 @@ class TestOneEliminationPerDegree:
 def plain_greedy(E, top):
     """The generators of R_1, ..., R_top by the greedy with no early stop:
     every kernel vector is tested, every translate of a kept one is added to
-    the span, and each d_n is formed afresh from the generators."""
+    the span, and each d_n is formed afresh from the generators.  In degree
+    0 the kept vectors are then scanned from the last back to the first,
+    and each one is dropped whose removal leaves translates that still span
+    the augmentation ideal: a saturated lattice of rank |E| - 1."""
     N = E.order
 
     def translate(h, vec):
         return {i - i % N + E.table[h][i % N]: v for i, v in vec.items()}
 
+    def spans_the_augmentation_ideal(vectors):
+        span = IntegerSpan()
+        for v in vectors:
+            for h in range(N):
+                span.add(translate(h, v))
+        return len(span.basis) == N - 1 and span.is_saturated()
+
     rows, columns = 1, [{0: 1} for _ in range(N)]
     out = []
-    for _ in range(top):
+    for n in range(top):
         span, gens = IntegerSpan(), []
         for v in sorted(ColumnEchelon(rows, columns).kernel(), key=len):
             if v not in span:
                 gens.append(v)
                 for h in range(N):
                     span.add(translate(h, v))
+        for i in reversed(range(len(gens)) if n == 0 else ()):
+            if spans_the_augmentation_ideal(gens[:i] + gens[i + 1:]):
+                del gens[i]
         out.append(tuple(gens))
         rows, columns = len(columns), [translate(h, v) for v in gens for h in range(N)]
     return out
@@ -367,18 +382,162 @@ class TestTheGeneratorsAreThePlainGreedys:
         assert calls == ["ColumnEchelon", "IntegerSpan"], calls
 
 
+class TestDegreeZeroIsIrredundant:
+    """Degree 0 keeps e_c - e_l (l = |E| - 1) for an irredundant generating
+    set of elements l^-1 c, drawn by derandomized Hypothesis over
+    relabelings of the test family, its extension totals with |G| * r <= 16,
+    the dihedral group of order 24 and the dicyclic group of order 12."""
+
+    @staticmethod
+    def is_prime_power(n):
+        p = next((q for q in range(2, n + 1) if n % q == 0), None)
+        while p and n % p == 0:
+            n //= p
+        return n == 1
+
+    @staticmethod
+    def generated(E, elements):
+        """The subgroup elements generate, by a walk of right multiplications."""
+        closure, frontier = {E.identity}, [E.identity]
+        while frontier:
+            x = frontier.pop()
+            for z in (E.mul(x, g) for g in elements):
+                if z not in closure:
+                    closure.add(z)
+                    frontier.append(z)
+        return closure
+
+    def test_kept_elements(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        S3 = semidirect_cyclic_by_z2(3, 2)
+        tables = [G for _, G in small_family()] + [ext.total for _, ext in extensions(16)] + [
+            semidirect_cyclic_by_z2(12, 11),
+            central_extension(S3, 2, enumerate_extension_classes(S3, 2)[1]).total]
+        minimal = []
+
+        @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+        @given(st.sampled_from(tables), st.randoms(use_true_random=False))
+        def check(G, rng):
+            old = list(range(G.order))          # new index -> old element
+            rng.shuffle(old)
+            new = {g: i for i, g in enumerate(old)}
+            E = FiniteGroup([[new[G.mul(a, b)] for b in old] for a in old])
+            l = E.order - 1
+            kept = [E.table[E.inverse[l]][c] for v in FreeResolution(E).boundary(1)
+                    for c, x in v.items() if x == 1]      # v = e_c - e_l
+            everything = set(range(E.order))
+            assert self.generated(E, kept) == everything
+            for i, g in enumerate(kept):
+                assert g not in self.generated(E, kept[:i] + kept[i + 1:]), kept
+            greedy = iter(_greedy_generators(E, E.table[E.inverse[l]][:l]))
+            assert all(g in greedy for g in kept), kept    # a subsequence
+            if self.is_prime_power(E.order):
+                # Burnside's basis theorem: every irredundant generating set
+                # of a p-group has the minimum size
+                size = next(k for k in range(E.order) if any(
+                    self.generated(E, subset) == everything
+                    for subset in combinations(range(E.order), k)))
+                assert len(kept) == size, kept
+                minimal.append(size)
+
+        check()
+        assert len(minimal) > 100 and max(minimal) == 3, minimal
+
+
+class TestRanksThroughDegree3:
+    """k_1, k_2, k_3 of the free resolution of every class of extensions(16).
+    BEFORE is the table recorded before degree 0 dropped the generators the
+    others generate; SMALLER lists the 14 classes that drop changed.  No
+    class may have a larger rank than BEFORE in any degree."""
+
+    BEFORE = {
+        "Z/1 r=2": ((1, 1, 1),),
+        "Z/1 r=3": ((1, 1, 1),),
+        "Z/1 r=4": ((1, 1, 1),),
+        "Z/1 r=5": ((1, 1, 1),),
+        "Z/1 r=6": ((1, 1, 1),),
+        "Z/1 r=7": ((1, 1, 1),),
+        "Z/1 r=8": ((1, 1, 1),),
+        "Z/1 r=9": ((1, 1, 1),),
+        "Z/1 r=10": ((1, 1, 1),),
+        "Z/1 r=11": ((1, 1, 1),),
+        "Z/1 r=12": ((1, 1, 1),),
+        "Z/1 r=13": ((1, 1, 1),),
+        "Z/1 r=14": ((1, 1, 1),),
+        "Z/1 r=15": ((1, 1, 1),),
+        "Z/1 r=16": ((1, 1, 1),),
+        "Z/2 r=2": ((2, 3, 4), (1, 1, 1)),
+        "Z/2 r=3": ((1, 1, 1),),
+        "Z/2 r=4": ((2, 3, 5), (1, 1, 1)),
+        "Z/2 r=5": ((1, 1, 1),),
+        "Z/2 r=6": ((2, 3, 4), (1, 1, 1)),
+        "Z/2 r=7": ((1, 1, 1),),
+        "Z/2 r=8": ((2, 3, 4), (1, 1, 1)),
+        "Z/3 r=2": ((1, 1, 1),),
+        "Z/3 r=3": ((2, 3, 4), (1, 1, 1), (1, 1, 1)),
+        "Z/3 r=4": ((1, 1, 1),),
+        "Z/3 r=5": ((1, 1, 1),),
+        "Z/4 r=2": ((2, 3, 4), (1, 1, 1)),
+        "Z/4 r=3": ((1, 1, 1),),
+        "Z/4 r=4": ((2, 3, 4), (1, 1, 1), (2, 3, 4), (1, 1, 1)),
+        "Z/5 r=2": ((1, 1, 1),),
+        "Z/5 r=3": ((1, 1, 1),),
+        "Z/6 r=2": ((2, 3, 4), (1, 1, 1)),
+        "Z/7 r=2": ((1, 1, 1),),
+        "Z/8 r=2": ((2, 3, 4), (1, 1, 1)),
+        "Z/2xZ/2 r=2": ((3, 6, 10), (3, 4, 4), (2, 3, 4), (2, 3, 4), (3, 5, 5), (3, 5, 5), (2, 3, 4), (2, 2, 1)),
+        "Z/2xZ/2 r=3": ((2, 3, 5),),
+        "Z/2xZ/2 r=4": ((3, 6, 10), (3, 5, 6), (2, 3, 4), (2, 3, 4), (3, 4, 4), (3, 4, 3), (2, 3, 4), (2, 2, 2)),
+        "Z/2xZ/3 r=2": ((2, 3, 5), (1, 1, 1)),
+        "Z/2xZ/4 r=2": ((3, 6, 11), (3, 5, 7), (2, 3, 4), (2, 2, 2), (3, 4, 5), (3, 4, 5), (2, 3, 4), (2, 3, 4)),
+        "D4 r=2": ((3, 6, 10), (2, 4, 6), (3, 5, 7), (2, 3, 4), (3, 4, 3), (2, 2, 1), (3, 4, 4), (2, 3, 3)),
+        "Q8 r=2": ((3, 5, 6), (3, 5, 6), (3, 4, 5), (3, 5, 5)),
+    }
+    SMALLER = {
+        "Z/2xZ/2 r=2 #1": (2, 3, 4),
+        "Z/2xZ/2 r=2 #4": (2, 3, 4),
+        "Z/2xZ/2 r=2 #5": (2, 3, 4),
+        "Z/2xZ/2 r=4 #4": (2, 3, 4),
+        "Z/2xZ/2 r=4 #5": (2, 2, 2),
+        "Z/2xZ/4 r=2 #1": (2, 4, 7),
+        "Z/2xZ/4 r=2 #4": (2, 3, 4),
+        "Z/2xZ/4 r=2 #5": (2, 3, 4),
+        "D4 r=2 #2": (2, 4, 6),
+        "D4 r=2 #4": (2, 2, 2),
+        "D4 r=2 #6": (2, 3, 4),
+        "Q8 r=2 #1": (2, 3, 5),
+        "Q8 r=2 #2": (2, 3, 5),
+        "Q8 r=2 #3": (2, 3, 5),
+    }
+
+    def test_ranks(self):
+        before = {f"{key} #{i}": k for key, ks in self.BEFORE.items()
+                  for i, k in enumerate(ks)}
+        recorded = {**before, **self.SMALLER}
+        assert len(before) == len(recorded) == 85
+        assert all(a <= b for label, k in recorded.items()
+                   for a, b in zip(k, before[label]))
+        assert sum(map(sum, before.values())) - sum(map(sum, recorded.values())) == 42
+        ranks = {label: tuple(free_resolution(ext.total).rank(n) for n in (1, 2, 3))
+                 for label, ext in extensions(16)}
+        assert ranks == recorded
+
+
 class TestResolutionPins:
     """The free resolutions bit for bit: each boundary and each echelon
     form's pivots (row, column and H column), V columns and kernel columns,
     with their dicts in insertion order, hashed over every class of
     extensions(16) through degree 4 and over the dihedral group of order 24
     and the dicyclic group of order 12 (the total of S3's nonsplit class
-    with r = 2) through degree 3.  The digest was recorded before the
-    kernel step's inner loops were rewritten; the plain greedy above
-    rebuilds with the same code it checks, so it cannot see a change that
-    both sides share."""
+    with r = 2) through degree 3.  The digest was first recorded before the
+    kernel step's inner loops were rewritten, and recorded again, over the
+    same cases, when degree 0 began dropping the generators the others
+    generate (221e2ecc... before); the plain greedy above rebuilds with the
+    same code it checks, so it cannot see a change that both sides share."""
 
-    SHA256 = "221e2ecc091ab0c1f2f44d6a4a5437107726ccad3a5b481e8159c377331863b9"
+    SHA256 = "2dbcb620a8d6a652b5dc7fae99fee0815f3fd154d78f8c119dbe89e27489821f"
 
     @staticmethod
     def cases():
@@ -404,10 +563,12 @@ class TestResolutionPins:
 class TestComparisonChainPins:
     """The chain maps psi over every class projection of extensions(16),
     degrees 1 to 3, bit for bit: repr of comparison_chains, whose dicts
-    carry their insertion order, hashed.  The digest was recorded before
-    comparison_chains stopped forming a translate per term."""
+    carry their insertion order, hashed.  The digest was first recorded
+    before comparison_chains stopped forming a translate per term, and
+    recorded again, over the same cases, when degree 0 of the resolutions
+    began dropping the generators the others generate (83f5e20d... before)."""
 
-    SHA256 = "83f5e20d79594cd10d242efff9f827a1520e831173916bf8d2e93f497a4414d6"
+    SHA256 = "df98a0d620ae83374a76daa866edcfc6eea0cfdca96c6ad5c637c602b408e61e"
 
     def test_comparison_chains(self):
         digest = hashlib.sha256()
@@ -425,7 +586,10 @@ class TestKernelStepWork:
     membership tests (985 and 455 before the early stop, 703 and 229 with
     it), while the ranks of R stay as they were.  Degree 0 is read off a
     generating sequence, with no span and no echelon of the augmentation
-    (503 and 185, and 72 echelons where there were 96).
+    (503 and 185, and 72 echelons where there were 96).  Degree 0 then
+    drops each kept generator the others still generate, so the ranks of R
+    fall from 135 to 125 and the span sees 445 adds and 169 membership
+    tests.
     The bounds were fixed before the early stop was written; the exact
     counts keep the greedy on IntegerSpan.add and __contains__, since a
     greedy that went round them would count 0 and pass the bounds.  Each echelon
@@ -516,14 +680,14 @@ class TestKernelStepWork:
                        for gens in R._boundaries for g in gens)
         clear_cache()
         assert counts["add"] < 985 and counts["in"] < 455, counts
-        assert (counts["add"], counts["in"]) == (503, 185), counts
-        assert (counts["echelons"], counts["ranks"]) == (72, 135), counts
+        assert (counts["add"], counts["in"]) == (445, 169), counts
+        assert (counts["echelons"], counts["ranks"]) == (72, 125), counts
         assert counts["from_columns"] == 0, counts
         # one section search per projection (36 without the memo)
         assert counts["sections"] == 20, counts
         # is_surjective and cokernel_of_map replay nothing (26 when they did)
         assert counts["solvers"] == 7, counts
-        # the kernel is read in place: the only copies are the 135 kept
+        # the kernel is read in place: the only copies are the 125 kept
         # generators (kernel() copied 760 vectors when the greedy used it)
         assert counts["kernel_copies"] == 0, counts
 
