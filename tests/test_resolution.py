@@ -300,9 +300,10 @@ def plain_greedy(E, top):
                 gens.append(v)
                 for h in range(N):
                     span.add(translate(h, v))
-        for i in reversed(range(len(gens)) if n == 0 else ()):
-            if spans_the_augmentation_ideal(gens[:i] + gens[i + 1:]):
-                del gens[i]
+        if n == 0:
+            for i in reversed(range(len(gens))):
+                if spans_the_augmentation_ideal(gens[:i] + gens[i + 1:]):
+                    del gens[i]
         out.append(tuple(gens))
         rows, columns = len(columns), [translate(h, v) for v in gens for h in range(N)]
     return out
