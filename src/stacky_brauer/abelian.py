@@ -36,8 +36,8 @@ from .records import Record
 
 # Every name abelian_maps defines, served from here on first use.
 _MAPS = frozenset({
-    "AbGroupMap", "_CycleSolver", "_cokernel", "_kills_only_relations",
-    "_map_solver", "_with_relations", "cokernel", "cokernel_of_map",
+    "AbGroupMap", "_CycleSolver", "_cokernel", "_map_solver",
+    "_with_relations", "cokernel", "cokernel_of_map",
     "hom_to_cyclic", "homology_at", "induced_map", "is_injective",
     "is_split_injection", "is_surjective", "kernel_basis",
 })
@@ -425,13 +425,14 @@ class FinAbGroup(Record):
 # The elimination engine
 #
 # Diagonalizes a sparse integer matrix U @ M @ V = diag by unimodular row
-# and column operations, optionally logging them; _replay_rows rebuilds U
-# and U^-1 from the row log, and V and V^-1 from the column log, when they
-# are asked for.
+# and column operations, logging the row operations when rows is set and
+# the column operations when cols is set; _replay_rows rebuilds U and U^-1
+# from the row log, and V and V^-1 from the column log, when they are asked
+# for.
 
 
 class _Elim:
-    def __init__(self, M: IntegerMatrix, *, log=False):
+    def __init__(self, M: IntegerMatrix, *, rows=False, cols=False):
         check_cap(M.nnz, "matrix nonzeros")
         self.m = M.rows
         self.n = M.cols
@@ -442,9 +443,9 @@ class _Elim:
             self.col_index.setdefault(c, set()).add(r)
         # (dst, src, q) for row[dst] += q * row[src], (r,) for a negation,
         # (r1, r2, x, y, p, q) for the 2-row transform of _rows_gcd
-        self.row_ops = [] if log else None
+        self.row_ops = [] if rows else None
         # (dst, src, q) for col[dst] += q * col[src]
-        self.col_ops = [] if log else None
+        self.col_ops = [] if cols else None
         self.pivots = []      # list of (row, col); value lives in self.rows
         self._pivot_rows = set()
         self._pivot_cols = set()
@@ -1162,17 +1163,17 @@ def finite_homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix) -> Subquotient
     already a cycle.  The homology is then the torsion of coker(d_in), read
     off one elimination U @ d_in @ V = diag of d_in alone: the invariant
     factors are the canonicalized pivots other than 1, known at once.  The
-    elimination only logs its operations; the classes are deferred to one
-    replay of its row log (_replay_rows) on first use: a cycle's
-    coordinates are its U rows at the torsion pivots, and the U^-1 columns
-    at the pivot rows span the cycles.  d_out is only checked
-    (d_out @ d_in == 0, its entry count against the resource cap), never
-    eliminated.  Finiteness is the caller's promise; nothing here can
+    elimination logs only its row operations, the only ones read; the
+    classes are deferred to one replay of that log (_replay_rows) on first
+    use: a cycle's coordinates are its U rows at the torsion pivots, and
+    the U^-1 columns at the pivot rows span the cycles.  d_out is only
+    checked (d_out @ d_in == 0, its entry count against the resource cap),
+    never eliminated.  Finiteness is the caller's promise; nothing here can
     detect a free part.
     """
     _check_chain(d_out, d_in, 0)
     check_cap(d_out.nnz, "matrix nonzeros")
-    elim = _Elim(d_in, log=True).diagonalize()
+    elim = _Elim(d_in, rows=True).diagonalize()
     torsion = elim.canonicalize()
     ops = elim.row_ops
     pivot_rows = [r for r, _ in elim.pivots]

@@ -3,10 +3,11 @@
 The part of abelian that a cohomology value never runs: cokernels and
 kernel lattices of integer matrices and of maps of finitely generated
 abelian groups (one elimination each: an untracked one where only a
-cokernel is read, _CycleSolver, which replays V and V^-1, where the kernel
-lattice is), the homology ker(d_out)/im(d_in) of a complex whose homology
-may have a free part or a modulus (homology_at), and the maps induced on
-subquotients (induced_map).  abelian serves every name here on first use
+cokernel is read, as in is_surjective and is_split_injection, and
+_CycleSolver, which replays V and V^-1, where the kernel lattice is), the
+homology ker(d_out)/im(d_in) of a complex whose homology may have a free
+part or a modulus (homology_at), and the maps induced on subquotients
+(induced_map).  abelian serves every name here on first use
 (PEP 562), so `from stacky_brauer.abelian import homology_at` works as
 before, and a process that only computes values never compiles this
 module.
@@ -100,10 +101,11 @@ class _CycleSolver:
     moduli[r] is the relation order of row r (0 for a Z row).  One
     elimination of M augmented by moduli[r] * e_r for each nonzero modulus,
     replaying its column log into V and V^-1, gives a basis of the lattice
-    {x : M @ x = 0 in Z^rows / diag(moduli)} (cycle_basis), coordinates in
-    that basis (coords: sparse matrix-vector work), and, from the same
-    pivots, the cokernel Z^rows / (im M + diag(moduli)).  This is the cycle
-    lattice of homology_at and the kernel lattice of a map of abelian groups.
+    {x : M @ x = 0 in Z^rows / diag(moduli)} (cycle_basis) and coordinates
+    in that basis (coords: sparse matrix-vector work).  This is the cycle
+    lattice of homology_at and the kernel lattice of is_injective; a
+    cokernel needs no V, and is read off an untracked elimination
+    (_cokernel).
     """
 
     def __init__(self, M: IntegerMatrix, moduli):
@@ -112,11 +114,7 @@ class _CycleSolver:
         self.ambient = M.cols
         aug, extra = _with_relations(M, moduli)
         self._slot = {r: M.cols + j for j, r in enumerate(extra)}
-        elim = _Elim(aug, log=True)
-        elim.row_ops = None   # only the column log is replayed
-        elim.diagonalize()
-        self._rank = len(elim.pivots)
-        self._torsion = [elim.rows[r][c] for r, c in elim.pivots if abs(elim.rows[r][c]) != 1]
+        elim = _Elim(aug, cols=True).diagonalize()
         kernel_cols = elim.kernel_columns()
         col_ops = elim.col_ops
         # free the rows first: they keep their fill-in's capacity
@@ -132,10 +130,6 @@ class _CycleSolver:
             for k, coeff in vinv.get(c, {c: 1}).items():
                 coord_cols.setdefault(k, {})[i] = coeff
         self._coord_cols = coord_cols
-
-    def cokernel(self) -> FinAbGroup:
-        """Z^rows / (im M + diag(moduli)), from the pivots of the same elimination."""
-        return FinAbGroup.from_factors(self._torsion, self.M.rows - self._rank)
 
     def _in_lattice(self, img: dict) -> bool:
         moduli = self.moduli
@@ -188,9 +182,7 @@ def homology_at(d_out: IntegerMatrix, d_in: IntegerMatrix, modulus: int = 0) -> 
     k = K.cols
     X = IntegerMatrix.from_columns(k, xcols)
 
-    elim = _Elim(X, log=True)
-    elim.col_ops = None   # only the row log is replayed
-    elim.diagonalize()
+    elim = _Elim(X, rows=True).diagonalize()
     torsion = elim.canonicalize()
     free_rows = sorted(set(range(k)) - {r for r, _ in elim.pivots})
     row_ops = elim.row_ops
@@ -294,19 +286,15 @@ class AbGroupMap:
 
 
 def _map_solver(f: AbGroupMap) -> _CycleSolver:
-    """The kernel lattice {x in Z^s : f(x) = 0 in target} and coker(f)."""
+    """The kernel lattice {x in Z^s : f(x) = 0 in target}."""
     return _CycleSolver(f.matrix, f.target.relation_orders())
 
 
-def _kills_only_relations(solver: _CycleSolver, source: FinAbGroup) -> bool:
-    """Is every kernel lattice vector zero in the source?"""
-    orders = source.relation_orders()
-    return all((v % orders[r] if orders[r] else v) == 0
-               for (r, _), v in solver.cycle_basis.entries.items())
-
-
 def is_injective(f: AbGroupMap) -> bool:
-    return _kills_only_relations(_map_solver(f), f.source)
+    """Is every vector of f's kernel lattice zero in the source?"""
+    orders = f.source.relation_orders()
+    return all((v % orders[r] if orders[r] else v) == 0
+               for (r, _), v in _map_solver(f).cycle_basis.entries.items())
 
 
 def cokernel_of_map(f: AbGroupMap) -> FinAbGroup:
@@ -320,18 +308,21 @@ def is_surjective(f: AbGroupMap) -> bool:
 
 
 def is_split_injection(f: AbGroupMap) -> bool:
-    """Does some g: target -> source satisfy g o f = id?
+    """Does some g: B -> A satisfy g o f = id, for f: A -> B?
 
-    Exactly when f is injective and target = source + coker(f) in
-    canonical form: a split injection gives that sum, and by Miyata's
-    theorem (a short exact sequence 0 -> A -> B -> C -> 0 of finitely
-    generated modules over a Noetherian ring with B = A + C splits) the
-    sum gives a retraction.  Both are read off one elimination: the
-    kernel lattice and the cokernel of _CycleSolver.
+    Exactly when B = A + C in canonical form, C = coker(f): a split
+    injection gives that sum.  Conversely the sum forces f to be injective:
+    ranks give rank(im f) = rank B - rank C = rank A, so ker f lies in the
+    torsion T(A) and is finite, T(im f) = T(A) / ker f, and
+    0 -> T(im f) -> T(B) -> T(C) is exact, so
+    |T(A)| |T(C)| = |T(B)| <= |T(A)| |T(C)| / |ker f|, and ker f = 0.  By
+    Miyata's theorem (a short exact sequence 0 -> A -> B -> C -> 0 of
+    finitely generated modules over a Noetherian ring with B = A + C
+    splits) the injection then has a retraction.  So the answer is one
+    comparison of canonical forms, off the one untracked diagonalization
+    of cokernel_of_map: no kernel lattice is built.
     """
-    solver = _map_solver(f)
-    return (_kills_only_relations(solver, f.source)
-            and f.target == f.source.direct_sum(solver.cokernel()))
+    return f.target == f.source.direct_sum(cokernel_of_map(f))
 
 
 # ---------------------------------------------------------------------------

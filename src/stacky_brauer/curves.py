@@ -21,11 +21,10 @@ from __future__ import annotations
 from math import gcd
 
 from .abelian import (FinAbGroup, IntegerMatrix, check_cap, cokernel, hom_to_cyclic,
-                      invariant_factor_chain, lcm)
+                      invariant_factor_chain)
 # bockstein_r is not called here (each fiber computes its class), but
 # perfbench's tracer patches it on this module, so the name stays bound
-from .cohomology import (CohomologyClass, bockstein_r, cohomology_units, cohomology_Z,
-                         validate_characteristic)
+from .cohomology import bockstein_r, cohomology_units, validate_characteristic
 from .errors import (
     InvariantViolationError,
     MissingDataError,
@@ -193,14 +192,6 @@ def h1_coarse_zr(curve: CurveSpec, r: int) -> FinAbGroup:
         "for singular or non-proper curves")
 
 
-def _bockstein_span(classes) -> FinAbGroup:
-    """The cyclic group generated by a tuple of Bockstein classes."""
-    order = 1
-    for beta in classes:
-        order = lcm(order, beta.order())
-    return FinAbGroup.cyclic(order)
-
-
 def _conjunction(flags) -> object:
     """Three-valued conjunction: False dominates, then None, else True."""
     out = True
@@ -308,18 +299,18 @@ def brauer_report(curve: CurveSpec, r: int, *, verify: bool = False,
     fibers = tuple(
         (pt.name, analyze_fiber(ext, with_h3=shortcut != "smooth-shortcut"))
         for pt, ext in extensions)
-    # each fiber's Bockstein class, in H^2(G_i, kx) = H^3(G_i, Z)
-    betas = [CohomologyClass(cohomology_Z(pt.group, 3), d.bockstein_class)
-             for pt, (_, d) in zip(curve.points, fibers)]
-    lk = _bockstein_span(betas)
-    root = lk.is_trivial
+    root = all(d.is_root_gerbe for _, d in fibers)
     right_exact = _conjunction(d.h3_inflation_injective for _, d in fibers)
 
+    # the left kernel is the cyclic group that the tuple of the fibers'
+    # Bockstein classes generates in (+) H^2(G_i, kx) = (+) H^3(G_i, Z);
+    # by the first isomorphism theorem its order is |left term| / |image|
     if root:
         left_image = left_term
     else:
         left_image = _quotient_by_cyclic_subgroup(
-            [b.parent.value for b in betas], [b.coords for b in betas])
+            [d.h2_units_base for _, d in fibers], [d.bockstein_class for _, d in fibers])
+    left_kernel = FinAbGroup.cyclic(left_term.order() // left_image.order())
 
     # decision table; on a smooth curve left_term is 0 (cyclic stabilizers)
     if shortcut is not None:
@@ -339,7 +330,7 @@ def brauer_report(curve: CurveSpec, r: int, *, verify: bool = False,
 
     return BrauerReport(
         curve=curve, r=r,
-        left_term=left_term, left_kernel=lk, left_image=left_image,
+        left_term=left_term, left_kernel=left_kernel, left_image=left_image,
         right_term=right_term, right_term_source=right_source,
         fibers=fibers,
         is_root_gerbe=root,

@@ -446,7 +446,7 @@ def smith_normal_form(M: IntegerMatrix):
     S is diagonal with d1 | d2 | ... and all d_i >= 0 (nonzero entries
     first).  Raises ResourceCapError when M exceeds the entry budget.
     """
-    elim = abelian._Elim(M, log=True).diagonalize()
+    elim = abelian._Elim(M, rows=True, cols=True).diagonalize()
     elim.canonicalize()
     urows, _ = abelian._replay_rows(elim.row_ops)
     vcols, _ = abelian._replay_rows(elim.col_ops)

@@ -2,7 +2,7 @@ import heapq
 import random
 import weakref
 from importlib import import_module
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -713,11 +713,13 @@ class TestCycleSolverProperties:
 
 
 class TestUntrackedCokernelProperties:
-    """is_surjective and cokernel_of_map read the cokernel off one untracked
-    diagonalization; the reference is _CycleSolver's cokernel, off the
-    logged elimination they ran before.  Maps between groups with mixed
-    invariant factors and Z summands; derandomized, so every run draws the
-    same examples."""
+    """is_surjective, cokernel_of_map and is_split_injection read the
+    cokernel off one untracked diagonalization.  The reference shares no
+    code with the elimination: the determinantal divisors of the matrix of
+    f augmented by the target's relations, D_k the gcd of its k x k minors
+    (oracle.determinant), give the invariant factors D_k / D_(k-1) and the
+    rank.  Maps between groups with mixed invariant factors and Z summands;
+    derandomized, so every run draws the same examples."""
 
     @staticmethod
     def maps():
@@ -743,10 +745,33 @@ class TestUntrackedCokernelProperties:
 
         return st.tuples(groups, groups).flatmap(build)
 
-    def test_the_untracked_route_agrees_with_the_cycle_solver(self, monkeypatch):
-        from hypothesis import given, settings
+    @staticmethod
+    def determinantal_cokernel(f: AbGroupMap) -> FinAbGroup:
+        """Z^rows / (im f + the target's relations), off the gcds of minors."""
+        orders = f.target.relation_orders()
+        relations = [(i, d) for i, d in enumerate(orders) if d]
+        n = f.matrix.cols + len(relations)
+        entries = dict(f.matrix.entries)
+        entries.update({(i, f.matrix.cols + j): d for j, (i, d) in enumerate(relations)})
+        M = IntegerMatrix(len(orders), n, entries)
+        divisors = [1]
+        for k in range(1, min(M.rows, n) + 1):
+            g = 0
+            for rows, cols in product(combinations(range(M.rows), k),
+                                      combinations(range(n), k)):
+                g = gcd(g, determinant(IntegerMatrix.from_rows(
+                    [[M.get(r, c) for c in cols] for r in rows])))
+                if g == 1:
+                    break
+            if not g:
+                break
+            divisors.append(g)
+        factors = [b // a for a, b in zip(divisors, divisors[1:])]
+        return FinAbGroup.from_factors(factors, free_rank=M.rows - len(factors))
 
-        maps = import_module("stacky_brauer.abelian_maps")
+    @staticmethod
+    def counted_solvers(monkeypatch) -> list:
+        """Each _CycleSolver built while the patch holds, by its arguments."""
         solvers = []
 
         class Counted(_CycleSolver):
@@ -754,14 +779,20 @@ class TestUntrackedCokernelProperties:
                 solvers.append(args)
                 super().__init__(*args)
 
+        monkeypatch.setattr(import_module("stacky_brauer.abelian_maps"), "_CycleSolver", Counted)
+        return solvers
+
+    def test_the_untracked_route_agrees_with_the_determinantal_divisors(self, monkeypatch):
+        from hypothesis import given, settings
+
         seen = {"onto": 0, "not onto": 0, "infinite": 0}
 
         @settings(derandomize=True, max_examples=300, deadline=None, database=None)
         @given(self.maps())
         def check(f):
-            expected = _CycleSolver(f.matrix, f.target.relation_orders()).cokernel()
+            expected = self.determinantal_cokernel(f)
             with monkeypatch.context() as patch:
-                patch.setattr(maps, "_CycleSolver", Counted)
+                solvers = self.counted_solvers(patch)
                 assert cokernel_of_map(f) == expected, f
                 assert is_surjective(f) == expected.is_trivial, f
             assert not solvers
@@ -770,6 +801,28 @@ class TestUntrackedCokernelProperties:
 
         check()
         assert min(seen.values()) > 20, seen
+
+    def test_the_split_criterion_forces_injectivity(self, monkeypatch):
+        # B = A + coker(f) alone decides a retraction: the comparison
+        # implies injectivity, here checked against the kernel lattice,
+        # with Z summands on either side
+        from hypothesis import given, settings
+
+        seen = {True: 0, False: 0}
+
+        @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @given(self.maps())
+        def check(f):
+            with monkeypatch.context() as patch:
+                solvers = self.counted_solvers(patch)
+                split = is_split_injection(f)
+            assert not solvers
+            assert split == (is_injective(f) and
+                             f.target == f.source.direct_sum(cokernel_of_map(f))), f
+            seen[split] += 1
+
+        check()
+        assert min(seen.values()) >= 20, seen
 
 
 class TestHomologyAtReplay:

@@ -4,7 +4,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from stacky_brauer.abelian import FinAbGroup, IntegerMatrix, cokernel
-from stacky_brauer.cohomology import cohomology_units, cohomology_Zm, enumerate_extension_classes
+from stacky_brauer.cohomology import (bockstein_r, cohomology_units, cohomology_Zm,
+                                   enumerate_extension_classes)
 from stacky_brauer.curves import (
     CurveSpec,
     StabilizerPoint,
@@ -172,6 +173,25 @@ class TestLeftKernel:
         curve = CurveSpec(smooth=False, proper=True, points=(pt,),
                           h1_stack_override=FinAbGroup.trivial())
         assert brauer_report(curve, 2).left_kernel == FinAbGroup.cyclic(2)
+
+    def test_two_quaternion_points_generate_one_cyclic_kernel(self):
+        # both points carry the Q8 class, so both Bockstein classes are
+        # nonzero: the kernel is the cyclic group their tuple generates, of
+        # the lcm of their orders (Z/2, not Z/4), and the image keeps Z/2
+        c = quaternion_cocycle()
+        ext = central_extension(c.base, 2, c)
+        pts = tuple(StabilizerPoint(name, c.base, singular=True, extension=ext)
+                    for name in ("q1", "q2"))
+        curve = CurveSpec(smooth=False, proper=True, points=pts,
+                          h1_stack_override=FinAbGroup.trivial())
+        rep = brauer_report(curve, 2)
+        order = bockstein_r(c.base, c).order()
+        assert order == 2
+        assert rep.left_term == FinAbGroup(0, (2, 2))
+        assert rep.left_kernel == FinAbGroup.cyclic(order)
+        assert rep.left_image == FinAbGroup.cyclic(2)
+        assert not rep.is_root_gerbe
+        assert rep.result.status == "partial"
 
     def test_cyclic_stabilizers_trivial(self):
         curve = smooth_curve(0, [2, 4, 3])

@@ -199,24 +199,34 @@ def test_patched_calls_go_through_the_patched_namespace():
     assert not found, found
 
 
+def _names_used(stem):
+    """Every name a module reads, binds, imports or takes an attribute by."""
+    path = PACKAGE / f"{stem}.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
 def test_report_path_stays_off_the_bar_homology():
     # homology_Z, _kernel_trivial_by_homology and bockstein are the tests'
     # bar oracle
     oracle = {"homology_Z", "_kernel_trivial_by_homology", "bockstein"}
-    found = []
-    for stem in ("curves", "fibers", "cli"):
-        path = PACKAGE / f"{stem}.py"
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            if name in oracle:
-                found.append((stem, name))
+    found = [(stem, name) for stem in ("curves", "fibers", "cli")
+             for name in _names_used(stem) if name in oracle]
+    assert not found, found
+
+
+def test_report_path_decides_on_canonical_forms():
+    # the left kernel, the left image and the splitting criterion are read
+    # off canonical forms: no kernel lattice is built, and no Bockstein
+    # class is rebuilt as a class of the bar complex
+    machinery = {"_CycleSolver", "_map_solver", "_kills_only_relations", "CohomologyClass"}
+    found = [(stem, name) for stem in ("curves", "fibers")
+             for name in _names_used(stem) if name in machinery]
     assert not found, found
 
 

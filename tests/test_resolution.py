@@ -597,9 +597,9 @@ class TestKernelStepWork:
     eliminates in the columns the greedy formed, so no d_n is built as an
     IntegerMatrix on the way (one from_columns per echelon of degree >= 1
     before).  Around the kernel step the fiber battery repeats nothing:
-    one section search per projection, a _CycleSolver only where a kernel
-    lattice is read, and no copy of a kernel vector the greedy does not
-    keep."""
+    one section search per projection, no _CycleSolver (the split
+    criterion compares canonical forms, and no kernel lattice is read), and
+    no copy of a kernel vector the greedy does not keep."""
 
     BASES = ((cyclic(2), (2, 3, 4)), (cyclic(3), (2, 3)), (cyclic(4), (2,)),
              (cyclic(5), (2,)), (direct_product(cyclic(2), cyclic(2)), (2,)))
@@ -686,8 +686,9 @@ class TestKernelStepWork:
         assert counts["from_columns"] == 0, counts
         # one section search per projection (36 without the memo)
         assert counts["sections"] == 20, counts
-        # is_surjective and cokernel_of_map replay nothing (26 when they did)
-        assert counts["solvers"] == 7, counts
+        # is_surjective, cokernel_of_map and is_split_injection replay
+        # nothing (26 when the first two did, 7 when the last one did)
+        assert counts["solvers"] == 0, counts
         # the kernel is read in place: the only copies are the 125 kept
         # generators (kernel() copied 760 vectors when the greedy used it)
         assert counts["kernel_copies"] == 0, counts
